@@ -19,7 +19,7 @@ for strategy in ("uds", "vds", "mds"):
         snr_db=20.0, trials=6, seed=11,
         signal=SignalSpec("gaussian_bump", sigma=32.0, center="random"))
     start = time.perf_counter()
-    report = run_experiment(config, threads=4)
+    report = run_experiment(config)
     ratio, m, trials, cs_mean, me_mean = report.ratio_summary()[0]
     print(f"{strategy}: M/N = {ratio}, M = {m}, trials = {trials}, "
           f"l1 SRE = {20.0 * math.log10(cs_mean):6.2f} dB, "

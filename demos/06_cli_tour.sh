@@ -54,6 +54,6 @@ cat > "$OUT/config.json" <<'EOF'
   "output_dir": "demo_output/experiment"
 }
 EOF
-hadhaar experiment --config "$OUT/config.json" --threads 4
+hadhaar experiment --config "$OUT/config.json"
 
 echo "all outputs under $OUT/"

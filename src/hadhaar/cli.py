@@ -2,9 +2,12 @@
 
 Subcommands: transform, coherence, structure-check, sample, recover,
 experiment, signal.  Every numeric output is CSV with a header row and 17
-significant digits.  Failures print one line ``error:<category>: <message>``
-to stderr; exit codes are 0 (success), 2 (usage or validation), 3 (file
-I/O), 4 (infeasible allocation or data ball), 5 (internal).
+significant digits.  ``experiment`` runs its trials one after another on
+seeded streams, so its CSVs are byte-identical across runs.  Failures
+print one line ``error:<category>: <message>`` to stderr; exit codes are 0
+(success), 2 (usage or validation, including an identically zero
+experiment signal), 3 (file I/O), 4 (infeasible allocation or data ball),
+5 (internal).
 """
 from __future__ import annotations
 
@@ -14,8 +17,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +25,13 @@ from . import __version__
 from .coherence import (SYSTEM_TAGS, SystemKind, local_coherence,
                         multilevel_coherence, structure_check)
 from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn
-from .sampling import (RNG_ALGORITHM, STRATEGIES, SampleSet, SamplingPlan,
-                       draw_sample, mds_allocate, measure, rng_stream,
-                       uds_pmf, vds_pmf)
-from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, effective_sparsity,
-                      gaussian_bump, generate, load_signal_csv, make_noise,
-                      save_image_csv, save_pgm, save_signal_csv)
-from .transforms import BASIS_TAGS, BasisKind, haar_transform, vec
+from .sampling import (RNG_ALGORITHM, STRATEGIES, SampleSet, draw_sample,
+                       mds_allocate, measure, rng_stream, uds_pmf, vds_pmf)
+from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt,
+                      effective_sparsity, gaussian_bump, generate,
+                      load_signal_csv, make_noise, save_image_csv, save_pgm,
+                      save_signal_csv)
+from .transforms import BASIS_TAGS, BasisKind, haar_transform
 
 EXIT_CODES = {"usage": 2, "validation": 2, "io": 3, "infeasible": 4,
               "internal": 5}
@@ -45,10 +47,6 @@ class CliError(Exception):
         self.category = category
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
@@ -58,6 +56,17 @@ class SignalSpec:
     kind: str
     sigma: float | None = None
     center: object = None        # "random" or a fixed 1-based position
+
+    def __post_init__(self):
+        if self.kind not in SIGNAL_KINDS:
+            raise ValueError(f"signal kind must be one of {SIGNAL_KINDS}")
+        if self.kind == "gaussian_bump":
+            if self.sigma is None or self.sigma <= 0:
+                raise ValueError("gaussian_bump requires sigma > 0")
+            if self.center is None:
+                raise ValueError("gaussian_bump requires a center ('random' or a position)")
+        elif self.sigma is not None or self.center is not None:
+            raise ValueError(f"{self.kind} takes no sigma/center parameters")
 
 
 @dataclass(frozen=True)
@@ -113,19 +122,10 @@ class ExperimentConfig:
         if self.mds.pregenerated < 1:
             raise ValueError("pregenerated count must be at least 1")
         spec = self.signal
-        if spec.kind not in SIGNAL_KINDS:
-            raise ValueError(f"signal kind must be one of {SIGNAL_KINDS}")
         if sys_kind.is_2d != (spec.kind == "shepp_logan"):
             raise ValueError("signal kind does not match the system dimensionality")
-        if spec.kind == "gaussian_bump":
-            if spec.sigma is None or spec.sigma <= 0:
-                raise ValueError("gaussian_bump requires sigma > 0")
-            if spec.center is None:
-                raise ValueError("gaussian_bump requires a center ('random' or a position)")
-            if 2 * spec.sigma > sys_kind.n_total:
-                raise ValueError("sigma too wide for a center inside [sigma, N - sigma]")
-        elif spec.sigma is not None or spec.center is not None:
-            raise ValueError(f"{spec.kind} takes no sigma/center parameters")
+        if spec.kind == "gaussian_bump" and 2 * spec.sigma > sys_kind.n_total:
+            raise ValueError("sigma too wide for a center inside [sigma, N - sigma]")
 
 
 def config_to_json(config):
@@ -151,26 +151,26 @@ def config_to_json(config):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def config_from_json(text):
-    doc = json.loads(text)
+def _known_keys(doc, cls, what):
+    """``doc`` if it is a JSON object whose keys are all fields of ``cls``."""
     if not isinstance(doc, dict):
-        raise ValueError("config document must be a JSON object")
-    known = {"schema_version", "system", "r", "strategy", "ratios", "snr_db",
-             "trials", "seed", "signal", "rho", "mds", "solver", "output_dir"}
-    unknown = set(doc) - known
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return doc
+
+
+def config_from_json(text):
+    doc = _known_keys(json.loads(text), ExperimentConfig, "config")
     for key in ("system", "r", "strategy", "ratios", "trials", "seed", "signal"):
         if key not in doc:
             raise ValueError(f"config key {key!r} is required")
-    sig = dict(doc["signal"])
-    unknown = set(sig) - {"kind", "sigma", "center"}
-    if unknown:
-        raise ValueError(f"unknown signal keys: {sorted(unknown)}")
+    sig = _known_keys(doc["signal"], SignalSpec, "signal")
     signal = SignalSpec(kind=sig.get("kind"), sigma=sig.get("sigma"),
                         center=sig.get("center"))
-    mds = MdsSpec(**doc.get("mds", {}))
-    solver = SolverSpec(**doc.get("solver", {}))
+    mds = MdsSpec(**_known_keys(doc.get("mds", {}), MdsSpec, "mds"))
+    solver = SolverSpec(**_known_keys(doc.get("solver", {}), SolverSpec, "solver"))
     snr = doc.get("snr_db")
     return ExperimentConfig(
         system=doc["system"], r=int(doc["r"]), strategy=doc["strategy"],
@@ -233,52 +233,47 @@ def _capped_db(ratio_mean):
     return min(20.0 * math.log10(ratio_mean), SRE_CAP_DB), 0
 
 
+def _make_signal(spec, size, rng):
+    """The signal ``spec`` describes at ``size``; a random bump centre is
+    drawn from ``rng`` with one uniform draw."""
+    if spec.kind != "gaussian_bump":
+        return generate(spec.kind, size)
+    center = spec.center
+    if center == "random":
+        center = spec.sigma + (size - 2.0 * spec.sigma) * rng.random()
+    return gaussian_bump(size, spec.sigma, float(center))
+
+
 def _trial_signal(config, system, rng):
-    spec = config.signal
-    size = system.side if system.is_2d else system.n_total
-    if spec.kind == "gaussian_bump":
-        if spec.center == "random":
-            center = spec.sigma + (size - 2.0 * spec.sigma) * rng.random()
-        else:
-            center = float(spec.center)
-        return gaussian_bump(size, spec.sigma, center)
-    return generate(spec.kind, size)
-
-
-def _coefficients(system, x):
-    c = haar_transform(system.sparsity_basis, "analysis", x)
-    return vec(c) if system.is_2d else c
+    x = _make_signal(config.signal, system.side, rng)
+    if not np.any(x):
+        raise ValueError("reference signal must be nonzero")
+    return x
 
 
 def _worst_case_k(config, system, partition):
+    """Per-level maximum of the effective sparsities of the pregenerated
+    signals; a signal without a random centre is the same every time, so
+    it is generated once."""
     rng = rng_stream(config.seed, _ROLE_PREGEN)
+    count = config.mds.pregenerated if config.signal.center == "random" else 1
     worst = np.zeros(partition.n_levels, dtype=np.int64)
-    for _ in range(config.mds.pregenerated):
+    for _ in range(count):
         x = _trial_signal(config, system, rng)
-        es = effective_sparsity(_coefficients(system, x), config.rho, partition)
+        es = effective_sparsity(system.coefficients(x), config.rho, partition)
         worst = np.maximum(worst, es.per_level)
     return worst
 
 
-def _trial_plan(config, system, partition, shared_k, x, m_total):
-    if config.strategy == "uds":
-        return uds_pmf(system)
-    if config.strategy == "vds":
-        return vds_pmf(system)
-    if shared_k is not None:
-        k = shared_k
-    else:
-        k = effective_sparsity(_coefficients(system, x), config.rho,
-                               partition).per_level
-    return mds_allocate(k, m_total, partition)
-
-
-def _run_trial(config, system, partition, shared_k, ri, ratio, ti):
-    n = system.n_total
-    m_total = max(1, int(round(ratio * n)))
+def _run_trial(config, system, partition, plan, ri, m_total, ti):
+    """One (ratio, trial) cell; ``plan`` is None when mds sizes the plan
+    from this trial's signal (oracle_from_signal)."""
     x = _trial_signal(config, system,
                       rng_stream(config.seed, _ROLE_SIGNAL, ri, ti))
-    plan = _trial_plan(config, system, partition, shared_k, x, m_total)
+    if plan is None:
+        k = effective_sparsity(system.coefficients(x), config.rho,
+                               partition).per_level
+        plan = mds_allocate(k, m_total, partition)
     sample = draw_sample(plan, m_total,
                          np.random.SeedSequence(entropy=config.seed,
                                                 spawn_key=(_ROLE_SAMPLE, ri, ti)))
@@ -295,7 +290,7 @@ def _run_trial(config, system, partition, shared_k, ri, ratio, ti):
     report = solve_bpdn(problem)
     me_hat = me_reconstruct(system, sample, y)
     return TrialRecord(
-        ratio_index=ri, ratio=ratio, trial=ti + 1, m=m_total,
+        ratio_index=ri, ratio=config.ratios[ri], trial=ti + 1, m=m_total,
         sample_seed=sample.seed,
         x_norm=float(np.linalg.norm(x)),
         cs_error=float(np.linalg.norm(x - report.x_hat)),
@@ -305,29 +300,32 @@ def _run_trial(config, system, partition, shared_k, ri, ratio, ti):
         cs_converged=report.converged)
 
 
-def run_experiment(config, threads=1):
-    """Run every (ratio, trial) cell; deterministic for any thread count.
+def run_experiment(config):
+    """Run every (ratio, trial) cell in order, one after another.
 
     Each cell derives its signal, sample and noise streams from the master
-    seed and its own (ratio, trial) coordinates, so results do not depend
-    on execution order; records are gathered by cell index.
+    seed and its own (ratio, trial) coordinates, so a cell's result does
+    not depend on the cells run before it.  Sampling plans depend on the
+    config alone and are built once: the uds/vds plan per experiment and
+    the worst-case mds allocation per ratio.  Raises ValueError if a
+    trial's signal is identically zero.
     """
     system = SystemKind(config.system, config.r)
     partition = system.partition()
-    shared_k = None
-    if config.strategy == "mds" and \
-            config.mds.sparsity_source == "worst_case_pregenerated":
-        shared_k = _worst_case_k(config, system, partition)
-    cells = [(ri, ratio, ti) for ri, ratio in enumerate(config.ratios)
-             for ti in range(config.trials)]
-    if threads <= 1:
-        records = [_run_trial(config, system, partition, shared_k, *cell)
-                   for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(
-                lambda cell: _run_trial(config, system, partition,
-                                        shared_k, *cell), cells))
+    plan = worst_k = None
+    if config.strategy == "uds":
+        plan = uds_pmf(system)
+    elif config.strategy == "vds":
+        plan = vds_pmf(system)
+    elif config.mds.sparsity_source == "worst_case_pregenerated":
+        worst_k = _worst_case_k(config, system, partition)
+    records = []
+    for ri, ratio in enumerate(config.ratios):
+        m_total = max(1, int(round(ratio * system.n_total)))
+        if worst_k is not None:
+            plan = mds_allocate(worst_k, m_total, partition)
+        records += [_run_trial(config, system, partition, plan, ri, m_total, ti)
+                    for ti in range(config.trials)]
     return ExperimentReport(config, tuple(records))
 
 
@@ -521,21 +519,8 @@ def cmd_recover(args):
 
 
 def cmd_signal(args):
-    if args.kind == "gaussian_bump":
-        if args.sigma is None:
-            raise ValueError("gaussian_bump requires --sigma")
-        if args.center == "random":
-            rng = rng_stream(args.seed, _ROLE_SIGNAL)
-            center = args.sigma + (args.size - 2.0 * args.sigma) * rng.random()
-        elif args.center is None:
-            raise ValueError("gaussian_bump requires --center")
-        else:
-            center = float(args.center)
-        x = gaussian_bump(args.size, args.sigma, center)
-    else:
-        if args.sigma is not None or args.center is not None:
-            raise ValueError(f"{args.kind} takes no --sigma/--center")
-        x = generate(args.kind, args.size)
+    spec = SignalSpec(args.kind, args.sigma, args.center)
+    x = _make_signal(spec, args.size, rng_stream(args.seed, _ROLE_SIGNAL))
     out = _out_dir(args)
     path = os.path.join(out, "signal.csv")
     _write_array_csv(path, x)
@@ -556,7 +541,7 @@ def cmd_experiment(args):
         config = dataclasses.replace(config, seed=args.seed)
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)
-    report = run_experiment(config, threads=args.threads)
+    report = run_experiment(config)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     trials_path = os.path.join(out, "trials.csv")
@@ -645,7 +630,6 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="run a JSON-configured recovery experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", help="override the config output_dir")
     p.set_defaults(func=cmd_experiment)

@@ -31,6 +31,10 @@ from .transforms import (
     _pow2_half,
     _pow2_half_array,
     dense_basis,
+    fwht,
+    haar_transform,
+    unvec,
+    vec,
 )
 
 SYSTEM_TAGS = ("had_dhw_1d", "had2_idhw", "had2_adhw")
@@ -90,6 +94,40 @@ class SystemKind:
     def partition(self):
         return build_levels(self.partition_kind, self.r)
 
+    # The system matrix is U = Phi^T Psi.  Signals are 2^r vectors or
+    # 2^r x 2^r images; spectra and coefficients are flat, column-major in
+    # 2-D.  Each method accepts its input in either layout.
+
+    def _shaped(self, v):
+        v = np.asarray(v, dtype=np.float64)
+        if self.is_2d and v.shape == (self.n_total,):
+            v = unvec(v, self.side)
+        if v.shape != (self.side,) * (2 if self.is_2d else 1):
+            raise ValueError(f"{self.tag} with r = {self.r} expects "
+                             f"{self.n_total} entries in signal or flat layout, "
+                             f"got shape {v.shape}")
+        return v
+
+    def _flat(self, v):
+        return vec(v) if self.is_2d else v
+
+    def spectrum(self, x):
+        """Flat Hadamard spectrum Phi^T x of a signal."""
+        return self._flat(fwht(self._shaped(x)))
+
+    def signal(self, z):
+        """Phi z in signal shape; inverts :meth:`spectrum`."""
+        return fwht(self._shaped(z))
+
+    def coefficients(self, x):
+        """Flat Haar coefficients Psi^T x of a signal."""
+        return self._flat(haar_transform(self.sparsity_basis, "analysis",
+                                         self._shaped(x)))
+
+    def synthesis(self, s):
+        """Psi s in signal shape; inverts :meth:`coefficients`."""
+        return haar_transform(self.sparsity_basis, "synthesis", self._shaped(s))
+
 
 def _as_system(system, r=None):
     if isinstance(system, SystemKind):
@@ -129,11 +167,7 @@ class MultilevelProfile:
 
     def relative_sparsity_bound(self, k):
         """Upper bound on the relative sparsities K_t given per-level k."""
-        part = self.system.partition()
-        k = np.asarray(k, dtype=np.int64)
-        if k.shape != (part.n_levels,) or np.any(k < 0) or np.any(k > part.sizes):
-            raise ValueError("k must hold one count in [0, |level|] per level")
-        return k.astype(np.float64)
+        return relative_sparsity(self.system, k, mode="bound")
 
 
 # ---------------------------------------------------------------------------

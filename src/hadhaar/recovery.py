@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sampling import SampleSet
-from .transforms import fwht, haar_transform, unvec, vec
 
 __all__ = ["RecoveryProblem", "RecoveryReport", "solve_bpdn", "me_reconstruct"]
 
@@ -154,28 +153,20 @@ def solve_bpdn(problem):
     system, sample = problem.system, problem.sample
     m = sample.n_measurements
     n = system.n_total
-    basis = system.sparsity_basis
     w = sample.weights / math.sqrt(m) if problem.weighted else np.ones(m)
     b = w * problem.y
     eps = float(problem.epsilon)
 
-    def to_signal(z):
-        return fwht(unvec(z, system.side)) if system.is_2d else fwht(z)
-
     def coefficients(z):                    # U^T z
-        coef = haar_transform(basis, "analysis", to_signal(z))
-        return vec(coef) if system.is_2d else coef
+        return system.coefficients(system.signal(z))
 
     def spectrum(s):                        # U s
-        if system.is_2d:
-            return vec(fwht(haar_transform(basis, "synthesis",
-                                           unvec(s, system.side))))
-        return fwht(haar_transform(basis, "synthesis", s))
+        return system.spectrum(system.synthesis(s))
 
     b_norm = float(np.linalg.norm(b))
     feas_slack = problem.tol_feas * max(1.0, b_norm)
     if b_norm <= eps:
-        return RecoveryReport(to_signal(np.zeros(n)), 0, b_norm, 0.0, True)
+        return RecoveryReport(system.signal(np.zeros(n)), 0, b_norm, 0.0, True)
 
     rows = sample.omega - 1
     c_all = np.bincount(rows, weights=w * w, minlength=n)
@@ -210,7 +201,7 @@ def solve_bpdn(problem):
             converged = (residual - eps <= feas_slack
                          and objective - dual <= problem.tol_gap * objective)
             if converged or it == problem.max_iterations:
-                return RecoveryReport(to_signal(z), it, residual, objective,
+                return RecoveryReport(system.signal(z), it, residual, objective,
                                       converged)
         t += z - y
 
@@ -231,6 +222,4 @@ def me_reconstruct(system, sample, y):
     sums = np.bincount(pos, weights=y, minlength=system.n_total)
     counts = np.bincount(pos, minlength=system.n_total)
     avg = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    if system.is_2d:
-        return fwht(unvec(avg, system.side))
-    return fwht(avg)
+    return system.signal(avg)

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherence import SystemKind, local_coherence
+from .coherence import _as_system, local_coherence
 from .indexing import LevelPartition
-from .transforms import fwht, unvec, vec
 
 RNG_ALGORITHM = "philox4x64/seedseq"
 STRATEGIES = ("uds", "vds", "mds")
@@ -95,14 +94,14 @@ class SampleSet:
 
 def uds_pmf(system, r=None):
     """Uniform sampling plan over the Hadamard indices."""
-    system = system if isinstance(system, SystemKind) else SystemKind(system, int(r))
+    system = _as_system(system, r)
     n = system.n_total
     return SamplingPlan("uds", n, pmf=np.full(n, 1.0 / n))
 
 
 def vds_pmf(system, r=None):
     """Variable-density plan: eta(l) proportional to the squared local coherence."""
-    system = system if isinstance(system, SystemKind) else SystemKind(system, int(r))
+    system = _as_system(system, r)
     sq = local_coherence(system, mode="closed").values_squared
     return SamplingPlan("vds", system.n_total, pmf=sq / sq.sum())
 
@@ -234,27 +233,13 @@ def draw_sample(plan, m_total, seed, replace=True):
                      seed=f"{entropy}[{key}]" if key else str(entropy))
 
 
-def _flat_signal(system, x):
-    x = np.asarray(x, dtype=np.float64)
-    if system.is_2d:
-        if x.ndim == 2:
-            if x.shape != (system.side, system.side):
-                raise ValueError("image side must be 2^r")
-            return x
-        if x.ndim == 1 and x.size == system.n_total:
-            return unvec(x, system.side)
-        raise ValueError("2-D systems expect a square image or its vectorisation")
-    if x.ndim != 1 or x.size != system.n_total:
-        raise ValueError("1-D systems expect a vector of length 2^r")
-    return x
-
-
 def measure(system, sample, x):
-    """Subsampled Hadamard measurements y_j = (Phi^T x)_{omega_j}."""
-    sig = _flat_signal(system, x)
-    z = fwht(sig)
-    z = vec(z) if system.is_2d else z
-    return z[sample.omega - 1]
+    """Subsampled Hadamard measurements y_j = (Phi^T x)_{omega_j}.
+
+    ``x`` is a vector of length 2^r, or for 2-D systems a 2^r x 2^r image
+    or its column-major vectorisation.
+    """
+    return system.spectrum(x)[sample.omega - 1]
 
 
 def measure_adjoint(system, sample, y):
@@ -263,6 +248,4 @@ def measure_adjoint(system, sample, y):
     if y.shape != (sample.n_measurements,):
         raise ValueError("measurement vector length must match the sample")
     z = np.bincount(sample.omega - 1, weights=y, minlength=system.n_total)
-    if system.is_2d:
-        return fwht(unvec(z, system.side))
-    return fwht(z)
+    return system.signal(z)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .indexing import LevelPartition
+from .transforms import _require_pow2
 
 SRE_CAP_DB = 300.0
 SIGNAL_KINDS = ("gaussian_bump", "blocks", "bumps", "heavisine", "doppler",
@@ -46,20 +47,13 @@ __all__ = [
 ]
 
 
-def _require_pow2(n, what="size"):
-    n = int(n)
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"{what} must be a power of two, got {n}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # 1-D generators
 # ---------------------------------------------------------------------------
 
 def gaussian_bump(n, sigma, center):
     """Discretised Gaussian density with peak at the 1-based index ``center``."""
-    n = _require_pow2(n)
+    n = 2 ** _require_pow2(n, "size")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     i = np.arange(1, n + 1, dtype=np.float64)
@@ -78,7 +72,8 @@ _BUMPS_WID = np.array([0.005, 0.005, 0.006, 0.01, 0.01, 0.03,
 
 
 def _grid(n):
-    return np.arange(1, _require_pow2(n) + 1, dtype=np.float64) / n
+    n = 2 ** _require_pow2(n, "size")
+    return np.arange(1, n + 1, dtype=np.float64) / n
 
 
 def blocks(n):
@@ -129,7 +124,7 @@ def shepp_logan(n):
     Pixel (row i, column j) samples the plane at x increasing with j and y
     decreasing with i (the head points up); the background is exactly zero.
     """
-    n = _require_pow2(n, "side")
+    n = 2 ** _require_pow2(n, "side")
     ax = (np.arange(n, dtype=np.float64) - (n - 1) / 2.0) / ((n - 1) / 2.0) if n > 1 \
         else np.zeros(1)
     x = ax[None, :]

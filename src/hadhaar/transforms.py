@@ -108,6 +108,8 @@ def _pow2_half_array(k):
 
 
 def _require_pow2(n, what="length"):
+    """r with int(n) == 2^r, else a ValueError naming ``what``."""
+    n = int(n)
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two, got {n}")
     return n.bit_length() - 1
@@ -149,12 +151,17 @@ def fwht(x):
     raise ValueError("input must be 1-D or 2-D")
 
 
-def _dhw_scales(r):
-    """Per-coefficient scales 2^(e/2): e = -r at index 1, l-1-r in level l."""
+def _dhw_exponents(r):
+    """Half-exponents e of the Haar column scales 2^(e/2): e = -r at index 1,
+    l-1-r in level l."""
     expo = np.full(2 ** r, -r, dtype=np.int64)
     for l in range(1, r + 1):
         expo[2 ** (l - 1):2 ** l] = l - 1 - r
-    return _pow2_half_array(expo)
+    return expo
+
+
+def _dhw_scales(r):
+    return _pow2_half_array(_dhw_exponents(r))
 
 
 def _dhw_analysis_axis0(x):
@@ -252,7 +259,7 @@ def haar_transform(kind, direction, x, r=None):
         basis = BasisKind(kind, int(r))
     else:
         n = np.asarray(x).shape[0]
-        basis = BasisKind(kind, _require_pow2(int(n), "side"))
+        basis = BasisKind(kind, _require_pow2(n, "side"))
     if direction not in ("analysis", "synthesis"):
         raise ValueError("direction must be 'analysis' or 'synthesis'")
     x = np.asarray(x, dtype=np.float64)
@@ -294,11 +301,7 @@ def _haar_parts(r, window):
         m = 2 ** (k - 1)
         signs = np.hstack([np.kron(signs, [[1.0], [1.0]]),
                            np.kron(np.eye(m), [[1.0], [hi]])])
-    expo = np.empty(2 ** r, dtype=np.int64)
-    expo[0] = -r
-    for l in range(1, r + 1):
-        expo[2 ** (l - 1):2 ** l] = l - 1 - r
-    return signs, expo
+    return signs, _dhw_exponents(r)
 
 
 def _materialize(parts):

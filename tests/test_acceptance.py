@@ -179,7 +179,7 @@ def test_criterion_06_strategy_ordering():
                 system="had_dhw_1d", r=9, strategy=strategy, ratios=(0.2,),
                 snr_db=20.0, trials=20, seed=11,
                 signal=SignalSpec("gaussian_bump", sigma=64.0, center="random"))
-            report = run_experiment(config, threads=4)
+            report = run_experiment(config)
             _, m, trials, cs_mean, _ = report.ratio_summary()[0]
             assert m == 102 and trials == 20
             sre[strategy] = 20.0 * math.log10(cs_mean)
@@ -263,10 +263,10 @@ def test_criterion_10_deterministic_outputs(tmp_path):
             snr_db=20.0, trials=4, seed=12,
             signal=SignalSpec("gaussian_bump", sigma=6.0, center="random"))
         outputs = []
-        for run, threads in enumerate((1, 1, 8, 8)):
+        for run in range(4):
             out = tmp_path / f"run{run}"
             out.mkdir()
-            report = run_experiment(config, threads=threads)
+            report = run_experiment(config)
             write_trials_csv(out / "trials.csv", report)
             write_summary_csv(out / "summary.csv", report)
             write_config_echo(out / "config_echo.json", report)

@@ -6,8 +6,7 @@ import pytest
 
 from hadhaar.cli import (EXIT_CODES, ExperimentConfig, MdsSpec, SignalSpec,
                          SolverSpec, config_from_json, config_to_json, main,
-                         run_experiment, write_config_echo, write_summary_csv,
-                         write_trials_csv)
+                         run_experiment, write_summary_csv, write_trials_csv)
 from hadhaar.coherence import SystemKind, local_coherence
 from hadhaar.sampling import draw_sample, measure, uds_pmf, vds_pmf
 from hadhaar.signals import generate, load_signal_csv, save_signal_csv
@@ -49,6 +48,11 @@ def test_config_unknown_keys_rejected():
     doc["signal"]["shape"] = "wide"
     with pytest.raises(ValueError, match="unknown signal keys"):
         config_from_json(json.dumps(doc))
+    for section, key in (("mds", "budget"), ("solver", "tol")):
+        doc = json.loads(config_to_json(_small_config()))
+        doc[section][key] = 1e-3
+        with pytest.raises(ValueError, match=f"unknown {section} keys"):
+            config_from_json(json.dumps(doc))
     doc = json.loads(config_to_json(_small_config()))
     del doc["trials"]
     with pytest.raises(ValueError, match="required"):
@@ -91,22 +95,6 @@ def test_run_experiment_shape_and_summary():
     manual = np.mean([rec.x_norm / rec.cs_error for rec in report.records
                       if rec.ratio_index == 1])
     assert rows[1][3] == float(manual)
-
-
-def test_experiment_thread_count_does_not_change_results(tmp_path):
-    config = _small_config(snr_db=25.0)
-    outputs = {}
-    for threads in (1, 8):
-        out = tmp_path / f"t{threads}"
-        out.mkdir()
-        report = run_experiment(config, threads=threads)
-        write_trials_csv(out / "trials.csv", report)
-        write_summary_csv(out / "summary.csv", report)
-        write_config_echo(out / "config_echo.json", report)
-        outputs[threads] = {name: (out / name).read_bytes()
-                            for name in ("trials.csv", "summary.csv",
-                                         "config_echo.json")}
-    assert outputs[1] == outputs[8]
 
 
 def test_experiment_mds_paths():
@@ -252,14 +240,26 @@ def test_cmd_experiment(tmp_path):
     config = _small_config(trials=2, output_dir=str(tmp_path / "run"))
     config_path = tmp_path / "config.json"
     config_path.write_text(config_to_json(config))
-    assert main(["experiment", "--config", str(config_path),
-                 "--threads", "2"]) == 0
+    assert main(["experiment", "--config", str(config_path)]) == 0
     run_dir = tmp_path / "run"
     for name in ("trials.csv", "summary.csv", "config_echo.json"):
         assert (run_dir / name).exists()
     echo = json.loads((run_dir / "config_echo.json").read_text())
     assert echo["config"]["seed"] == 4
     assert echo["rng_algorithm"] == "philox4x64/seedseq"
+
+
+def test_cmd_experiment_rejects_zero_signal(tmp_path, capsys):
+    # a bump centred far outside [1, 16] underflows to an all-zero signal
+    config = _small_config(r=4, signal=SignalSpec("gaussian_bump", sigma=2.0,
+                                                  center=1000),
+                           output_dir=str(tmp_path / "run"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config_to_json(config))
+    assert main(["experiment", "--config", str(config_path)]) \
+        == EXIT_CODES["validation"]
+    assert "reference signal must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hadhaar.coherence import (SystemKind, local_coherence, multilevel_coherence,
-                               relative_sparsity, structure_check, system_matrix)
+from hadhaar.coherence import (SYSTEM_TAGS, SystemKind, local_coherence,
+                               multilevel_coherence, relative_sparsity,
+                               structure_check, system_matrix)
 from hadhaar.indexing import build_levels, pair_to_index
 
 ALL_SYSTEMS = [("had_dhw_1d", 6), ("had2_idhw", 3), ("had2_adhw", 3)]
@@ -202,3 +205,36 @@ def test_system_kind_properties():
     assert s.is_2d and s.side == 8 and s.n_total == 64
     assert s.partition_kind == "iso2d"
     assert not SystemKind("had_dhw_1d", 3).is_2d
+
+
+@st.composite
+def _system_and_vectors(draw):
+    tag = draw(st.sampled_from(SYSTEM_TAGS))
+    system = SystemKind(tag, draw(st.integers(1, 8 if tag == "had_dhw_1d" else 4)))
+    column = draw(st.integers(0, system.n_total - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return system, column, rng.standard_normal((3, system.n_total))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_system_and_vectors())
+def test_system_methods_apply_u_and_its_adjoint(case):
+    system, column, (s, q, x) = case
+    u = system_matrix(system)
+    unit = np.zeros(system.n_total)
+    unit[column] = 1.0
+    np.testing.assert_allclose(system.spectrum(system.synthesis(unit)),
+                               u[:, column], rtol=0, atol=1e-14)
+    us = system.spectrum(system.synthesis(s))
+    utq = system.coefficients(system.signal(q))
+    np.testing.assert_allclose(us, u @ s, rtol=0, atol=1e-12)
+    assert math.isclose(float(us @ q), float(s @ utq), rel_tol=1e-12,
+                        abs_tol=1e-12)
+    if system.is_2d:
+        x = x.reshape(system.side, system.side, order="F")
+    for there, back in ((system.spectrum, system.signal),
+                        (system.coefficients, system.synthesis)):
+        flat = there(x)
+        assert flat.shape == (system.n_total,)
+        np.testing.assert_allclose(back(flat), x, rtol=0, atol=1e-12)
+        assert back(flat).shape == x.shape

@@ -220,14 +220,15 @@ def test_measure_2d_matches_vec():
     assert np.array_equal(measure(system, sample, vec(img)), y)
 
 
-def test_measure_adjoint_identity():
-    system = SystemKind("had_dhw_1d", 4)
+@pytest.mark.parametrize("tag", ["had_dhw_1d", "had2_idhw", "had2_adhw"])
+def test_measure_adjoint_identity(tag):
+    system = SystemKind(tag, 4 if tag == "had_dhw_1d" else 2)
     sample = _manual_sample(np.array([2, 2, 5, 16, 9, 2]))
     rng = rng_stream(8, 0)
     x = rng.standard_normal(16)
     y = rng.standard_normal(6)
     lhs = float(measure(system, sample, x) @ y)
-    rhs = float(x @ measure_adjoint(system, sample, y))
+    rhs = float(x @ vec(measure_adjoint(system, sample, y)))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
