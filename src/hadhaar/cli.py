@@ -55,7 +55,7 @@ class CliError(Exception):
 class SignalSpec:
     kind: str
     sigma: float | None = None
-    center: object = None        # "random" or a fixed 1-based position
+    center: str | float | None = None    # "random" or a fixed 1-based position
 
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
@@ -151,35 +151,56 @@ def config_to_json(config):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _known_keys(doc, cls, what):
-    """``doc`` if it is a JSON object whose keys are all fields of ``cls``."""
+# JSON name and types of each part of a field annotation; any other part
+# names a spec class, written as a JSON object
+_JSON_TYPES = {"str": ("a string", (str,)), "int": ("an integer", (int,)),
+               "float": ("a number", (int, float)),
+               "None": ("null", (type(None),)), "tuple": ("a list", (list,))}
+
+
+def _checked(doc, cls, what, nullable=()):
+    """``doc`` if it is a JSON object whose keys are fields of ``cls`` and
+    whose values have those fields' types; keys in ``nullable`` may be null."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(types)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        parts = types[key].split(" | ") + (["None"] if key in nullable else [])
+        names, allowed = zip(*(_JSON_TYPES.get(part, ("an object", (dict,)))
+                               for part in parts))
+        if isinstance(value, bool) or not isinstance(value, sum(allowed, ())):
+            name = key if what == "config" else f"{what}.{key}"
+            raise ValueError(f"config key {name!r} must be {' or '.join(names)}, "
+                             f"got {json.dumps(value)}")
     return doc
 
 
 def config_from_json(text):
-    doc = _known_keys(json.loads(text), ExperimentConfig, "config")
+    doc = _checked(json.loads(text), ExperimentConfig, "config",
+                   nullable=("snr_db",))
     for key in ("system", "r", "strategy", "ratios", "trials", "seed", "signal"):
         if key not in doc:
             raise ValueError(f"config key {key!r} is required")
-    sig = _known_keys(doc["signal"], SignalSpec, "signal")
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in doc["ratios"]):
+        raise ValueError("config key 'ratios' must be a list of numbers")
+    sig = _checked(doc["signal"], SignalSpec, "signal")
     signal = SignalSpec(kind=sig.get("kind"), sigma=sig.get("sigma"),
                         center=sig.get("center"))
-    mds = MdsSpec(**_known_keys(doc.get("mds", {}), MdsSpec, "mds"))
-    solver = SolverSpec(**_known_keys(doc.get("solver", {}), SolverSpec, "solver"))
+    mds = MdsSpec(**_checked(doc.get("mds", {}), MdsSpec, "mds"))
+    solver = SolverSpec(**_checked(doc.get("solver", {}), SolverSpec, "solver"))
     snr = doc.get("snr_db")
     return ExperimentConfig(
-        system=doc["system"], r=int(doc["r"]), strategy=doc["strategy"],
+        system=doc["system"], r=doc["r"], strategy=doc["strategy"],
         ratios=tuple(doc["ratios"]),
         snr_db=math.inf if snr is None else float(snr),
-        trials=int(doc["trials"]), seed=int(doc["seed"]), signal=signal,
+        trials=doc["trials"], seed=doc["seed"], signal=signal,
         rho=float(doc.get("rho", 0.995)), mds=mds, solver=solver,
         output_dir=doc.get("output_dir", "."),
-        schema_version=int(doc.get("schema_version", 1)))
+        schema_version=doc.get("schema_version", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +496,10 @@ def cmd_sample(args):
     return 0
 
 
-def _load_sample(path):
+def _load_sample(path, system):
+    """The sample in ``path`` and its ``sample_meta.json``, checked against
+    ``system``: the recorded system and r must match and every index must
+    lie in [1, N]."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "position,index,weight":
@@ -487,13 +511,21 @@ def _load_sample(path):
     meta_path = os.path.join(os.path.dirname(path) or ".", "sample_meta.json")
     with open(meta_path, "r", encoding="ascii") as fh:
         meta = json.load(fh)
+    for key, want in (("system", system.tag), ("r", system.r)):
+        if key in meta and meta[key] != want:
+            raise ValueError(f"sample was drawn for {key} = {meta[key]!r}, "
+                             f"not {want!r}")
+    bad = (omega < 1) | (omega > system.n_total)
+    if bad.any():
+        raise ValueError(f"sample index {omega[bad][0]} outside [1, "
+                         f"{system.n_total}] for {system.tag} with r = {system.r}")
     return SampleSet(omega, weights, meta["strategy"], seed=meta["seed"],
                      rng_algorithm=meta["rng_algorithm"])
 
 
 def cmd_recover(args):
     system = SystemKind(args.system, args.r)
-    sample = _load_sample(args.sample)
+    sample = _load_sample(args.sample, system)
     y = load_signal_csv(args.measurements)
     problem = RecoveryProblem(system, sample, y, args.epsilon,
                               tol_feas=args.tol_feas, tol_gap=args.tol_gap,

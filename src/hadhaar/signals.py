@@ -9,6 +9,7 @@ table with additive intensities.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,24 +335,62 @@ def save_image_csv(path, img):
                 fh.write(f"{i + 1},{j + 1},{_fmt(img[i, j])}\n")
 
 
+def _scatter(path, index, shape, values):
+    """Array of ``shape`` holding ``values`` at the 1-based positions
+    ``index`` (one integer array per axis); every position must occur once."""
+    names = ("index",) if len(shape) == 1 else ("row", "col")
+    for name, ix, n in zip(names, index, shape):
+        bad = (ix < 1) | (ix > n)
+        if bad.any():
+            raise ValueError(f"{path}: {name} {ix[bad][0]} outside [1, {n}]")
+    flat = np.ravel_multi_index(tuple(ix - 1 for ix in index), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    for kind, wrong in (("duplicate", counts > 1), ("missing", counts == 0)):
+        if wrong.any():
+            pos = np.unravel_index(np.flatnonzero(wrong)[0], shape)
+            where = ", ".join(f"{name} {p + 1}" for name, p in zip(names, pos))
+            raise ValueError(f"{path}: {kind} {where}")
+    out = np.empty(shape)
+    out.reshape(-1)[flat] = values
+    return out
+
+
 def load_signal_csv(path):
-    """Read either CSV layout back into an array."""
+    """Read either CSV layout back into an array.
+
+    Every position must appear exactly once: a duplicate, missing or
+    out-of-range index raises ValueError.
+    """
+    # parsed straight into typed buffers: no list of rows or of Python
+    # numbers is kept, which would outweigh the array many times over
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header == ["index", "value"]:
-        out = np.empty(len(rows))
-        for idx, val in rows:
-            out[int(idx) - 1] = float(val)
-        return out
-    if header == ["row", "col", "value"]:
-        n_r = max(int(r[0]) for r in rows)
-        n_c = max(int(r[1]) for r in rows)
-        out = np.empty((n_r, n_c))
-        for i, j, val in rows:
-            out[int(i) - 1, int(j) - 1] = float(val)
-        return out
-    raise ValueError(f"unrecognised CSV header {header!r}")
+        if header not in (["index", "value"], ["row", "col", "value"]):
+            raise ValueError(f"unrecognised CSV header {header!r}")
+        idx_r, idx_c, values = array("q"), array("q"), array("d")
+        try:
+            if len(header) == 2:
+                for line in fh:
+                    if line.strip():
+                        i, val = line.split(",")
+                        idx_r.append(int(i))
+                        values.append(float(val))
+            else:
+                for line in fh:
+                    if line.strip():
+                        i, j, val = line.split(",")
+                        idx_r.append(int(i))
+                        idx_c.append(int(j))
+                        values.append(float(val))
+        except OverflowError as exc:
+            raise ValueError(f"{path}: index out of range: {exc}") from None
+    if not values:
+        raise ValueError(f"{path}: no data rows")
+    idx_r, idx_c = np.asarray(idx_r), np.asarray(idx_c)
+    if len(header) == 2:
+        return _scatter(path, (idx_r,), (len(values),), values)
+    return _scatter(path, (idx_r, idx_c), (int(idx_r.max()), int(idx_c.max())),
+                    values)
 
 
 def save_pgm(path, img):

@@ -18,6 +18,7 @@ window.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,15 +120,78 @@ def _require_pow2(n, what="length"):
 # fast transforms
 # ---------------------------------------------------------------------------
 
-def _fwht_axis0_raw(x):
-    """Unscaled Walsh-Hadamard butterflies along the first axis."""
-    n = x.shape[0]
-    arr = np.asarray(x, dtype=np.float64).reshape(1, n, -1)
-    while arr.shape[1] > 1:
-        s = arr[:, 0::2, :] + arr[:, 1::2, :]
-        d = arr[:, 0::2, :] - arr[:, 1::2, :]
-        arr = np.stack([s, d], axis=1).reshape(-1, arr.shape[1] // 2, arr.shape[2])
-    return arr.reshape(x.shape)
+# The Paley matrix pairs bit k of the row index with bit r-1-k of the column
+# index, so it is symmetric and, for x of length a*b reshaped C-order to an
+# a x b matrix X, P_{ab} x = vec_F(P_a X P_b).  Unrolled, the transform of a
+# length-2^r axis splits the axis into digits, applies a small dense Paley
+# factor along each digit (one matrix product per digit) and reverses the
+# digit order in a single transpose.  The factors hold only +-1, so unit
+# vectors and other small-integer inputs stay exact until the single scaling
+# at the end.
+
+_FACTOR_MAX = 5          # factors are at most 32 x 32
+_GEMM_CAP = 1 << 17      # m*n*k per gemm; larger gemms wake OpenBLAS threads
+
+
+@functools.lru_cache(maxsize=None)
+def _paley_factor(f):
+    """Unscaled Paley sign matrix of size 2^f, read-only."""
+    signs = _hadamard_parts(f)[0]
+    signs.flags.writeable = False
+    return signs
+
+
+def _digit_split(r):
+    """Exponents of the factors of a length-2^r axis: near-equal, each at
+    most _FACTOR_MAX."""
+    m = -(-r // _FACTOR_MAX)
+    return [r // m + (i < r % m) for i in range(m)]
+
+
+@functools.lru_cache(maxsize=None)
+def _paley_plan(shape):
+    """Factor steps, digit shape, digit permutation and output digit shape."""
+    digits, perm = [], []
+    for n in shape:
+        split = _digit_split(n.bit_length() - 1)
+        perm += range(len(digits) + len(split) - 1, len(digits) - 1, -1)
+        digits += split
+    sizes = tuple(1 << f for f in digits)
+    steps = tuple((_paley_factor(f), (math.prod(sizes[:d]), sizes[d], -1))
+                  for d, f in enumerate(digits))
+    return steps, sizes, tuple(perm), tuple(sizes[d] for d in perm)
+
+
+def _apply_factor(p, src, dst):
+    """dst = p applied along axis 1 of the (pre, a, rest) arrays src, dst,
+    in gemms of at most _GEMM_CAP multiply-adds."""
+    pre, a, rest = src.shape
+    step = max(1, _GEMM_CAP // (a * a))
+    if rest == 1:                       # p is symmetric: rows times p
+        src, dst = src.reshape(pre, a), dst.reshape(pre, a)
+        for s in range(0, pre, step):
+            np.matmul(src[s:s + step], p, out=dst[s:s + step])
+    else:
+        for s in range(0, rest, step):
+            np.matmul(p, src[:, :, s:s + step], out=dst[:, :, s:s + step])
+
+
+def _paley(x, scale):
+    """``scale`` times the unscaled Paley transform along every axis of x."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    steps, sizes, perm, out_sizes = _paley_plan(x.shape)
+    out = np.empty(x.shape)
+    work = np.empty(x.shape)
+    src = x
+    # alternate buffers so that the last factor lands in ``work``, which the
+    # final digit reversal reads while it writes ``out``
+    for d, (p, view) in enumerate(steps):
+        dst = work if (len(steps) - 1 - d) % 2 == 0 else out
+        _apply_factor(p, src.reshape(view), dst.reshape(view))
+        src = dst
+    np.multiply(src.reshape(sizes).transpose(perm), scale,
+                out=out.reshape(out_sizes))
+    return out
 
 
 def fwht(x):
@@ -136,18 +200,18 @@ def fwht(x):
     1-D input of length 2^r returns H_r^T x.  A square 2-D input returns
     H_r^T X H_r, the matrix form of the vectorised 2-D transform.  The
     matrix is symmetric and self-inverse, so analysis and synthesis agree.
-    The 2^{-r/2} normalisation is applied once at the end (the butterflies
+    The 2^{-r/2} normalisation is applied once at the end (the factors
     stay unscaled), so integer inputs see a single rounding per entry.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         r = _require_pow2(x.shape[0])
-        return _fwht_axis0_raw(x) * _pow2_half(-r)
+        return _paley(x, _pow2_half(-r))
     if x.ndim == 2:
         if x.shape[0] != x.shape[1]:
             raise ValueError("2-D input must be square")
         r = _require_pow2(x.shape[0], "side")
-        return _fwht_axis0_raw(_fwht_axis0_raw(x).T).T * math.ldexp(1.0, -r)
+        return _paley(x, math.ldexp(1.0, -r))
     raise ValueError("input must be 1-D or 2-D")
 
 
@@ -160,8 +224,12 @@ def _dhw_exponents(r):
     return expo
 
 
+@functools.lru_cache(maxsize=None)
 def _dhw_scales(r):
-    return _pow2_half_array(_dhw_exponents(r))
+    """Column scales of W_r, read-only."""
+    scale = _pow2_half_array(_dhw_exponents(r))
+    scale.flags.writeable = False
+    return scale
 
 
 def _dhw_analysis_axis0(x):
@@ -193,8 +261,10 @@ def _dhw_synthesis_axis0(c):
     return a
 
 
+@functools.lru_cache(maxsize=None)
 def _idhw_scales(n):
-    """Per-entry scales of the coefficient matrix: 2^(l-r-1), LL gets 2^-r."""
+    """Per-entry scales of the coefficient matrix: 2^(l-r-1), LL gets 2^-r.
+    Read-only."""
     r = n.bit_length() - 1
     expo = np.empty((n, n), dtype=np.int32)
     expo[0, 0] = -r
@@ -204,7 +274,9 @@ def _idhw_scales(n):
         expo[:h, h:size] = l - r - 1
         expo[h:size, :size] = l - r - 1
         size = h
-    return np.ldexp(1.0, expo)
+    scale = np.ldexp(1.0, expo)
+    scale.flags.writeable = False
+    return scale
 
 
 def _idhw_analysis(x):

@@ -59,6 +59,28 @@ def test_config_unknown_keys_rejected():
         config_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("section,key,value,expect", [
+    ("mds", "pregenerated", "x", "'mds.pregenerated' must be an integer"),
+    ("solver", "max_iterations", "x", "'solver.max_iterations' must be an integer"),
+    ("signal", "sigma", "2", "'signal.sigma' must be a number or null"),
+    (None, "r", 5.0, "'r' must be an integer"),
+    (None, "trials", True, "'trials' must be an integer"),
+    (None, "rho", None, "'rho' must be a number"),
+    (None, "ratios", ["0.5"], "'ratios' must be a list of numbers"),
+])
+def test_config_value_types_rejected(tmp_path, capsys, section, key, value,
+                                     expect):
+    doc = json.loads(config_to_json(_small_config()))
+    (doc if section is None else doc[section])[key] = value
+    with pytest.raises(ValueError, match=expect):
+        config_from_json(json.dumps(doc))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path)]) == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _small_config(schema_version=2)
@@ -234,6 +256,30 @@ def test_cmd_recover_end_to_end(tmp_path):
     np.testing.assert_allclose(me_hat, x, atol=1e-12)
     meta = json.loads((out / "recovery_meta.json").read_text())
     assert meta["converged"] is True
+
+
+def test_cmd_recover_rejects_sample_from_another_system(tmp_path, capsys):
+    sample_dir = tmp_path / "smp"
+    assert main(["sample", "--strategy", "uds", "--system", "had_dhw_1d",
+                 "--r", "6", "--M", "20", "--seed", "3",
+                 "--out", str(sample_dir)]) == 0
+    save_signal_csv(tmp_path / "y.csv", np.ones(20))
+    base = ["recover", "--sample", str(sample_dir / "sample.csv"),
+            "--measurements", str(tmp_path / "y.csv"), "--out", str(tmp_path)]
+    for system, r, expect in (("had_dhw_1d", "4", "drawn for r = 6, not 4"),
+                              ("had2_idhw", "6", "drawn for system")):
+        assert main(base + ["--system", system, "--r", r]) \
+            == EXIT_CODES["validation"]
+        assert expect in capsys.readouterr().err
+    # without the recorded system and r, the index range still catches it
+    meta_path = sample_dir / "sample_meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["system"], meta["r"]
+    meta_path.write_text(json.dumps(meta))
+    assert main(base + ["--system", "had_dhw_1d", "--r", "4"]) \
+        == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert "outside [1, 16]" in err and err.count("\n") == 1
 
 
 def test_cmd_experiment(tmp_path):

@@ -208,6 +208,32 @@ def test_load_csv_unknown_header(tmp_path):
         load_signal_csv(path)
 
 
+@pytest.mark.parametrize("body,message", [
+    ("index,value\n1,1.0\n1,2.0\n", "duplicate index 1"),
+    ("index,value\n1,1.0\n3,2.0\n", "index 3 outside"),
+    ("index,value\n0,1.0\n1,2.0\n", "index 0 outside"),
+    ("index,value\n99999999999999999999,1.0\n", "index out of range"),
+    ("index,value\n", "no data rows"),
+    ("row,col,value\n1,1,1\n1,1,2\n2,1,3\n2,2,4\n", "duplicate row 1, col 1"),
+    ("row,col,value\n1,1,1\n1,2,2\n2,1,3\n", "missing row 2, col 2"),
+    ("row,col,value\n0,1,1\n1,1,2\n", "row 0 outside"),
+    ("row,col,value\n1,2,1\n1,1,2\n1,-1,3\n", "col -1 outside"),
+])
+def test_load_csv_rejects_bad_indices(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        load_signal_csv(path)
+
+
+def test_load_csv_accepts_any_row_order(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("index,value\n2,1.5\n1,-2\n")
+    assert load_signal_csv(path).tolist() == [-2.0, 1.5]
+    path.write_text("row,col,value\n2,1,3\n1,2,2\n1,1,1\n2,2,4\n")
+    assert load_signal_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_save_pgm(tmp_path):
     img = np.array([[0, 128], [255, 64]], dtype=np.uint8)
     path = tmp_path / "img.pgm"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hadhaar.indexing import build_levels
-from hadhaar.transforms import (BasisKind, coefficient_layout, dense_basis,
+from hadhaar.transforms import (BasisKind, _dhw_scales, _idhw_scales,
+                                _paley_factor, coefficient_layout, dense_basis,
                                 dense_window_matrix, fwht, haar_transform,
                                 unvec, vec)
 
@@ -65,11 +66,56 @@ def test_fwht_matches_dense():
                                rtol=0, atol=1e-12)
 
 
+def paley_radix2(x):
+    """Paley-ordered Hadamard transform by radix-2 butterflies (sums and
+    differences of even/odd pairs, sums first), scaled once at the end."""
+    x = np.asarray(x, dtype=np.float64)
+    arr = x.reshape(1, -1)
+    while arr.shape[1] > 1:
+        s = arr[:, 0::2] + arr[:, 1::2]
+        d = arr[:, 0::2] - arr[:, 1::2]
+        arr = np.stack([s, d], axis=1).reshape(-1, arr.shape[1] // 2)
+    return arr.reshape(x.shape) * pow2_half(-(x.size.bit_length() - 1))
+
+
 def test_fwht_columns_bit_equal_dense():
-    h = dense_basis("hadamard1d", 6)
-    eye = np.eye(64)
-    for l in range(64):
-        assert np.array_equal(fwht(eye[l]), h[:, l])
+    # r = 5 is one Paley factor, r = 6 and r = 10 are two
+    for r in (5, 6, 10):
+        n = 2 ** r
+        h = dense_basis("hadamard1d", r)
+        eye = np.eye(n)
+        for l in range(n):
+            assert np.array_equal(fwht(eye[l]), h[:, l])
+
+
+def test_fwht_2d_sampled_columns_bit_equal_dense():
+    n = 64
+    h = dense_basis("hadamard2d", 6)
+    for k in np.random.default_rng(6).choice(n * n, size=48, replace=False):
+        e = np.zeros(n * n)
+        e[k] = 1.0
+        assert np.array_equal(vec(fwht(unvec(e))), h[:, k])
+
+
+@pytest.mark.parametrize("r", [11, 16])
+def test_fwht_matches_radix2_reference(r):
+    # three and four Paley factors, beyond the dense cap
+    n = 2 ** r
+    rng = np.random.default_rng(r)
+    for _ in range(3):
+        x = rng.standard_normal(n)
+        np.testing.assert_allclose(fwht(x), paley_radix2(x), rtol=0, atol=1e-12)
+    for k in rng.choice(n, size=24, replace=False):
+        e = np.zeros(n)
+        e[k] = 1.0
+        assert np.array_equal(fwht(e), paley_radix2(e))
+
+
+def test_cached_factors_and_scales_are_read_only():
+    for arr in (_paley_factor(4), _dhw_scales(5), _idhw_scales(8)):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    assert _dhw_scales(5) is _dhw_scales(5)
 
 
 def test_fwht_self_inverse():
