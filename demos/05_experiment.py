@@ -3,7 +3,7 @@
 Runs the same Gaussian-bump recovery problem under uniform, variable and
 multilevel density sampling and prints the per-strategy reconstruction
 quality.  Scaled down (N = 256, 6 trials) so it finishes in well under a
-minute; the CLI `experiment` subcommand runs the same driver from a JSON
+minute; the CLI `experiment` subcommand runs the same engine from a JSON
 config and writes trials.csv / summary.csv / config_echo.json.
 
 Run:  python3 demos/05_experiment.py
@@ -11,7 +11,7 @@ Run:  python3 demos/05_experiment.py
 import math
 import time
 
-from hadhaar.cli import ExperimentConfig, SignalSpec, run_experiment
+from hadhaar.experiment import ExperimentConfig, SignalSpec, run_experiment
 
 for strategy in ("uds", "vds", "mds"):
     config = ExperimentConfig(

@@ -27,12 +27,12 @@ hadhaar sample --strategy vds --system had_dhw_1d --r 8 --M 128 --seed 7 \
 
 echo "== recover: l1 recovery from stored measurements =="
 python3 - <<'EOF'
-import numpy as np
-from hadhaar import SystemKind, generate, measure, save_signal_csv
-from hadhaar.cli import _load_sample
+from hadhaar import (SystemKind, draw_sample, generate, measure,
+                     save_signal_csv, vds_pmf)
 
+# the same draw as `hadhaar sample --strategy vds ... --M 128 --seed 7`
 system = SystemKind("had_dhw_1d", 8)
-sample = _load_sample("demo_output/sample/sample.csv")
+sample = draw_sample(vds_pmf(system), 128, seed=7)
 x = generate("blocks", 256)
 save_signal_csv("demo_output/y.csv", measure(system, sample, x))
 save_signal_csv("demo_output/x_true.csv", x)

@@ -19,9 +19,9 @@ from .coherence import (MODES, SYSTEM_TAGS, CoherenceProfile,
                         MultilevelProfile, StructureReport, SystemKind,
                         local_coherence, multilevel_coherence,
                         relative_sparsity, structure_check, system_matrix)
-from .sampling import (RNG_ALGORITHM, STRATEGIES, SampleSet, SamplingPlan,
-                       draw_sample, mds_allocate, measure, measure_adjoint,
-                       rng_stream, uds_pmf, vds_pmf)
+from .sampling import (RNG_ALGORITHM, STRATEGIES, InfeasibleError, SampleSet,
+                       SamplingPlan, draw_sample, mds_allocate, measure,
+                       measure_adjoint, rng_stream, uds_pmf, vds_pmf)
 from .signals import (SIGNAL_KINDS, SRE_CAP_DB, EffectiveSparsity, NoiseDraw,
                       NoiseSpec, best_term_l1_error, blocks, bumps, doppler,
                       effective_sparsity, gaussian_bump, generate,
@@ -42,9 +42,9 @@ __all__ = [
     "StructureReport", "SystemKind", "local_coherence",
     "multilevel_coherence", "relative_sparsity", "structure_check",
     "system_matrix",
-    "RNG_ALGORITHM", "STRATEGIES", "SampleSet", "SamplingPlan", "draw_sample",
-    "mds_allocate", "measure", "measure_adjoint", "rng_stream", "uds_pmf",
-    "vds_pmf",
+    "RNG_ALGORITHM", "STRATEGIES", "InfeasibleError", "SampleSet",
+    "SamplingPlan", "draw_sample", "mds_allocate", "measure",
+    "measure_adjoint", "rng_stream", "uds_pmf", "vds_pmf",
     "SIGNAL_KINDS", "SRE_CAP_DB", "EffectiveSparsity", "NoiseDraw",
     "NoiseSpec", "best_term_l1_error", "blocks", "bumps", "doppler",
     "effective_sparsity", "gaussian_bump", "generate", "hard_threshold",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import SampleSet
+from .sampling import InfeasibleError, SampleSet
 
 __all__ = ["RecoveryProblem", "RecoveryReport", "solve_bpdn", "me_reconstruct"]
 
@@ -127,7 +127,7 @@ def solve_bpdn(problem):
     sum_k c_k (z_k - beta_k)^2 <= eps_eff^2 = eps^2 - scatter on the
     sampled indices Omega, with z free elsewhere.  When sqrt(scatter)
     exceeds eps by more than tol_feas * max(1, ||b||) the ball is empty
-    and a ValueError saying "infeasible" is raised.
+    and InfeasibleError is raised.
 
     Iteration.  y = U soft(U^T t, gamma) is the prox of the l1 term (U is
     orthogonal); z is the projection of 2y - t onto the ellipsoid (z = beta
@@ -177,7 +177,7 @@ def solve_bpdn(problem):
     beta = beta_all[omega]
     scatter = float(np.sum((b - w * beta_all[rows]) ** 2))
     if math.sqrt(scatter) - eps > feas_slack:
-        raise ValueError(
+        raise InfeasibleError(
             f"data ball is infeasible: repeated measurements scatter by "
             f"{math.sqrt(scatter):.6g} > epsilon = {eps:.6g}")
     radius = math.sqrt(max(eps * eps - scatter, 0.0))

@@ -24,6 +24,7 @@ RNG_ALGORITHM = "philox4x64/seedseq"
 STRATEGIES = ("uds", "vds", "mds")
 
 __all__ = [
+    "InfeasibleError",
     "RNG_ALGORITHM",
     "STRATEGIES",
     "SamplingPlan",
@@ -36,6 +37,10 @@ __all__ = [
     "uds_pmf",
     "vds_pmf",
 ]
+
+
+class InfeasibleError(ValueError):
+    """A measurement budget or data ball that no solution can meet."""
 
 
 def rng_stream(seed, *key):
@@ -165,7 +170,7 @@ def mds_allocate(k, m_total, partition):
             if remaining == 0:
                 break
     if remaining > 0 or int(m.sum()) != m_total:
-        raise ValueError("allocation infeasible for the requested budget")
+        raise InfeasibleError("allocation infeasible for the requested budget")
     return SamplingPlan("mds", partition.n_total, m=m, partition=partition)
 
 

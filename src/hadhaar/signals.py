@@ -8,6 +8,7 @@ table with additive intensities.
 """
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -306,6 +307,18 @@ def sre_db(x, x_hats):
 
 def _fmt(v):
     return format(float(v), ".17g")
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and one line per row of string cells."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_json(path, doc):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def save_signal_csv(path, x):

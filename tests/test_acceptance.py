@@ -11,10 +11,11 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.optimize import linprog
 
-from hadhaar.cli import (ExperimentConfig, SignalSpec, run_experiment,
-                         write_config_echo, write_summary_csv, write_trials_csv)
 from hadhaar.coherence import (SystemKind, local_coherence, multilevel_coherence,
                                structure_check)
+from hadhaar.experiment import (ExperimentConfig, SignalSpec, run_experiment,
+                                write_config_echo, write_summary_csv,
+                                write_trials_csv)
 from hadhaar.recovery import RecoveryProblem, me_reconstruct, solve_bpdn
 from hadhaar.sampling import (draw_sample, mds_allocate, measure, rng_stream,
                               uds_pmf, vds_pmf)

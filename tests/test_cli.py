@@ -1,14 +1,21 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hadhaar.cli import (EXIT_CODES, ExperimentConfig, MdsSpec, SignalSpec,
-                         SolverSpec, config_from_json, config_to_json, main,
-                         run_experiment, write_summary_csv, write_trials_csv)
-from hadhaar.coherence import SystemKind, local_coherence
-from hadhaar.sampling import draw_sample, measure, uds_pmf, vds_pmf
+from hadhaar.cli import EXIT_CODES, _load_sample, main
+from hadhaar.coherence import SYSTEM_TAGS, SystemKind, local_coherence
+from hadhaar.experiment import (ExperimentConfig, MdsSpec, SignalSpec,
+                                SolverSpec, config_from_json, config_to_json,
+                                run_experiment, write_summary_csv,
+                                write_trials_csv)
+from hadhaar.sampling import (draw_sample, mds_allocate, measure, uds_pmf,
+                              vds_pmf)
 from hadhaar.signals import generate, load_signal_csv, save_signal_csv
 from hadhaar.transforms import haar_transform
 
@@ -37,6 +44,20 @@ def test_config_json_infinite_snr_is_null():
     text = config_to_json(_small_config())
     assert json.loads(text)["snr_db"] is None
     assert config_from_json(text).snr_db == math.inf
+
+
+def test_config_json_defaults_and_float_fields():
+    # integer snr_db and rho are echoed as floats; no snr_db is noiseless
+    doc = json.loads(config_to_json(_small_config()))
+    for key in ("rho", "mds", "solver", "output_dir", "schema_version"):
+        del doc[key]
+    assert config_from_json(json.dumps(dict(doc, snr_db=20, rho=1))) \
+        == _small_config(snr_db=20.0, rho=1.0)
+    del doc["snr_db"]
+    config = config_from_json(json.dumps(dict(doc, rho=1)))
+    assert config == _small_config(rho=1.0)
+    echo = json.loads(config_to_json(config))
+    assert echo["snr_db"] is None and isinstance(echo["rho"], float)
 
 
 def test_config_unknown_keys_rejected():
@@ -280,6 +301,91 @@ def test_cmd_recover_rejects_sample_from_another_system(tmp_path, capsys):
         == EXIT_CODES["validation"]
     err = capsys.readouterr().err
     assert "outside [1, 16]" in err and err.count("\n") == 1
+
+
+@st.composite
+def _sample_case(draw):
+    tag = draw(st.sampled_from(SYSTEM_TAGS))
+    r = draw(st.integers(1, 7 if tag == "had_dhw_1d" else 3))
+    system = SystemKind(tag, r)
+    strategy = draw(st.sampled_from(("uds", "vds", "mds")))
+    m_total = draw(st.integers(1, system.n_total))
+    k = [draw(st.integers(1, int(size))) for size in system.partition().sizes]
+    return system, strategy, m_total, k, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_sample_case())
+def test_sample_files_round_trip_bit_exact(case):
+    system, strategy, m_total, k, seed = case
+    plan = {"uds": uds_pmf, "vds": vds_pmf}.get(strategy)
+    plan = (plan(system) if plan else
+            mds_allocate(k, m_total, system.partition()))
+    want = draw_sample(plan, m_total, seed)
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["sample", "--strategy", strategy, "--system", system.tag,
+                     "--r", str(system.r), "--M", str(m_total),
+                     "--seed", str(seed), "--out", out]
+                    + (["--k", ",".join(map(str, k))] if strategy == "mds"
+                       else [])) == 0
+        got = _load_sample(os.path.join(out, "sample.csv"), system)
+    assert got.omega.dtype == want.omega.dtype
+    assert got.omega.tobytes() == want.omega.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert (got.strategy, got.seed) == (want.strategy, want.seed)
+
+
+def _replace_weight(rows, weight):
+    return rows[:1] + [rows[1].rsplit(",", 1)[0] + "," + weight] + rows[2:]
+
+
+@pytest.mark.parametrize("edit,expect", [
+    (lambda rows, meta: (rows[:1] + ["1,5"] + rows[2:], meta),
+     "is not position,index,weight"),
+    (lambda rows, meta: (rows, {k: v for k, v in meta.items()
+                                if k != "strategy"}),
+     "must hold a JSON object with strategy, seed and rng_algorithm"),
+    (lambda rows, meta: (rows, [meta]), "must hold a JSON object"),
+    (lambda rows, meta: (rows, dict(meta, strategy="xyz")),
+     "strategy 'xyz' is not one of"),
+    (lambda rows, meta: (_replace_weight(rows, "nan"), meta),
+     "weight nan is not finite and positive"),
+    (lambda rows, meta: (_replace_weight(rows, "-1"), meta),
+     "weight -1.0 is not finite and positive"),
+], ids=["short-row", "no-strategy", "meta-list", "unknown-strategy",
+        "nan-weight", "negative-weight"])
+def test_cmd_recover_rejects_malformed_sample(tmp_path, capsys, edit, expect):
+    sample_dir = tmp_path / "smp"
+    assert main(["sample", "--strategy", "vds", "--system", "had_dhw_1d",
+                 "--r", "4", "--M", "8", "--seed", "3",
+                 "--out", str(sample_dir)]) == 0
+    csv_path = sample_dir / "sample.csv"
+    meta_path = sample_dir / "sample_meta.json"
+    rows, meta = edit(csv_path.read_text().splitlines(),
+                      json.loads(meta_path.read_text()))
+    csv_path.write_text("\n".join(rows) + "\n")
+    meta_path.write_text(json.dumps(meta))
+    save_signal_csv(tmp_path / "y.csv", np.ones(8))
+    capsys.readouterr()
+    assert main(["recover", "--system", "had_dhw_1d", "--r", "4",
+                 "--sample", str(csv_path), "--measurements",
+                 str(tmp_path / "y.csv"), "--out", str(tmp_path / "rec")]) \
+        == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+    assert expect in err
+    assert not (tmp_path / "rec").exists()
+
+
+@pytest.mark.parametrize("header", ["index,value", "infeasible,value"])
+def test_error_category_follows_exception_type(tmp_path, capsys, header):
+    # "infeasible" in a malformed file's name or header is still validation
+    path = tmp_path / "infeasible.csv"
+    path.write_text(header + "\n")
+    assert main(["transform", "--basis", "dhw", "--input", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and "infeasible" in err
 
 
 def test_cmd_experiment(tmp_path):

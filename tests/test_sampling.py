@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadhaar.coherence import SystemKind
-from hadhaar.indexing import build_levels
+from hadhaar.indexing import PARTITION_KINDS, build_levels
 from hadhaar.sampling import (SamplingPlan, draw_sample, mds_allocate, measure,
                               measure_adjoint, rng_stream, uds_pmf, vds_pmf)
 from hadhaar.transforms import fwht, vec
@@ -255,3 +257,26 @@ def _manual_sample(omega):
     from hadhaar.sampling import SampleSet
     return SampleSet(np.asarray(omega, dtype=np.int64),
                      np.ones(len(omega)), "uds", "0")
+
+
+@st.composite
+def _allocation_case(draw):
+    kind = draw(st.sampled_from(PARTITION_KINDS))
+    r = draw(st.integers(1, 7 if kind == "dyadic1d" else 3))
+    partition = build_levels(kind, r)
+    k = np.array([draw(st.integers(0, int(size))) for size in partition.sizes])
+    j = draw(st.integers(0, k.size - 1))
+    k[j] = max(k[j], 1)                        # some level has k_t > 0
+    return partition, k, draw(st.integers(0, partition.n_total))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_allocation_case())
+def test_mds_allocate_invariants(case):
+    partition, k, m_total = case
+    m, sizes = mds_allocate(k, m_total, partition).m, partition.sizes
+    assert int(m.sum()) == m_total
+    assert np.all((m >= 0) & (m <= sizes))
+    # a k_t = 0 level is measured only once every k_t > 0 level is full
+    if np.any(m[k == 0] > 0):
+        assert np.array_equal(m[k > 0], sizes[k > 0])

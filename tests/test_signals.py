@@ -1,7 +1,12 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hadhaar.indexing import build_levels
 from hadhaar.signals import (NoiseSpec, best_term_l1_error, effective_sparsity,
@@ -242,3 +247,19 @@ def test_save_pgm(tmp_path):
     assert data == b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64])
     with pytest.raises(ValueError):
         save_pgm(path, np.zeros((2, 2, 2)))
+
+
+_FLOATS = st.floats(allow_nan=False)       # every finite double, +-0 and +-inf
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(
+    arrays(np.float64, st.integers(1, 40), elements=_FLOATS),
+    arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           elements=_FLOATS)))
+def test_csv_round_trip_is_bit_exact(x):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.csv")
+        (save_signal_csv if x.ndim == 1 else save_image_csv)(path, x)
+        back = load_signal_csv(path)
+    assert back.shape == x.shape and back.tobytes() == x.tobytes()
