@@ -9,10 +9,20 @@ CPU and times, with ``time.perf_counter``:
 * Haar analysis and synthesis: ``dhw`` in 1-D, ``adhw`` and ``idhw`` in 2-D;
 * ``measure`` and ``measure_adjoint`` with a uniform sample of N/4 indices;
 
-at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}.  Each figure is the median of
-five windows of at least 0.1 s of back-to-back calls on one fixed input.  The
-script takes no options and prints one JSON line: the machine, the versions,
-the line count of ``src/`` and one row per (layer, dimension, r).
+at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
+
+* ``draw_sample`` with the vds and mds plans at 2-D r = 9 (N/4 indices, mds
+  sized by the Shepp-Logan phantom's effective sparsity at rho = 0.995);
+* the solver per row-iteration at 1-D r = 9 on 20 vds problems shaped
+  like the strategy-ordering experiment's (Gaussian bump, sigma = 64,
+  random centre, M/N = 0.2, 20 dB): ``solve_bpdn`` on each in turn (B = 1) and
+  ``solve_bpdn_batch`` on all 20 (B = 20), timed per call and divided by
+  the problems' total iterations.
+
+Each figure is the median of five windows of at least 0.1 s of back-to-back
+calls on one fixed input.  The script takes no options and prints one JSON
+line: the machine, the versions, the line count of ``src/`` and one row per
+(layer, dimension, r).
 """
 from __future__ import annotations
 
@@ -30,8 +40,12 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from hadhaar.coherence import SystemKind  # noqa: E402
-from hadhaar.sampling import (draw_sample, measure, measure_adjoint,  # noqa: E402
-                              uds_pmf)
+from hadhaar.recovery import (RecoveryProblem, solve_bpdn,  # noqa: E402
+                              solve_bpdn_batch)
+from hadhaar.sampling import (draw_sample, mds_allocate, measure,  # noqa: E402
+                              measure_adjoint, rng_stream, uds_pmf, vds_pmf)
+from hadhaar.signals import (NoiseSpec, effective_sparsity,  # noqa: E402
+                             gaussian_bump, make_noise, shepp_logan)
 from hadhaar.transforms import fwht, haar_transform  # noqa: E402
 
 CASES = (("had_dhw_1d", (9, 12, 16)), ("had2_idhw", (6, 8, 9)))
@@ -81,6 +95,47 @@ def _layers(tag, r):
     yield "measure_adjoint", lambda v: measure_adjoint(system, sample, v), y
 
 
+def _draw_layers():
+    """(layer name, function, input) for the vds and mds draws at 2-D r = 9."""
+    system = SystemKind("had2_idhw", 9)
+    partition = system.partition()
+    m = system.n_total // 4
+    k = effective_sparsity(system.coefficients(shepp_logan(system.side)),
+                           0.995, partition).per_level
+    for name, plan in (("draw_sample_vds", vds_pmf(system)),
+                       ("draw_sample_mds", mds_allocate(k, m, partition))):
+        yield name, lambda seed, p=plan: draw_sample(p, m, seed), 9
+
+
+def _solver_problems():
+    """20 vds problems at 1-D r = 9 shaped like the strategy-ordering
+    experiment's."""
+    system = SystemKind("had_dhw_1d", 9)
+    plan = vds_pmf(system)
+    m = round(0.2 * system.n_total)
+    problems = []
+    for trial in range(20):
+        rng = rng_stream(9, trial)
+        x = gaussian_bump(system.side, 64.0, 64.0 + 384.0 * rng.random())
+        sample = draw_sample(plan, m, rng_stream(9, trial, 1).integers(1 << 31))
+        noise = make_noise(NoiseSpec(20.0), x, m, weights=sample.weights,
+                           rng=rng)
+        problems.append(RecoveryProblem(
+            system, sample, measure(system, sample, x) + noise.vector,
+            noise.weighted_norm))
+    return problems
+
+
+def _solver_rows():
+    problems = _solver_problems()
+    iterations = sum(report.iterations for report in solve_bpdn_batch(problems))
+    for batch, solve in ((1, lambda ps: [solve_bpdn(p) for p in ps]),
+                         (20, solve_bpdn_batch)):
+        us = _us_per_call(solve, problems) / iterations
+        yield {"layer": "solve_row_iteration", "dim": 1, "r": 9,
+               "batch": batch, "us_per_row_iteration": round(us, 2)}
+
+
 def main():
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
@@ -91,6 +146,10 @@ def main():
             for name, fn, arg in _layers(tag, r):
                 rows.append({"layer": name, "dim": dim, "r": r,
                              "us_per_call": round(_us_per_call(fn, arg), 1)})
+    for name, fn, arg in _draw_layers():
+        rows.append({"layer": name, "dim": 2, "r": 9,
+                     "us_per_call": round(_us_per_call(fn, arg), 1)})
+    rows += _solver_rows()
     print(json.dumps({"bench": "layers", "pinned_cpu": cpu,
                       "machine": _machine(), "rows": rows}))
 

@@ -29,7 +29,7 @@ from .signals import (SIGNAL_KINDS, SRE_CAP_DB, EffectiveSparsity, NoiseDraw,
                       noise_sigma, save_image_csv, save_pgm, save_signal_csv,
                       shepp_logan, sre_db, sre_from_ratios)
 from .recovery import (RecoveryProblem, RecoveryReport, me_reconstruct,
-                       solve_bpdn)
+                       solve_bpdn, solve_bpdn_batch)
 
 __all__ = [
     "__version__",
@@ -52,4 +52,5 @@ __all__ = [
     "save_image_csv", "save_pgm", "save_signal_csv", "shepp_logan", "sre_db",
     "sre_from_ratios",
     "RecoveryProblem", "RecoveryReport", "me_reconstruct", "solve_bpdn",
+    "solve_bpdn_batch",
 ]

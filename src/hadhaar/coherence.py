@@ -17,6 +17,7 @@ vanishing blocks come out as exact zeros rather than roundoff dust.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,8 +34,6 @@ from .transforms import (
     dense_basis,
     fwht,
     haar_transform,
-    unvec,
-    vec,
 )
 
 SYSTEM_TAGS = ("had_dhw_1d", "had2_idhw", "had2_adhw")
@@ -81,7 +80,7 @@ class SystemKind:
     def sensing_basis(self):
         return BasisKind("hadamard2d" if self.is_2d else "hadamard1d", self.r)
 
-    @property
+    @functools.cached_property
     def sparsity_basis(self):
         tag = {"had_dhw_1d": "dhw", "had2_idhw": "idhw", "had2_adhw": "adhw"}[self.tag]
         return BasisKind(tag, self.r)
@@ -96,37 +95,53 @@ class SystemKind:
 
     # The system matrix is U = Phi^T Psi.  Signals are 2^r vectors or
     # 2^r x 2^r images; spectra and coefficients are flat, column-major in
-    # 2-D.  Each method accepts its input in either layout.
+    # 2-D.  Each method accepts its input in either layout, and with a
+    # leading batch axis: (B, N) flat or (B, 2^r, 2^r) in 2-D.  Each row
+    # of a batch comes out bit for bit as it would alone.
 
     def _shaped(self, v):
+        """v in signal shape, and whether it has a leading batch axis."""
         v = np.asarray(v, dtype=np.float64)
-        if self.is_2d and v.shape == (self.n_total,):
-            v = unvec(v, self.side)
-        if v.shape != (self.side,) * (2 if self.is_2d else 1):
+        shape, side, n = v.shape, self.side, self.n_total
+        if self.is_2d and v.shape[-1:] == (n,):
+            lead = v.shape[:-1]
+            v = v.reshape(lead + (side, side)).swapaxes(-1, -2)
+        else:
+            lead = v.shape[:-2] if self.is_2d else v.shape[:-1]
+            if v.shape[len(lead):] != (side,) * (2 if self.is_2d else 1):
+                lead = None
+        if lead is None or len(lead) > 1:
             raise ValueError(f"{self.tag} with r = {self.r} expects "
-                             f"{self.n_total} entries in signal or flat layout, "
-                             f"got shape {v.shape}")
-        return v
+                             f"{n} entries in signal or flat layout, "
+                             f"optionally after a batch axis, got shape "
+                             f"{shape}")
+        return v, bool(lead)
 
     def _flat(self, v):
-        return vec(v) if self.is_2d else v
+        if not self.is_2d:
+            return v
+        return v.swapaxes(-1, -2).reshape(v.shape[:-2] + (self.n_total,))
 
     def spectrum(self, x):
         """Flat Hadamard spectrum Phi^T x of a signal."""
-        return self._flat(fwht(self._shaped(x)))
+        x, batch = self._shaped(x)
+        return self._flat(fwht(x, batch=batch))
 
     def signal(self, z):
         """Phi z in signal shape; inverts :meth:`spectrum`."""
-        return fwht(self._shaped(z))
+        z, batch = self._shaped(z)
+        return fwht(z, batch=batch)
 
     def coefficients(self, x):
         """Flat Haar coefficients Psi^T x of a signal."""
-        return self._flat(haar_transform(self.sparsity_basis, "analysis",
-                                         self._shaped(x)))
+        x, batch = self._shaped(x)
+        return self._flat(haar_transform(self.sparsity_basis, "analysis", x,
+                                         batch=batch))
 
     def synthesis(self, s):
         """Psi s in signal shape; inverts :meth:`coefficients`."""
-        return haar_transform(self.sparsity_basis, "synthesis", self._shaped(s))
+        s, batch = self._shaped(s)
+        return haar_transform(self.sparsity_basis, "synthesis", s, batch=batch)
 
 
 def _as_system(system, r=None):

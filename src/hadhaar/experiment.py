@@ -11,12 +11,13 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .coherence import SystemKind
-from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn
+from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn_batch
 from .sampling import (RNG_ALGORITHM, STRATEGIES, draw_sample, mds_allocate,
                        measure, rng_stream, uds_pmf, vds_pmf)
 from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _write_csv,
@@ -249,9 +250,11 @@ def _worst_case_k(config, system, partition):
     return worst
 
 
-def _run_trial(config, system, partition, plan, ri, m_total, ti):
-    """One (ratio, trial) cell; ``plan`` is None when mds sizes the plan
-    from this trial's signal (oracle_from_signal)."""
+def _build_trial(config, system, partition, plan, ri, m_total, ti):
+    """One (ratio, trial) cell's signal ``x``, ``sample``, noisy
+    measurements ``y``, data-ball radius ``epsilon`` and ``noise_sigma``;
+    ``plan`` is None when mds sizes the plan from this trial's signal
+    (oracle_from_signal)."""
     x = _trial_signal(config, system,
                       rng_stream(config.seed, _ROLE_SIGNAL, ri, ti))
     if plan is None:
@@ -267,32 +270,20 @@ def _run_trial(config, system, partition, plan, ri, m_total, ti):
                        rng=rng_stream(config.seed, _ROLE_NOISE, ri, ti))
     y = measure(system, sample, x) + noise.vector
     epsilon = noise.weighted_norm if weighted else noise.norm
-    problem = RecoveryProblem(system, sample, y, epsilon,
-                              tol_feas=config.solver.tol_feas,
-                              tol_gap=config.solver.tol_gap,
-                              max_iterations=config.solver.max_iterations)
-    report = solve_bpdn(problem)
-    me_hat = me_reconstruct(system, sample, y)
-    return TrialRecord(
-        ratio_index=ri, ratio=config.ratios[ri], trial=ti + 1, m=m_total,
-        sample_seed=sample.seed,
-        x_norm=float(np.linalg.norm(x)),
-        cs_error=float(np.linalg.norm(x - report.x_hat)),
-        me_error=float(np.linalg.norm(x - me_hat)),
-        epsilon=float(epsilon), noise_sigma=noise.sigma,
-        cs_objective=report.objective, cs_iterations=report.iterations,
-        cs_converged=report.converged)
+    return SimpleNamespace(x=x, sample=sample, y=y, epsilon=float(epsilon),
+                           noise_sigma=noise.sigma)
 
 
 def run_experiment(config):
-    """Run every (ratio, trial) cell in order, one after another.
+    """Run every (ratio, trial) cell, one ratio at a time.
 
     Each cell derives its signal, sample and noise streams from the master
     seed and its own (ratio, trial) coordinates, so a cell's result does
-    not depend on the cells run before it.  Sampling plans depend on the
-    config alone and are built once: the uds/vds plan per experiment and
-    the worst-case mds allocation per ratio.  Raises ValueError if a
-    trial's signal is identically zero.
+    not depend on the other cells.  Sampling plans depend on the config
+    alone and are built once: the uds/vds plan per experiment and the
+    worst-case mds allocation per ratio.  The trials of a ratio are built
+    in order, solved as one batch by ``solve_bpdn_batch`` and recorded in
+    order.  Raises ValueError if a trial's signal is identically zero.
     """
     system = SystemKind(config.system, config.r)
     partition = system.partition()
@@ -301,13 +292,31 @@ def run_experiment(config):
         plan = uds_pmf(system) if config.strategy == "uds" else vds_pmf(system)
     elif config.mds.sparsity_source == "worst_case_pregenerated":
         worst_k = _worst_case_k(config, system, partition)
+    solver = config.solver
     records = []
     for ri, ratio in enumerate(config.ratios):
         m_total = max(1, int(round(ratio * system.n_total)))
         if worst_k is not None:
             plan = mds_allocate(worst_k, m_total, partition)
-        records += [_run_trial(config, system, partition, plan, ri, m_total, ti)
-                    for ti in range(config.trials)]
+        trials = [_build_trial(config, system, partition, plan, ri, m_total, ti)
+                  for ti in range(config.trials)]
+        reports = solve_bpdn_batch([
+            RecoveryProblem(system, trial.sample, trial.y, trial.epsilon,
+                            tol_feas=solver.tol_feas, tol_gap=solver.tol_gap,
+                            max_iterations=solver.max_iterations)
+            for trial in trials])
+        for ti, (trial, report) in enumerate(zip(trials, reports)):
+            me_hat = me_reconstruct(system, trial.sample, trial.y)
+            records.append(TrialRecord(
+                ratio_index=ri, ratio=ratio, trial=ti + 1, m=m_total,
+                sample_seed=trial.sample.seed,
+                x_norm=float(np.linalg.norm(trial.x)),
+                cs_error=float(np.linalg.norm(trial.x - report.x_hat)),
+                me_error=float(np.linalg.norm(trial.x - me_hat)),
+                epsilon=trial.epsilon, noise_sigma=trial.noise_sigma,
+                cs_objective=report.objective,
+                cs_iterations=report.iterations,
+                cs_converged=report.converged))
     return ExperimentReport(config, tuple(records))
 
 

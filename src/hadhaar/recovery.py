@@ -15,17 +15,25 @@ synthesis pass, and once repeated indices are collapsed the data ball is
 an axis-aligned ellipsoid on the sampled indices, projected onto with a
 scalar Newton solve.  The stopping rule is a relative duality gap, so a
 converged report certifies near-optimality of the returned point.
+
+``solve_bpdn_batch`` runs problems that share one system as a single
+iteration over a (B, N) array, so each numpy call serves every row;
+``solve_bpdn`` is its batch of one.  Rows keep their own step, data ball
+and stopping test, and every reduction runs along a row, so a row's result
+is the same bit for bit in any batch.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .sampling import InfeasibleError, SampleSet
 
-__all__ = ["RecoveryProblem", "RecoveryReport", "solve_bpdn", "me_reconstruct"]
+__all__ = ["RecoveryProblem", "RecoveryReport", "me_reconstruct", "solve_bpdn",
+           "solve_bpdn_batch"]
 
 _CHECK_EVERY = 10
 _NEWTON_STEPS = 50
@@ -57,6 +65,11 @@ class RecoveryProblem:
             raise ValueError("measurement vector length must match the sample")
         if y.size == 0:
             raise ValueError("cannot reconstruct from zero measurements")
+        n = self.system.n_total
+        if self.sample.omega.max() > n:
+            raise ValueError(f"sample index {self.sample.omega.max()} outside "
+                             f"[1, {n}] for {self.system.tag} with "
+                             f"r = {self.system.r}")
         if not np.isfinite(y).all():
             raise ValueError("measurements must be finite")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
@@ -73,41 +86,127 @@ class RecoveryProblem:
 
 @dataclass(frozen=True)
 class RecoveryReport:
+    """A solve's result.  ``relative_gap`` is (objective - dual value) /
+    objective at the last check (rounding can take it just below 0);
+    ``stop_reason`` is ``converged``, ``max_iterations``, or ``zero_data``
+    when ||b|| <= eps made x = 0 optimal at once."""
+
     x_hat: np.ndarray = field(repr=False)
     iterations: int = 0
     feasibility_residual: float = 0.0
     objective: float = 0.0
     converged: bool = False
+    relative_gap: float = math.inf
+    stop_reason: str = "max_iterations"
 
 
 def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _project_ellipsoid(v, beta, c, radius):
-    """Euclidean projection of v onto {z : sum c (z - beta)^2 <= radius^2}.
+def _project_ellipsoid(v, batch):
+    """Row by row, the Euclidean projection of v onto
+    {z : sum c (z - beta)^2 <= radius^2}.
 
-    Outside the ellipsoid the projection is beta + d / (1 + lam c) with
-    d = v - beta and lam > 0 the root of q(lam) = radius, where
-    q(lam)^2 = sum c d^2 / (1 + lam c)^2.  1/q is concave and increasing in
-    lam, so Newton's method on 1/q - 1/radius started at lam = 0 climbs
-    monotonically to the root (Moré & Sorensen's secular equation).
+    v holds the sampled entries of every row of ``batch`` back to back, as
+    its ``beta`` and ``c`` do, and each row has its own ``radius``.  A zero
+    radius gives beta.  Outside the ellipsoid the projection is
+    beta + d / (1 + lam c) with d = v - beta and lam > 0 the root of
+    q(lam) = radius, where q(lam)^2 = sum c d^2 / (1 + lam c)^2.  1/q is
+    concave and increasing in lam, so Newton's method on 1/q - 1/radius
+    started at lam = 0 climbs monotonically to the root (Moré & Sorensen's
+    secular equation).  Each row keeps its own multiplier and stops on its
+    own test, so a row's result does not depend on the rows beside it.
     """
-    if radius == 0.0:
-        return beta.copy()
+    beta, c, radius = batch.beta, batch.c, batch.radius
     d = v - beta
     cd2 = c * d * d
-    if math.sqrt(float(np.sum(cd2))) <= radius:
-        return v
-    lam = 0.0
-    for _ in range(_NEWTON_STEPS):
-        shrink = 1.0 / (1.0 + lam * c)
-        q = math.sqrt(float(np.sum(cd2 * shrink * shrink)))
-        if q - radius <= _NEWTON_RTOL * radius:
+    exact = radius == 0.0
+    outside = ~exact & ~(np.sqrt(batch.row_sums(cd2)) <= radius)
+    lam = np.zeros(radius.size)
+    active = outside.copy()
+    tol = _NEWTON_RTOL * radius
+    step = np.empty(radius.size)
+    for _ in range(_NEWTON_STEPS if np.count_nonzero(active) else 0):
+        shrink = 1.0 / (1.0 + batch.spread(lam) * c)
+        terms = cd2 * shrink * shrink
+        q = np.sqrt(batch.row_sums(terms))
+        excess = q - radius
+        active &= excess > tol
+        if not np.count_nonzero(active):
             break
-        slope = float(np.sum(cd2 * c * shrink ** 3))
-        lam += (q - radius) * q * q / (radius * slope)
-    return beta + d / (1.0 + lam * c)
+        slope = batch.row_sums(terms * c * shrink)
+        # only rows still outside have slope > 0
+        np.divide(excess * q * q, radius * slope, out=step, where=active)
+        np.add(lam, step, out=lam, where=active)
+    z = beta + d / (1.0 + batch.spread(lam) * c)
+    if not outside.all():
+        np.copyto(z, v, where=batch.spread(~exact & ~outside))
+        np.copyto(z, beta, where=batch.spread(exact))
+    return z
+
+
+def _weighted_data(problem):
+    """Weights w, weighted data b = w * y and ||b||."""
+    m = problem.sample.n_measurements
+    w = (problem.sample.weights / math.sqrt(m) if problem.weighted
+         else np.ones(m))
+    b = w * problem.y
+    return w, b, math.sqrt(float(np.sum(b * b)))
+
+
+def _collapse(problem, w, b, b_norm):
+    """The problem's collapsed data ball, with what the iteration needs of
+    the problem: ``rows`` (0-based index of each measurement), ``omega``
+    (the distinct sampled indices, ascending), ``c`` and ``beta`` on omega,
+    ``radius`` (eps_eff) and ``gamma`` (the step).  Raises InfeasibleError
+    when the ball is empty."""
+    n = problem.system.n_total
+    eps = float(problem.epsilon)
+    feas_slack = problem.tol_feas * max(1.0, b_norm)
+    rows = problem.sample.omega - 1
+    c_all = np.bincount(rows, weights=w * w, minlength=n)
+    omega = np.flatnonzero(c_all > 0.0)
+    c = c_all[omega]
+    beta_all = np.zeros(n)
+    beta_all[omega] = np.bincount(rows, weights=w * b, minlength=n)[omega] / c
+    scatter = float(np.sum((b - w * beta_all[rows]) ** 2))
+    if math.sqrt(scatter) - eps > feas_slack:
+        raise InfeasibleError(
+            f"data ball is infeasible: repeated measurements scatter by "
+            f"{math.sqrt(scatter):.6g} > epsilon = {eps:.6g}")
+    return SimpleNamespace(
+        w=w, b=b, rows=rows, omega=omega, c=c, beta=beta_all[omega], eps=eps,
+        radius=math.sqrt(max(eps * eps - scatter, 0.0)),
+        gamma=_STEP_SCALE * b_norm / math.sqrt(omega.size),
+        feas_slack=feas_slack, tol_gap=problem.tol_gap,
+        max_iterations=problem.max_iterations)
+
+
+class _Batch:
+    """The live rows of a batch: per-row scalars as arrays, and the sampled
+    entries of all rows back to back (``flat`` indexes a (B, N) array's
+    ravel)."""
+
+    def __init__(self, data, n):
+        self.data = data
+        self.sizes = np.array([d.omega.size for d in data])
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.flat = np.concatenate([k * n + d.omega for k, d in enumerate(data)])
+        self.c = np.concatenate([d.c for d in data])
+        self.root_c = np.sqrt(self.c)
+        self.beta = np.concatenate([d.beta for d in data])
+        for name in ("radius", "gamma", "tol_gap", "max_iterations"):
+            setattr(self, name, np.array([getattr(d, name) for d in data]))
+        self.first_stop = int(self.max_iterations.min())
+
+    def spread(self, per_row):
+        """A per-row array repeated over each row's sampled entries."""
+        return per_row.repeat(self.sizes)
+
+    def row_sums(self, entries):
+        """Per-row sums of an array laid out like the sampled entries."""
+        return np.add.reduceat(entries, self.starts)
 
 
 def solve_bpdn(problem):
@@ -125,9 +224,10 @@ def solve_bpdn(problem):
     scatter = sum_j (b_j - w_j beta_k(j))^2 independent of s, so the data
     ball is the axis-aligned ellipsoid
     sum_k c_k (z_k - beta_k)^2 <= eps_eff^2 = eps^2 - scatter on the
-    sampled indices Omega, with z free elsewhere.  When sqrt(scatter)
-    exceeds eps by more than tol_feas * max(1, ||b||) the ball is empty
-    and InfeasibleError is raised.
+    sampled indices Omega, with z free elsewhere.  When ||b|| <= eps,
+    x = 0 is returned at once (stop reason ``zero_data``).  Otherwise, when
+    sqrt(scatter) exceeds eps by more than tol_feas * max(1, ||b||) the
+    ball is empty and InfeasibleError is raised.
 
     Iteration.  y = U soft(U^T t, gamma) is the prox of the l1 term (U is
     orthogonal); z is the projection of 2y - t onto the ellipsoid (z = beta
@@ -148,62 +248,97 @@ def solve_bpdn(problem):
     exceeds eps by at most tol_feas * max(1, ||b||) and that the objective
     is within a relative tol_gap of the dual value, hence of the optimum.
     Otherwise the point from the last of max_iterations iterations is
-    returned with converged = False.
+    returned with converged = False.  This is :func:`solve_bpdn_batch` on
+    a batch of one.
     """
-    system, sample = problem.system, problem.sample
-    m = sample.n_measurements
-    n = system.n_total
-    w = sample.weights / math.sqrt(m) if problem.weighted else np.ones(m)
-    b = w * problem.y
-    eps = float(problem.epsilon)
+    return solve_bpdn_batch([problem])[0]
 
-    def coefficients(z):                    # U^T z
+
+def solve_bpdn_batch(problems):
+    """:func:`solve_bpdn` for each of ``problems``, as one iteration over a
+    (B, N) batch; returns the reports in order.
+
+    The problems must share one system.  They are checked in order, each
+    for ||b|| <= eps before its data ball (an empty one raises
+    InfeasibleError).  Every step of an iteration works row by row: each
+    row has its own step, data ball and Newton multiplier, is checked on
+    its own schedule and leaves the batch when it stops, so each report is
+    bit for bit the one the problem gets alone.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    system = problems[0].system
+    if any(p.system != system for p in problems):
+        raise ValueError("every problem in a batch must share one system")
+    n = system.n_total
+    reports = [None] * len(problems)
+    live, data = [], []
+    for i, problem in enumerate(problems):
+        w, b, b_norm = _weighted_data(problem)
+        if b_norm <= problem.epsilon:
+            reports[i] = RecoveryReport(system.signal(np.zeros(n)), 0, b_norm,
+                                        0.0, True, 0.0, "zero_data")
+        else:
+            live.append(i)
+            data.append(_collapse(problem, w, b, b_norm))
+    if not live:
+        return reports
+
+    def coefficients(z):                    # U^T z, row by row
         return system.coefficients(system.signal(z))
 
-    def spectrum(s):                        # U s
+    def spectrum(s):                        # U s, row by row
         return system.spectrum(system.synthesis(s))
 
-    b_norm = float(np.linalg.norm(b))
-    feas_slack = problem.tol_feas * max(1.0, b_norm)
-    if b_norm <= eps:
-        return RecoveryReport(system.signal(np.zeros(n)), 0, b_norm, 0.0, True)
-
-    rows = sample.omega - 1
-    c_all = np.bincount(rows, weights=w * w, minlength=n)
-    omega = np.flatnonzero(c_all > 0.0)
-    c = c_all[omega]
-    beta_all = np.zeros(n)
-    beta_all[omega] = np.bincount(rows, weights=w * b, minlength=n)[omega] / c
-    beta = beta_all[omega]
-    scatter = float(np.sum((b - w * beta_all[rows]) ** 2))
-    if math.sqrt(scatter) - eps > feas_slack:
-        raise InfeasibleError(
-            f"data ball is infeasible: repeated measurements scatter by "
-            f"{math.sqrt(scatter):.6g} > epsilon = {eps:.6g}")
-    radius = math.sqrt(max(eps * eps - scatter, 0.0))
-
-    gamma = _STEP_SCALE * b_norm / math.sqrt(omega.size)
-    t = np.zeros(n)
+    batch = _Batch(data, n)
+    t = np.zeros((len(live), n))
     it = 0
     while True:
         it += 1
-        y = spectrum(_soft_threshold(coefficients(t), gamma))
+        y = spectrum(_soft_threshold(coefficients(t), batch.gamma[:, None]))
         z = 2.0 * y - t
-        z[omega] = _project_ellipsoid(z[omega], beta, c, radius)
-        if it % _CHECK_EVERY == 0 or it == problem.max_iterations:
-            objective = float(np.sum(np.abs(coefficients(z))))
-            residual = float(np.linalg.norm(w * z[rows] - b))
-            p = np.zeros(n)
-            p[omega] = (t[omega] - y[omega]) / gamma
-            p /= max(1.0, float(np.max(np.abs(coefficients(p)))))
-            dual = (float(p[omega] @ beta)
-                    - radius * float(np.linalg.norm(p[omega] / np.sqrt(c))))
-            converged = (residual - eps <= feas_slack
-                         and objective - dual <= problem.tol_gap * objective)
-            if converged or it == problem.max_iterations:
-                return RecoveryReport(system.signal(z), it, residual, objective,
-                                      converged)
+        z_flat = z.reshape(-1)
+        z_flat[batch.flat] = _project_ellipsoid(z_flat[batch.flat], batch)
+        stopped = []
+        if it % _CHECK_EVERY == 0 or it == batch.first_stop:
+            at_max = it == batch.max_iterations
+            due = at_max | (it % _CHECK_EVERY == 0)
+            objective = np.sum(np.abs(coefficients(z)), axis=1)
+            p_on = ((t.reshape(-1)[batch.flat] - y.reshape(-1)[batch.flat])
+                    / batch.spread(batch.gamma))
+            p = np.zeros_like(t)
+            p.reshape(-1)[batch.flat] = p_on
+            p_on /= batch.spread(np.maximum(
+                1.0, np.max(np.abs(coefficients(p)), axis=1)))
+            dual = (batch.row_sums(p_on * batch.beta) - batch.radius
+                    * np.sqrt(batch.row_sums(np.square(p_on / batch.root_c))))
+            gap_ok = objective - dual <= batch.tol_gap * objective
+            for k in np.flatnonzero(due & (gap_ok | at_max)):
+                d = batch.data[k]
+                residual = math.sqrt(float(np.sum(
+                    np.square(d.w * z[k, d.rows] - d.b))))
+                converged = bool(residual - d.eps <= d.feas_slack
+                                 and gap_ok[k])
+                if converged or at_max[k]:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        gap = float((objective[k] - dual[k]) / objective[k])
+                    stopped.append((k, residual, converged, gap))
+        if stopped:
+            keep = np.ones(len(live), dtype=bool)
+            x_hats = system.signal(z[[k for k, *_ in stopped]])
+            for x_hat, (k, residual, converged, gap) in zip(x_hats, stopped):
+                reports[live[k]] = RecoveryReport(
+                    x_hat, it, residual, float(objective[k]), converged, gap,
+                    "converged" if converged else "max_iterations")
+                keep[k] = False
+            live = [i for i, kept in zip(live, keep) if kept]
+            if not live:
+                break
+            t, y, z = t[keep], y[keep], z[keep]
+            batch = _Batch([d for d, kept in zip(batch.data, keep) if kept], n)
         t += z - y
+    return reports
 
 
 def me_reconstruct(system, sample, y):

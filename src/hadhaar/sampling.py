@@ -13,6 +13,7 @@ independent streams can be split off a master seed reproducibly.
 """
 from __future__ import annotations
 
+import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,13 +85,33 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Drawn measurement indices with preconditioning weights."""
+    """Drawn measurement indices with preconditioning weights: a known
+    strategy, a 1-D integer array of 1-based indices and one finite,
+    positive weight per index."""
 
     omega: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     strategy: str
     seed: str
     rng_algorithm: str = RNG_ALGORITHM
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy {self.strategy!r} is not one of "
+                             f"{STRATEGIES}")
+        omega, weights = np.asarray(self.omega), np.asarray(self.weights)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "weights", weights)
+        if omega.ndim != 1 or omega.dtype.kind not in "iu":
+            raise ValueError("sample indices must be a 1-D integer array")
+        if omega.size and omega.min() < 1:
+            raise ValueError(f"sample index {omega.min()} is below 1")
+        if weights.shape != omega.shape:
+            raise ValueError("a sample needs one weight per index")
+        bad = ~(np.isfinite(weights) & (weights > 0.0))
+        if bad.any():
+            raise ValueError(f"weight {weights[bad][0]} is not finite and "
+                             f"positive")
 
     @property
     def n_measurements(self):
@@ -124,7 +145,10 @@ def mds_allocate(k, m_total, partition):
     if not isinstance(partition, LevelPartition):
         raise ValueError("partition must be a LevelPartition")
     sizes = partition.sizes
-    k = np.asarray(k, dtype=np.int64)
+    try:
+        k = np.asarray(k, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("per-level sparsities must lie in [0, |level|]") from None
     if k.shape != sizes.shape:
         raise ValueError("k must hold one count per level")
     if np.any(k < 0) or np.any(k > sizes):
@@ -175,12 +199,16 @@ def mds_allocate(k, m_total, partition):
 
 
 def _draw_distinct(rng, pool, count):
-    """Partial Fisher-Yates draw of ``count`` distinct entries of ``pool``."""
-    pool = np.array(pool, dtype=np.int64)
-    for i in range(count):
-        j = int(rng.integers(i, pool.size))
+    """Partial Fisher-Yates draw of ``count`` distinct entries of ``pool``:
+    swap i with a uniform j in [i, |pool|) for i = 0, 1, ...  The swap
+    targets come from one call, which reads the stream exactly as one
+    ``rng.integers(i, |pool|)`` call per i would; the swaps run on a
+    compact ``array.array``, whose items index faster than numpy's."""
+    pool = array.array("q", np.asarray(pool, dtype=np.int64).tobytes())
+    targets = rng.integers(np.arange(count), len(pool))
+    for i, j in enumerate(targets.tolist()):
         pool[i], pool[j] = pool[j], pool[i]
-    return pool[:count]
+    return np.frombuffer(pool, dtype=np.int64, count=count).copy()
 
 
 def draw_sample(plan, m_total, seed, replace=True):

@@ -150,51 +150,64 @@ def _digit_split(r):
 
 @functools.lru_cache(maxsize=None)
 def _paley_plan(shape):
-    """Factor steps, digit shape, digit permutation and output digit shape."""
+    """Factor steps (factor, digits before it, its size), digit shape, digit
+    permutation after a batch axis and output digit shape."""
     digits, perm = [], []
     for n in shape:
         split = _digit_split(n.bit_length() - 1)
         perm += range(len(digits) + len(split) - 1, len(digits) - 1, -1)
         digits += split
     sizes = tuple(1 << f for f in digits)
-    steps = tuple((_paley_factor(f), (math.prod(sizes[:d]), sizes[d], -1))
+    steps = tuple((_paley_factor(f), math.prod(sizes[:d]), sizes[d])
                   for d, f in enumerate(digits))
-    return steps, sizes, tuple(perm), tuple(sizes[d] for d in perm)
+    # the digit reversal keeps a leading batch axis in place
+    return (steps, sizes, (0,) + tuple(d + 1 for d in perm),
+            tuple(sizes[d] for d in perm))
 
 
 def _apply_factor(p, src, dst):
-    """dst = p applied along axis 1 of the (pre, a, rest) arrays src, dst,
-    in gemms of at most _GEMM_CAP multiply-adds."""
-    pre, a, rest = src.shape
+    """dst = p applied along axis 2 of the (lead, pre, a, rest) arrays src,
+    dst, in gemms of at most _GEMM_CAP multiply-adds.  Each of the ``lead``
+    inputs gives the same bits as it would alone: a lone vector (pre = rest
+    = 1) is a vector-matrix product, which BLAS sums in another order than
+    a gemm row, so it stays one in a batch."""
+    lead, pre, a, rest = src.shape
     step = max(1, _GEMM_CAP // (a * a))
-    if rest == 1:                       # p is symmetric: rows times p
-        src, dst = src.reshape(pre, a), dst.reshape(pre, a)
-        for s in range(0, pre, step):
+    if rest == 1 and pre == 1:
+        np.matmul(src.reshape(lead, 1, a), p, out=dst.reshape(lead, 1, a))
+    elif rest == 1:                     # p is symmetric: rows times p
+        src, dst = src.reshape(lead * pre, a), dst.reshape(lead * pre, a)
+        for s in range(0, lead * pre, step):
             np.matmul(src[s:s + step], p, out=dst[s:s + step])
     else:
+        src = src.reshape(lead * pre, a, rest)
+        dst = dst.reshape(lead * pre, a, rest)
         for s in range(0, rest, step):
             np.matmul(p, src[:, :, s:s + step], out=dst[:, :, s:s + step])
 
 
-def _paley(x, scale):
-    """``scale`` times the unscaled Paley transform along every axis of x."""
+def _paley(x, scale, batch):
+    """``scale`` times the unscaled Paley transform along every axis of x
+    after the first ``batch`` (0 or 1) axes."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    steps, sizes, perm, out_sizes = _paley_plan(x.shape)
+    lead = x.shape[0] if batch else 1
+    steps, sizes, perm, out_sizes = _paley_plan(x.shape[batch:])
     out = np.empty(x.shape)
     work = np.empty(x.shape)
     src = x
     # alternate buffers so that the last factor lands in ``work``, which the
     # final digit reversal reads while it writes ``out``
-    for d, (p, view) in enumerate(steps):
+    for d, (p, pre, a) in enumerate(steps):
         dst = work if (len(steps) - 1 - d) % 2 == 0 else out
+        view = (lead, pre, a, -1)
         _apply_factor(p, src.reshape(view), dst.reshape(view))
         src = dst
-    np.multiply(src.reshape(sizes).transpose(perm), scale,
-                out=out.reshape(out_sizes))
+    np.multiply(src.reshape((lead,) + sizes).transpose(perm), scale,
+                out=out.reshape((lead,) + out_sizes))
     return out
 
 
-def fwht(x):
+def fwht(x, batch=False):
     """Orthonormal Walsh-Hadamard transform, Paley order.
 
     1-D input of length 2^r returns H_r^T x.  A square 2-D input returns
@@ -202,17 +215,23 @@ def fwht(x):
     matrix is symmetric and self-inverse, so analysis and synthesis agree.
     The 2^{-r/2} normalisation is applied once at the end (the factors
     stay unscaled), so integer inputs see a single rounding per entry.
+    With ``batch`` true, axis 0 indexes independent inputs, each
+    transformed as above; every one comes out bit for bit as it would
+    alone.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        r = _require_pow2(x.shape[0])
-        return _paley(x, _pow2_half(-r))
-    if x.ndim == 2:
-        if x.shape[0] != x.shape[1]:
+    batch = int(bool(batch))
+    shape = x.shape[batch:]
+    if len(shape) == 1:
+        r = _require_pow2(shape[0])
+        return _paley(x, _pow2_half(-r), batch)
+    if len(shape) == 2:
+        if shape[0] != shape[1]:
             raise ValueError("2-D input must be square")
-        r = _require_pow2(x.shape[0], "side")
-        return _paley(x, math.ldexp(1.0, -r))
-    raise ValueError("input must be 1-D or 2-D")
+        r = _require_pow2(shape[0], "side")
+        return _paley(x, math.ldexp(1.0, -r), batch)
+    raise ValueError("input must be 1-D or 2-D"
+                     + (" after the batch axis" if batch else ""))
 
 
 def _dhw_exponents(r):
@@ -232,33 +251,47 @@ def _dhw_scales(r):
     return scale
 
 
-def _dhw_analysis_axis0(x):
-    a = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(a)
-    size = a.shape[0]
+def _one_vector(x):
+    """x as a 1-D vector when it holds a single one along its last axis:
+    strided slices of a 1-D array cost less than those of a (1, n) one."""
+    return x.reshape(-1) if x.size == x.shape[-1] else x
+
+
+def _dhw_analysis(x):
+    """W_r^T along the last axis of x."""
+    x = np.asarray(x, dtype=np.float64)
+    a = _one_vector(x)
+    out = np.empty(a.shape)
+    size = a.shape[-1]
     while size > 1:
-        out[size // 2:size] = a[0::2] - a[1::2]
-        a = a[0::2] + a[1::2]
+        np.subtract(a[..., 0::2], a[..., 1::2], out=out[..., size // 2:size])
+        a = a[..., 0::2] + a[..., 1::2]
         size //= 2
-    out[0] = a[0]
-    scale = _dhw_scales(out.shape[0].bit_length() - 1)
-    return out * (scale if out.ndim == 1 else scale[:, None])
+    out[..., 0] = a[..., 0]
+    out *= _dhw_scales(out.shape[-1].bit_length() - 1)
+    return out.reshape(x.shape)
 
 
-def _dhw_synthesis_axis0(c):
+def _dhw_synthesis(c):
+    """W_r along the last axis of c."""
     c = np.asarray(c, dtype=np.float64)
-    scale = _dhw_scales(c.shape[0].bit_length() - 1)
-    c = c * (scale if c.ndim == 1 else scale[:, None])
-    a = c[0:1].copy()
+    shape = c.shape
+    c = _one_vector(c) * _dhw_scales(c.shape[-1].bit_length() - 1)
+    a = c[..., 0:1]
     size = 1
-    while size < c.shape[0]:
-        d = c[size:2 * size]
-        nxt = np.empty((2 * size,) + c.shape[1:], dtype=np.float64)
-        nxt[0::2] = a + d
-        nxt[1::2] = a - d
+    while size < c.shape[-1]:
+        d = c[..., size:2 * size]
+        nxt = np.empty(c.shape[:-1] + (2 * size,))
+        np.add(a, d, out=nxt[..., 0::2])
+        np.subtract(a, d, out=nxt[..., 1::2])
         a = nxt
         size *= 2
-    return a
+    return a.reshape(shape)
+
+
+def _adhw(pass_1d, x):
+    """A separable 1-D Haar pass along the second-last axis, then the last."""
+    return pass_1d(pass_1d(x.swapaxes(-1, -2)).swapaxes(-1, -2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,75 +313,82 @@ def _idhw_scales(n):
 
 
 def _idhw_analysis(x):
+    """Isotropic Haar analysis of the square image(s) in the last two axes."""
     c = np.array(x, dtype=np.float64)
-    size = c.shape[0]
+    size = c.shape[-1]
     while size > 1:
         h = size // 2
-        block = c[:size, :size]
-        low0 = block[0::2, :] + block[1::2, :]
-        high0 = block[0::2, :] - block[1::2, :]
-        c[:h, :h] = low0[:, 0::2] + low0[:, 1::2]
-        c[:h, h:size] = low0[:, 0::2] - low0[:, 1::2]
-        c[h:size, :h] = high0[:, 0::2] + high0[:, 1::2]
-        c[h:size, h:size] = high0[:, 0::2] - high0[:, 1::2]
+        block = c[..., :size, :size]
+        low0 = block[..., 0::2, :] + block[..., 1::2, :]
+        high0 = block[..., 0::2, :] - block[..., 1::2, :]
+        np.add(low0[..., 0::2], low0[..., 1::2], out=c[..., :h, :h])
+        np.subtract(low0[..., 0::2], low0[..., 1::2], out=c[..., :h, h:size])
+        np.add(high0[..., 0::2], high0[..., 1::2], out=c[..., h:size, :h])
+        np.subtract(high0[..., 0::2], high0[..., 1::2],
+                    out=c[..., h:size, h:size])
         size = h
-    return c * _idhw_scales(c.shape[0])
+    c *= _idhw_scales(c.shape[-1])
+    return c
 
 
 def _idhw_synthesis(c):
-    x = np.asarray(c, dtype=np.float64) * _idhw_scales(np.asarray(c).shape[0])
+    """Inverse of :func:`_idhw_analysis`."""
+    c = np.asarray(c, dtype=np.float64)
+    x = c * _idhw_scales(c.shape[-1])
+    lead = x.shape[:-2]
     size = 1
-    n = x.shape[0]
+    n = x.shape[-1]
     while size < n:
-        ll = x[:size, :size]
-        d10 = x[:size, size:2 * size]
-        d01 = x[size:2 * size, :size]
-        d11 = x[size:2 * size, size:2 * size]
-        low0 = np.empty((size, 2 * size))
-        high0 = np.empty((size, 2 * size))
-        low0[:, 0::2] = ll + d10
-        low0[:, 1::2] = ll - d10
-        high0[:, 0::2] = d01 + d11
-        high0[:, 1::2] = d01 - d11
-        block = np.empty((2 * size, 2 * size))
-        block[0::2, :] = low0 + high0
-        block[1::2, :] = low0 - high0
-        x[:2 * size, :2 * size] = block
+        ll = x[..., :size, :size]
+        d10 = x[..., :size, size:2 * size]
+        d01 = x[..., size:2 * size, :size]
+        d11 = x[..., size:2 * size, size:2 * size]
+        low0 = np.empty(lead + (size, 2 * size))
+        high0 = np.empty(lead + (size, 2 * size))
+        np.add(ll, d10, out=low0[..., 0::2])
+        np.subtract(ll, d10, out=low0[..., 1::2])
+        np.add(d01, d11, out=high0[..., 0::2])
+        np.subtract(d01, d11, out=high0[..., 1::2])
+        # low0 and high0 hold all that the block's four quarters held
+        np.add(low0, high0, out=x[..., 0:2 * size:2, :2 * size])
+        np.subtract(low0, high0, out=x[..., 1:2 * size:2, :2 * size])
         size *= 2
     return x
 
 
-def haar_transform(kind, direction, x, r=None):
+def haar_transform(kind, direction, x, r=None, batch=False):
     """Apply a Haar transform (``dhw``, ``adhw`` or ``idhw``).
 
     ``direction`` is ``"analysis"`` (signal to coefficients) or
     ``"synthesis"``.  1-D dhw expects a vector of length 2^r; the 2-D kinds
     expect a square 2^r x 2^r array whose vectorisation is column-major.
+    With ``batch`` true, axis 0 indexes independent inputs, each
+    transformed as above; every one comes out bit for bit as it would
+    alone.
     """
+    x = np.asarray(x, dtype=np.float64)
+    shape = x.shape[1:] if batch else x.shape
     if isinstance(kind, BasisKind):
         basis = kind
     elif r is not None:
         basis = BasisKind(kind, int(r))
     else:
-        n = np.asarray(x).shape[0]
-        basis = BasisKind(kind, _require_pow2(n, "side"))
+        basis = BasisKind(kind, _require_pow2(shape[0] if shape else 0, "side"))
     if direction not in ("analysis", "synthesis"):
         raise ValueError("direction must be 'analysis' or 'synthesis'")
-    x = np.asarray(x, dtype=np.float64)
+    analysis = direction == "analysis"
     if basis.tag == "dhw":
-        if x.ndim != 1 or x.shape[0] != basis.side:
+        if shape != (basis.side,):
             raise ValueError("dhw expects a vector of length 2^r")
-        return _dhw_analysis_axis0(x) if direction == "analysis" else _dhw_synthesis_axis0(x)
+        return _dhw_analysis(x) if analysis else _dhw_synthesis(x)
     if basis.tag in ("adhw", "idhw"):
-        if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] != basis.side:
+        if shape != (basis.side, basis.side):
             raise ValueError(f"{basis.tag} expects a square array of side 2^r")
         if basis.tag == "adhw":
-            if direction == "analysis":
-                return _dhw_analysis_axis0(_dhw_analysis_axis0(x).T).T
-            return _dhw_synthesis_axis0(_dhw_synthesis_axis0(x).T).T
-        return _idhw_analysis(x) if direction == "analysis" else _idhw_synthesis(x)
+            return _adhw(_dhw_analysis if analysis else _dhw_synthesis, x)
+        return _idhw_analysis(x) if analysis else _idhw_synthesis(x)
     if basis.tag in ("hadamard1d", "hadamard2d"):
-        return fwht(x)
+        return fwht(x, batch=batch)
     raise ValueError(f"unknown basis tag {basis.tag!r}")
 
 

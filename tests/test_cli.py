@@ -253,6 +253,16 @@ def test_cmd_sample_mds_requires_k(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:validation:")
 
 
+def test_cmd_sample_k_overflow_is_validation(tmp_path, capsys):
+    code = main(["sample", "--strategy", "mds", "--system", "had_dhw_1d",
+                 "--r", "3", "--M", "4", "--seed", "1",
+                 "--k", "1,1,2,99999999999999999999", "--out", str(tmp_path)])
+    assert code == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+    assert "per-level sparsities" in err
+
+
 def test_cmd_recover_end_to_end(tmp_path):
     out = tmp_path / "rec"
     sample_dir = tmp_path / "smp"
@@ -277,6 +287,8 @@ def test_cmd_recover_end_to_end(tmp_path):
     np.testing.assert_allclose(me_hat, x, atol=1e-12)
     meta = json.loads((out / "recovery_meta.json").read_text())
     assert meta["converged"] is True
+    assert meta["stop_reason"] == "converged"
+    assert meta["relative_gap"] <= 1e-6
 
 
 def test_cmd_recover_rejects_sample_from_another_system(tmp_path, capsys):
@@ -425,6 +437,21 @@ def test_cli_error_paths(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_CODES["validation"]
     assert "error:validation:" in capsys.readouterr().err
     assert main(["--version"]) == 0
+
+
+def test_batched_trial_row_matches_single_trial_run(tmp_path):
+    # trial 1 is solved inside a batch of 20, then alone
+    config = _small_config(r=7, ratios=(0.2,), snr_db=20.0, trials=20,
+                           signal=SignalSpec("gaussian_bump", sigma=8.0,
+                                             center="random"))
+    rows = []
+    for trials in (20, 1):
+        path = tmp_path / f"trials{trials}.csv"
+        write_trials_csv(path, run_experiment(
+            ExperimentConfig(**dict(vars(config), trials=trials))))
+        rows.append(path.read_text().splitlines())
+    assert len(rows[0]) == 21 and len(rows[1]) == 2
+    assert rows[0][:2] == rows[1]
 
 
 def test_experiment_weighted_epsilon_matches_weights():

@@ -238,3 +238,16 @@ def test_system_methods_apply_u_and_its_adjoint(case):
         assert flat.shape == (system.n_total,)
         np.testing.assert_allclose(back(flat), x, rtol=0, atol=1e-12)
         assert back(flat).shape == x.shape
+    # a leading batch axis: each row comes out bit for bit as it would alone
+    batches = [np.stack([s, q, x.reshape(-1, order="F")])]
+    if system.is_2d:
+        batches.append(batches[0].reshape(3, system.side, system.side))
+    for batch in batches:
+        for method in (system.spectrum, system.signal, system.coefficients,
+                       system.synthesis):
+            rows = method(batch)
+            assert rows.shape[0] == 3
+            for row, alone in zip(rows, batch):
+                single = method(alone)
+                assert row.shape == single.shape
+                assert row.tobytes() == np.ascontiguousarray(single).tobytes()

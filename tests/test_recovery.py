@@ -7,7 +7,8 @@ from scipy.optimize import linprog, minimize
 from hadhaar.cli import EXIT_CODES, main
 from hadhaar.coherence import SystemKind
 from hadhaar.indexing import build_levels
-from hadhaar.recovery import RecoveryProblem, RecoveryReport, me_reconstruct, solve_bpdn
+from hadhaar.recovery import (RecoveryProblem, RecoveryReport, me_reconstruct,
+                              solve_bpdn, solve_bpdn_batch)
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
                               rng_stream, uds_pmf, vds_pmf)
 from hadhaar.signals import NoiseSpec, make_noise, save_signal_csv
@@ -199,6 +200,103 @@ def test_solver_deterministic():
     b = solve_bpdn(RecoveryProblem(system, sample, y))
     assert np.array_equal(a.x_hat, b.x_hat)
     assert a.iterations == b.iterations and a.objective == b.objective
+
+
+def _batch_problems(tag, r):
+    """Problems on one system: uds/vds/mds samples of different sizes, a
+    noiseless row, noisy rows and a row with ||b|| <= eps."""
+    system = SystemKind(tag, r)
+    part = system.partition()
+    x = rng_stream(8, r).standard_normal(system.n_total)
+    problems = []
+    for i, (strategy, frac, snr) in enumerate(
+            [("vds", 0.5, 20.0), ("uds", 0.4, math.inf), ("mds", 0.5, 30.0),
+             ("uds", 0.6, 20.0), ("vds", 0.3, math.inf)]):
+        m = max(1, int(frac * system.n_total))
+        plan = (mds_allocate(part.sizes, m, part) if strategy == "mds"
+                else uds_pmf(system) if strategy == "uds" else vds_pmf(system))
+        sample = draw_sample(plan, m, 30 + i)
+        weighted = strategy != "mds"
+        noise = make_noise(NoiseSpec(snr), x, m,
+                           weights=sample.weights if weighted else None,
+                           rng=rng_stream(9, i))
+        y = measure(system, sample, x) + noise.vector
+        eps = noise.weighted_norm if weighted else noise.norm
+        problems.append(RecoveryProblem(system, sample, y, eps,
+                                        max_iterations=400))
+    # ||b|| <= eps: the zero point is optimal at once
+    problems.insert(2, RecoveryProblem(system, problems[0].sample,
+                                       1e-3 * problems[0].y, epsilon=10.0))
+    # stopped at an iteration that is not a multiple of the check interval
+    first = problems[0]
+    problems.append(RecoveryProblem(system, first.sample, first.y,
+                                    first.epsilon, max_iterations=3))
+    return problems
+
+
+@pytest.mark.parametrize("tag,r", [("had_dhw_1d", 5), ("had_dhw_1d", 6),
+                                   ("had2_idhw", 2), ("had2_idhw", 3),
+                                   ("had2_adhw", 2), ("had2_adhw", 3)])
+def test_batch_rows_bit_equal_alone(tag, r):
+    problems = _batch_problems(tag, r)
+    batch = solve_bpdn_batch(problems)
+    assert len(batch) == len(problems)
+    reasons = set()
+    for problem, got in zip(problems, batch):
+        alone = solve_bpdn(problem)
+        assert got.x_hat.shape == alone.x_hat.shape
+        assert got.x_hat.tobytes() == alone.x_hat.tobytes()
+        assert (got.iterations, got.converged, got.stop_reason) \
+            == (alone.iterations, alone.converged, alone.stop_reason)
+        assert (got.objective, got.feasibility_residual, got.relative_gap) \
+            == (alone.objective, alone.feasibility_residual,
+                alone.relative_gap)
+        reasons.add(got.stop_reason)
+    assert batch[2].stop_reason == "zero_data" and batch[2].iterations == 0
+    assert batch[-1].stop_reason == "max_iterations"
+    assert batch[-1].iterations == 3
+    assert reasons == {"converged", "max_iterations", "zero_data"}
+
+
+def test_batch_rejects_mixed_systems():
+    one = _batch_problems("had_dhw_1d", 3)[0]
+    other = _batch_problems("had2_adhw", 2)[0]
+    with pytest.raises(ValueError, match="share one system"):
+        solve_bpdn_batch([one, other])
+    with pytest.raises(ValueError, match="share one system"):
+        solve_bpdn_batch([one, _batch_problems("had_dhw_1d", 4)[0]])
+    assert solve_bpdn_batch([]) == []
+
+
+def test_stop_reason_and_gap():
+    system = SystemKind("had_dhw_1d", 5)
+    sample = draw_sample(vds_pmf(system), 16, 3)
+    x = rng_stream(12, 0).standard_normal(32)
+    y = measure(system, sample, x)
+    done = solve_bpdn(RecoveryProblem(system, sample, y, epsilon=0.01))
+    assert done.converged and done.stop_reason == "converged"
+    assert done.relative_gap <= 1e-6         # may round below 0
+    cut = solve_bpdn(RecoveryProblem(system, sample, y, epsilon=0.01,
+                                     max_iterations=3))
+    assert cut.iterations == 3 and not cut.converged
+    assert cut.stop_reason == "max_iterations" and cut.relative_gap > 1e-6
+
+
+def test_batch_raises_on_first_infeasible_row():
+    system = SystemKind("had_dhw_1d", 3)
+    sample = SampleSet(np.array([2, 5, 2], dtype=np.int64), np.ones(3), "uds", "0")
+    y = np.array([1.0, 0.5, 2.0])       # index 2 measured twice, 1 apart
+    tight = RecoveryProblem(system, sample, y, epsilon=0.1)
+    loose = RecoveryProblem(system, sample, y, epsilon=1.0)
+    zero = RecoveryProblem(system, sample, 1e-3 * y, epsilon=1.0)
+    with pytest.raises(ValueError, match="infeasible"):
+        solve_bpdn_batch([zero, loose, tight])
+
+
+def test_problem_rejects_index_beyond_system():
+    sample = SampleSet(np.array([3, 9], dtype=np.int64), np.ones(2), "uds", "0")
+    with pytest.raises(ValueError, match=r"sample index 9 outside \[1, 8\]"):
+        RecoveryProblem(SystemKind("had_dhw_1d", 3), sample, np.ones(2))
 
 
 def test_problem_validation():

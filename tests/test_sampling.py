@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from hadhaar.coherence import SystemKind
 from hadhaar.indexing import PARTITION_KINDS, build_levels
-from hadhaar.sampling import (SamplingPlan, draw_sample, mds_allocate, measure,
+from hadhaar.sampling import (SampleSet, SamplingPlan, _draw_distinct,
+                              draw_sample, mds_allocate, measure,
                               measure_adjoint, rng_stream, uds_pmf, vds_pmf)
 from hadhaar.transforms import fwht, vec
 
@@ -175,6 +176,49 @@ def test_draw_empirical_frequencies():
         p = plan.pmf[j]
         sigma = np.sqrt(m * p * (1.0 - p))
         assert abs(counts[j] - m * p) <= 3.0 * sigma
+
+
+def _draw_distinct_scalar(rng, pool, count):
+    """The partial Fisher-Yates draw one ``integers`` call at a time."""
+    pool = np.array(pool, dtype=np.int64)
+    for i in range(count):
+        j = int(rng.integers(i, pool.size))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:count]
+
+
+@pytest.mark.parametrize("size,count", [(2, 1), (5, 5), (37, 20),
+                                        (4096, 4000), (70000, 40000)])
+def test_draw_distinct_matches_scalar_loop(size, count):
+    pool = np.arange(1, size + 1, dtype=np.int64) * 3
+    for seed in range(3):
+        fast = np.random.Generator(np.random.Philox(seed))
+        slow = np.random.Generator(np.random.Philox(seed))
+        got = _draw_distinct(fast, pool, count)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _draw_distinct_scalar(slow, pool, count))
+        # the stream continues where the scalar loop leaves it
+        assert fast.integers(0, 1 << 40) == slow.integers(0, 1 << 40)
+        assert fast.random() == slow.random()
+
+
+def test_sample_set_validation():
+    omega = np.array([3, 1, 3], dtype=np.int64)
+    SampleSet(omega, np.ones(3), "uds", "0")
+    SampleSet(np.array([], dtype=np.int64), np.array([]), "mds", "0")
+    for args, match in (
+            ((omega, np.ones(3), "xyz"), "strategy 'xyz' is not one of"),
+            ((omega, np.array([1.0, np.nan, 1.0]), "uds"),
+             "weight nan is not finite and positive"),
+            ((omega, np.array([1.0, -1.0, 1.0]), "vds"),
+             "weight -1.0 is not finite and positive"),
+            ((omega, np.array([1.0, np.inf, 1.0]), "vds"), "weight inf"),
+            ((omega, np.ones(2), "uds"), "one weight per index"),
+            ((np.array([0, 1, 2]), np.ones(3), "uds"), "below 1"),
+            ((omega.reshape(3, 1), np.ones((3, 1)), "uds"), "1-D integer"),
+            ((omega.astype(float), np.ones(3), "uds"), "1-D integer")):
+        with pytest.raises(ValueError, match=match):
+            SampleSet(*args, "0")
 
 
 def test_draw_validation():
