@@ -13,11 +13,16 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
 
 * ``draw_sample`` with the vds and mds plans at 2-D r = 9 (N/4 indices, mds
   sized by the Shepp-Logan phantom's effective sparsity at rho = 0.995);
+* U v for ``had2_idhw`` at r in {7, 8, 9}: ``level_op`` (one 2-D Paley
+  transform per level, in level order) against the two flat-order
+  compositions ``spectrum(synthesis(v))`` and ``coefficients(signal(v))``;
 * the solver per row-iteration at 1-D r = 9 on 20 vds problems shaped
   like the strategy-ordering experiment's (Gaussian bump, sigma = 64,
   random centre, M/N = 0.2, 20 dB): ``solve_bpdn`` on each in turn (B = 1) and
   ``solve_bpdn_batch`` on all 20 (B = 20), timed per call and divided by
-  the problems' total iterations.
+  the problems' total iterations;
+* the same at 2-D r = 8 with B = 1 on one vds problem shaped like the
+  single-pixel-camera benchmark's (Shepp-Logan, M/N = 0.25, 20 dB).
 
 Each figure is the median of five windows of at least 0.1 s of back-to-back
 calls on one fixed input.  The script takes no options and prints one JSON
@@ -126,6 +131,32 @@ def _solver_problems():
     return problems
 
 
+def _level_op_layers():
+    """(layer name, function, input) for U v at 2-D r = 7, 8 and 9."""
+    for r in (7, 8, 9):
+        system = SystemKind("had2_idhw", r)
+        v = np.random.default_rng(r).standard_normal(system.n_total)
+        out = np.empty_like(v)
+        yield (r, "level_op",
+               lambda u, s=system, o=out: s.level_op(u, out=o), v)
+        yield (r, "spectrum_synthesis",
+               lambda u, s=system: s.spectrum(s.synthesis(u)), v)
+        yield (r, "coefficients_signal",
+               lambda u, s=system: s.coefficients(s.signal(u)), v)
+
+
+def _camera_problem():
+    """One vds problem at 2-D r = 8 shaped like the camera benchmark's."""
+    system = SystemKind("had2_idhw", 8)
+    x = shepp_logan(system.side)
+    m = system.n_total // 4
+    sample = draw_sample(vds_pmf(system), m, 8)
+    noise = make_noise(NoiseSpec(20.0), x, m, weights=sample.weights,
+                       rng=rng_stream(8, 0))
+    return RecoveryProblem(system, sample, measure(system, sample, x)
+                           + noise.vector, noise.weighted_norm)
+
+
 def _solver_rows():
     problems = _solver_problems()
     iterations = sum(report.iterations for report in solve_bpdn_batch(problems))
@@ -134,6 +165,10 @@ def _solver_rows():
         us = _us_per_call(solve, problems) / iterations
         yield {"layer": "solve_row_iteration", "dim": 1, "r": 9,
                "batch": batch, "us_per_row_iteration": round(us, 2)}
+    camera = _camera_problem()
+    us = _us_per_call(solve_bpdn, camera) / solve_bpdn(camera).iterations
+    yield {"layer": "solve_row_iteration", "dim": 2, "r": 8, "batch": 1,
+           "us_per_row_iteration": round(us, 2)}
 
 
 def main():
@@ -146,6 +181,9 @@ def main():
             for name, fn, arg in _layers(tag, r):
                 rows.append({"layer": name, "dim": dim, "r": r,
                              "us_per_call": round(_us_per_call(fn, arg), 1)})
+    for r, name, fn, arg in _level_op_layers():
+        rows.append({"layer": name, "dim": 2, "r": r,
+                     "us_per_call": round(_us_per_call(fn, arg), 1)})
     for name, fn, arg in _draw_layers():
         rows.append({"layer": name, "dim": 2, "r": 9,
                      "us_per_call": round(_us_per_call(fn, arg), 1)})

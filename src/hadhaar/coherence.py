@@ -143,6 +143,54 @@ class SystemKind:
         s, batch = self._shaped(s)
         return haar_transform(self.sparsity_basis, "synthesis", s, batch=batch)
 
+    # In level order, a fixed permutation of the flat indices applied to
+    # both spectra and coefficients, U is block-diagonal over the wavelet
+    # levels and symmetric.  For idhw it is the iso partition's order, in
+    # which level l >= 1 is I_3 (x) H_{l-1} (x) H_{l-1} on three contiguous
+    # (2^(l-1))^2 squares; for the other systems it is the natural order,
+    # in which U is blockdiag(1, H_0, ..., H_{r-1}) or its Kronecker square.
+
+    @functools.cached_property
+    def level_order(self):
+        """The flat (0-based) index at each level-order position, read-only."""
+        if self.tag == "had2_idhw":
+            order = np.concatenate(self.partition().levels) - 1
+        else:
+            order = np.arange(self.n_total)
+        order.flags.writeable = False
+        return order
+
+    def level_op(self, v, adjoint=False, out=None):
+        """U v for flat v in level order, optionally after a batch axis,
+        written to ``out`` (which may be v) when given.  U is symmetric in
+        level order, so this is U^T v as well.  idhw applies one batched
+        2-D Paley transform per level.  The other systems keep the two
+        compositions: spectrum(synthesis(v)), or coefficients(signal(v))
+        with ``adjoint``, whose roundings differ.  Each row of a batch
+        comes out bit for bit as it would alone."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.n_total:
+            raise ValueError(f"{self.tag} with r = {self.r} expects "
+                             f"{self.n_total} entries in level order, "
+                             f"optionally after a batch axis, got shape "
+                             f"{v.shape}")
+        if self.tag != "had2_idhw":
+            u_v = (self.coefficients(self.signal(v)) if adjoint
+                   else self.spectrum(self.synthesis(v)))
+            if out is None:
+                return u_v
+            np.copyto(out, u_v)
+            return out
+        if out is None:
+            out = np.empty(v.shape)
+        out[..., 0] = v[..., 0]
+        for l in range(1, self.r + 1):
+            a = 1 << (l - 1)
+            level = slice(a * a, 4 * a * a)
+            blocks = fwht(v[..., level].reshape(-1, a, a), batch=True)
+            out[..., level] = blocks.reshape(v.shape[:-1] + (3 * a * a,))
+        return out
+
 
 def _as_system(system, r=None):
     if isinstance(system, SystemKind):

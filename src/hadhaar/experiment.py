@@ -44,10 +44,15 @@ class SignalSpec:
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"signal kind must be one of {SIGNAL_KINDS}")
         if self.kind == "gaussian_bump":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("gaussian_bump requires sigma > 0")
+            if self.sigma is None or not (math.isfinite(self.sigma)
+                                          and self.sigma > 0):
+                raise ValueError("gaussian_bump requires a finite sigma > 0")
             if self.center is None:
                 raise ValueError("gaussian_bump requires a center ('random' or a position)")
+            # a random center is drawn from [sigma, N - sigma], which must
+            # lie inside the bump's domain [1, N]
+            if self.center == "random" and self.sigma < 1:
+                raise ValueError("a random center needs sigma >= 1")
         elif self.sigma is not None or self.center is not None:
             raise ValueError(f"{self.kind} takes no sigma/center parameters")
 

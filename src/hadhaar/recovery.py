@@ -10,11 +10,16 @@ Basis pursuit denoise is solved by Douglas-Rachford splitting on the
 Hadamard spectrum z = U s of the wavelet coefficients s, the splitting
 behind C-SALSA (Afonso, Bioucas-Dias & Figueiredo 2011).  The system
 matrix U = Phi^T Psi is orthogonal, so both halves of the split are exact
-and cheap: the l1 prox is soft-thresholding between one analysis and one
-synthesis pass, and once repeated indices are collapsed the data ball is
-an axis-aligned ellipsoid on the sampled indices, projected onto with a
-scalar Newton solve.  The stopping rule is a relative duality gap, so a
-converged report certifies near-optimality of the returned point.
+and cheap: the l1 prox is soft-thresholding between U^T and U, and once
+repeated indices are collapsed the data ball is an axis-aligned ellipsoid
+on the sampled indices, projected onto with a scalar Newton solve.  The
+stopping rule is a relative duality gap, so a converged report certifies
+near-optimality of the returned point.
+
+The iteration runs in the system's level order (``SystemKind.level_order``),
+in which U is block-diagonal and symmetric: the sample is mapped there once,
+U and U^T are ``SystemKind.level_op``, and only a stopped row's spectrum is
+put back in flat order before its synthesis.
 
 ``solve_bpdn_batch`` runs problems that share one system as a single
 iteration over a (B, N) array, so each numpy call serves every row;
@@ -74,8 +79,11 @@ class RecoveryProblem:
             raise ValueError("measurements must be finite")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError("epsilon must be finite and nonnegative")
-        if self.tol_feas <= 0 or self.tol_gap <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tol_feas", "tol_gap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -98,10 +106,6 @@ class RecoveryReport:
     converged: bool = False
     relative_gap: float = math.inf
     stop_reason: str = "max_iterations"
-
-
-def _soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def _project_ellipsoid(v, batch):
@@ -155,12 +159,14 @@ def _weighted_data(problem):
     return w, b, math.sqrt(float(np.sum(b * b)))
 
 
-def _collapse(problem, w, b, b_norm):
+def _collapse(problem, w, b, b_norm, position):
     """The problem's collapsed data ball, with what the iteration needs of
-    the problem: ``rows`` (0-based index of each measurement), ``omega``
-    (the distinct sampled indices, ascending), ``c`` and ``beta`` on omega,
-    ``radius`` (eps_eff) and ``gamma`` (the step).  Raises InfeasibleError
-    when the ball is empty."""
+    the problem: ``rows`` (the level-order position of each measurement),
+    ``omega`` (the positions of the distinct sampled indices, taken in
+    ascending index order), ``c`` and ``beta`` on omega, ``radius``
+    (eps_eff) and ``gamma`` (the step).  ``position`` maps a 0-based flat
+    index to its level-order position.  Raises InfeasibleError when the
+    ball is empty."""
     n = problem.system.n_total
     eps = float(problem.epsilon)
     feas_slack = problem.tol_feas * max(1.0, b_norm)
@@ -176,7 +182,8 @@ def _collapse(problem, w, b, b_norm):
             f"data ball is infeasible: repeated measurements scatter by "
             f"{math.sqrt(scatter):.6g} > epsilon = {eps:.6g}")
     return SimpleNamespace(
-        w=w, b=b, rows=rows, omega=omega, c=c, beta=beta_all[omega], eps=eps,
+        w=w, b=b, rows=position[rows], omega=position[omega], c=c,
+        beta=beta_all[omega], eps=eps,
         radius=math.sqrt(max(eps * eps - scatter, 0.0)),
         gamma=_STEP_SCALE * b_norm / math.sqrt(omega.size),
         feas_slack=feas_slack, tol_gap=problem.tol_gap,
@@ -272,6 +279,9 @@ def solve_bpdn_batch(problems):
     if any(p.system != system for p in problems):
         raise ValueError("every problem in a batch must share one system")
     n = system.n_total
+    order = system.level_order
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
     reports = [None] * len(problems)
     live, data = [], []
     for i, problem in enumerate(problems):
@@ -281,36 +291,41 @@ def solve_bpdn_batch(problems):
                                         0.0, True, 0.0, "zero_data")
         else:
             live.append(i)
-            data.append(_collapse(problem, w, b, b_norm))
+            data.append(_collapse(problem, w, b, b_norm, position))
     if not live:
         return reports
 
-    def coefficients(z):                    # U^T z, row by row
-        return system.coefficients(system.signal(z))
-
-    def spectrum(s):                        # U s, row by row
-        return system.spectrum(system.synthesis(s))
-
+    # t, y and z are kept buffers in level order for the whole solve, and
+    # s is scratch; every step writes into them
     batch = _Batch(data, n)
     t = np.zeros((len(live), n))
+    y, z, s = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     it = 0
     while True:
         it += 1
-        y = spectrum(_soft_threshold(coefficients(t), batch.gamma[:, None]))
-        z = 2.0 * y - t
+        # y = U soft(U^T t, gamma); soft(v, g) = v - clip(v, -g, g) has the
+        # values of sign(v) max(|v| - g, 0) in two passes
+        system.level_op(t, adjoint=True, out=s)
+        gamma = batch.gamma[:, None]
+        np.clip(s, -gamma, gamma, out=y)
+        np.subtract(s, y, out=s)
+        system.level_op(s, out=y)
+        np.multiply(y, 2.0, out=z)
+        np.subtract(z, t, out=z)
         z_flat = z.reshape(-1)
         z_flat[batch.flat] = _project_ellipsoid(z_flat[batch.flat], batch)
         stopped = []
         if it % _CHECK_EVERY == 0 or it == batch.first_stop:
             at_max = it == batch.max_iterations
             due = at_max | (it % _CHECK_EVERY == 0)
-            objective = np.sum(np.abs(coefficients(z)), axis=1)
+            system.level_op(z, adjoint=True, out=s)
+            objective = np.abs(s, out=s).sum(axis=1)
             p_on = ((t.reshape(-1)[batch.flat] - y.reshape(-1)[batch.flat])
                     / batch.spread(batch.gamma))
-            p = np.zeros_like(t)
-            p.reshape(-1)[batch.flat] = p_on
-            p_on /= batch.spread(np.maximum(
-                1.0, np.max(np.abs(coefficients(p)), axis=1)))
+            s.fill(0.0)
+            s.reshape(-1)[batch.flat] = p_on
+            system.level_op(s, adjoint=True, out=s)
+            p_on /= batch.spread(np.maximum(1.0, np.abs(s, out=s).max(axis=1)))
             dual = (batch.row_sums(p_on * batch.beta) - batch.radius
                     * np.sqrt(batch.row_sums(np.square(p_on / batch.root_c))))
             gap_ok = objective - dual <= batch.tol_gap * objective
@@ -325,9 +340,11 @@ def solve_bpdn_batch(problems):
                         gap = float((objective[k] - dual[k]) / objective[k])
                     stopped.append((k, residual, converged, gap))
         if stopped:
+            spectra = np.empty((len(stopped), n))
+            spectra[:, order] = z[[k for k, *_ in stopped]]
             keep = np.ones(len(live), dtype=bool)
-            x_hats = system.signal(z[[k for k, *_ in stopped]])
-            for x_hat, (k, residual, converged, gap) in zip(x_hats, stopped):
+            for x_hat, (k, residual, converged, gap) in zip(
+                    system.signal(spectra), stopped):
                 reports[live[k]] = RecoveryReport(
                     x_hat, it, residual, float(objective[k]), converged, gap,
                     "converged" if converged else "max_iterations")
@@ -335,9 +352,14 @@ def solve_bpdn_batch(problems):
             live = [i for i, kept in zip(live, keep) if kept]
             if not live:
                 break
-            t, y, z = t[keep], y[keep], z[keep]
+            # move the kept rows to the front of each buffer
+            rows = np.flatnonzero(keep)
+            for buf in (t, y, z):
+                buf[:rows.size] = buf[rows]
+            t, y, z, s = (buf[:rows.size] for buf in (t, y, z, s))
             batch = _Batch([d for d, kept in zip(batch.data, keep) if kept], n)
-        t += z - y
+        np.subtract(z, y, out=s)
+        np.add(t, s, out=t)
     return reports
 
 

@@ -56,8 +56,10 @@ __all__ = [
 def gaussian_bump(n, sigma, center):
     """Discretised Gaussian density with peak at the 1-based index ``center``."""
     n = 2 ** _require_pow2(n, "size")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not (math.isfinite(center) and 1 <= center <= n):
+        raise ValueError(f"center must lie in [1, {n}], got {center}")
     i = np.arange(1, n + 1, dtype=np.float64)
     return np.exp(-((i - center) ** 2) / (2.0 * sigma ** 2)) / (sigma * math.sqrt(2.0 * math.pi))
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -122,6 +123,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _small_config(signal=SignalSpec("gaussian_bump", sigma=20.0,
                                         center="random"))
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite sigma"):
+            SignalSpec("gaussian_bump", sigma=sigma, center=3.0)
+    with pytest.raises(ValueError, match="random center needs sigma >= 1"):
+        SignalSpec("gaussian_bump", sigma=0.5, center="random")
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +420,85 @@ def test_cmd_experiment(tmp_path):
 
 
 def test_cmd_experiment_rejects_zero_signal(tmp_path, capsys):
-    # a bump centred far outside [1, 16] underflows to an all-zero signal
-    config = _small_config(r=4, signal=SignalSpec("gaussian_bump", sigma=2.0,
-                                                  center=1000),
+    # a bump far narrower than the grid, centred between two samples,
+    # underflows to an all-zero signal
+    config = _small_config(r=4, signal=SignalSpec("gaussian_bump", sigma=1e-3,
+                                                  center=1.5),
                            output_dir=str(tmp_path / "run"))
     config_path = tmp_path / "config.json"
     config_path.write_text(config_to_json(config))
     assert main(["experiment", "--config", str(config_path)]) \
         == EXIT_CODES["validation"]
     assert "reference signal must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("sigma,center,expect", [
+    ("nan", "10", "finite sigma > 0"),
+    ("inf", "10", "finite sigma > 0"),
+    ("2", "nan", r"center must lie in \[1, 32\]"),
+    ("2", "inf", r"center must lie in \[1, 32\]"),
+    ("2", "1000", r"center must lie in \[1, 32\]"),
+    ("2", "0.5", r"center must lie in \[1, 32\]"),
+    ("0.5", "random", "random center needs sigma >= 1"),
+])
+def test_cmd_signal_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
+    out = tmp_path / "sig"
+    assert main(["signal", "--kind", "gaussian_bump", "--size", "32",
+                 "--sigma", sigma, "--center", center,
+                 "--out", str(out)]) == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+    assert re.search(expect, err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma,center,expect", [
+    (math.nan, 3, "gaussian_bump requires a finite sigma > 0"),
+    (2.0, 1000, "center must lie in [1, 16], got 1000.0"),
+])
+def test_experiment_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
+    doc = json.loads(config_to_json(_small_config(r=4)))
+    doc["signal"] = {"kind": "gaussian_bump", "sigma": sigma,
+                     "center": center}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path), "--out",
+                 str(tmp_path / "run")]) == EXIT_CODES["validation"]
+    assert capsys.readouterr().err == f"error:validation: {expect}\n"
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(ValueError, match="finite sigma"):
+        SignalSpec("gaussian_bump", sigma=math.inf, center=3.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_tolerances_rejected(tmp_path, capsys, value):
+    sample_dir = tmp_path / "smp"
+    assert main(["sample", "--strategy", "uds", "--system", "had_dhw_1d",
+                 "--r", "4", "--M", "8", "--seed", "1",
+                 "--out", str(sample_dir)]) == 0
+    save_signal_csv(tmp_path / "y.csv", np.arange(1.0, 9.0))
+    capsys.readouterr()
+    for flag in ("--tol-gap", "--tol-feas"):
+        out = tmp_path / "rec"
+        assert main(["recover", "--system", "had_dhw_1d", "--r", "4",
+                     "--sample", str(sample_dir / "sample.csv"),
+                     "--measurements", str(tmp_path / "y.csv"),
+                     flag, value, "--out", str(out)]) \
+            == EXIT_CODES["validation"]
+        err = capsys.readouterr().err
+        assert err.startswith("error:validation:") and err.count("\n") == 1
+        assert "must be finite and positive" in err
+        assert not out.exists()
+    doc = json.loads(config_to_json(_small_config(r=4)))
+    doc["solver"]["tol_gap"] = float(value)      # NaN / Infinity in the JSON
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path), "--out",
+                 str(tmp_path / "run")]) == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err == f"error:validation: tol_gap must be finite and positive, " \
+                  f"got {float(value)}\n"
     assert not (tmp_path / "run").exists()
 
 

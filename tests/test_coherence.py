@@ -251,3 +251,50 @@ def test_system_methods_apply_u_and_its_adjoint(case):
                 single = method(alone)
                 assert row.shape == single.shape
                 assert row.tobytes() == np.ascontiguousarray(single).tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_system_and_vectors())
+def test_level_op_is_u_in_level_order(case):
+    system, column, (s, q, x) = case
+    order = system.level_order
+    assert not order.flags.writeable
+    assert np.array_equal(np.sort(order), np.arange(system.n_total))
+    u = system_matrix(system)[np.ix_(order, order)]
+    unit = np.zeros(system.n_total)
+    unit[column] = 1.0
+    for adjoint in (False, True):
+        np.testing.assert_allclose(system.level_op(unit, adjoint=adjoint),
+                                   u[:, column], rtol=0, atol=1e-15)
+    # the flat-order compositions, permuted; bit for bit in natural order
+    compositions = ((False, lambda v: system.spectrum(system.synthesis(v))),
+                    (True, lambda v: system.coefficients(system.signal(v))))
+    for adjoint, compose in compositions:
+        flat = np.empty(system.n_total)
+        flat[order] = s
+        want = compose(flat)[order]
+        got = system.level_op(s, adjoint=adjoint)
+        if system.tag == "had2_idhw":
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        else:
+            assert got.tobytes() == want.tobytes()
+    # symmetric in level order: <U s, q> = <s, U q>
+    assert math.isclose(float(system.level_op(s) @ q),
+                        float(s @ system.level_op(q)),
+                        rel_tol=1e-12, abs_tol=1e-12)
+    # out= may be the input; each row of a batch is bit for bit its own
+    batch = np.stack([s, q, x])
+    for adjoint in (False, True):
+        rows = system.level_op(batch, adjoint=adjoint)
+        for row, alone in zip(rows, batch):
+            assert row.tobytes() == system.level_op(alone, adjoint).tobytes()
+        inplace = batch.copy()
+        assert system.level_op(inplace, adjoint, out=inplace) is inplace
+        assert inplace.tobytes() == rows.tobytes()
+
+
+def test_level_op_rejects_other_layouts():
+    system = SystemKind("had2_idhw", 2)
+    for shape in ((4, 4), (2, 3, 16), (15,)):
+        with pytest.raises(ValueError, match="level order"):
+            system.level_op(np.zeros(shape))

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog, minimize
 
 from hadhaar.cli import EXIT_CODES, main
-from hadhaar.coherence import SystemKind
+from hadhaar.coherence import SystemKind, system_matrix
 from hadhaar.indexing import build_levels
 from hadhaar.recovery import (RecoveryProblem, RecoveryReport, me_reconstruct,
                               solve_bpdn, solve_bpdn_batch)
@@ -18,16 +18,6 @@ from hadhaar.transforms import haar_transform
 def _full_sample(part):
     plan = mds_allocate(part.sizes, part.n_total, part)
     return draw_sample(plan, part.n_total, 0)
-
-
-def _sensing_matrix(system, sample):
-    cols = []
-    for k in range(system.n_total):
-        e = np.zeros(system.n_total)
-        e[k] = 1.0
-        sig = haar_transform(system.sparsity_basis, "synthesis", e)
-        cols.append(measure(system, sample, sig))
-    return np.column_stack(cols)
 
 
 def _l1_optimum(a, y):
@@ -79,20 +69,33 @@ def test_exact_recovery_2d():
     assert float(np.linalg.norm(report.x_hat - img)) <= 1e-5 * float(np.linalg.norm(img))
 
 
-def test_solver_matches_linear_program():
+# 2-D systems for the oracle tests; had2_idhw solves in a permuted level order
+SYSTEMS_2D = [("had2_idhw", 2), ("had2_idhw", 3), ("had2_adhw", 2)]
+
+
+def _check_matches_linear_program(system):
+    n = system.n_total
     worst = 0.0
     for i in range(6):
-        system = SystemKind("had_dhw_1d", 3)
         plan = uds_pmf(system) if i % 2 == 0 else vds_pmf(system)
-        sample = draw_sample(plan, 5 + i % 4, 100 + i)
-        x = rng_stream(200 + i, 0).standard_normal(8)
+        sample = draw_sample(plan, (5 + i % 4) * n // 8, 100 + i)
+        x = rng_stream(200 + i, 0).standard_normal(n)
         y = measure(system, sample, x)
         report = solve_bpdn(RecoveryProblem(system, sample, y,
                                             tol_feas=1e-9, tol_gap=1e-9,
                                             max_iterations=200000))
-        opt = _l1_optimum(_sensing_matrix(system, sample), y)
+        opt = _l1_optimum(system_matrix(system)[sample.omega - 1], y)
         worst = max(worst, abs(report.objective - opt) / max(1.0, opt))
     assert worst <= 1e-6
+
+
+def test_solver_matches_linear_program():
+    _check_matches_linear_program(SystemKind("had_dhw_1d", 3))
+
+
+@pytest.mark.parametrize("tag,r", SYSTEMS_2D)
+def test_solver_matches_linear_program_2d(tag, r):
+    _check_matches_linear_program(SystemKind(tag, r))
 
 
 def _l1_ball_optimum(g, b, eps):
@@ -119,26 +122,35 @@ def _l1_ball_optimum(g, b, eps):
     return float(res.fun)
 
 
-def test_noisy_weighted_duplicates_match_reference():
-    system = SystemKind("had_dhw_1d", 4)
-    m = 10
+def _check_noisy_weighted_duplicates(system):
+    n = system.n_total
+    m = 10 * n // 16
     for seed in range(3):
         sample = draw_sample(uds_pmf(system), m, 40 + seed)
         assert np.unique(sample.omega).size < m      # repeated indices present
-        x = rng_stream(41 + seed, 0).standard_normal(16)
+        x = rng_stream(41 + seed, 0).standard_normal(n)
         noise = make_noise(NoiseSpec(20.0, seed=seed), x, m, weights=sample.weights)
         y = measure(system, sample, x) + noise.vector
         problem = RecoveryProblem(system, sample, y, epsilon=noise.weighted_norm)
         report = solve_bpdn(problem)
         assert report.converged
         w = sample.weights / math.sqrt(m)
-        g = w[:, None] * _sensing_matrix(system, sample)
+        g = w[:, None] * system_matrix(system)[sample.omega - 1]
         b = w * y
-        s_hat = haar_transform("dhw", "analysis", report.x_hat)
+        s_hat = system.coefficients(report.x_hat)
         slack = problem.tol_feas * max(1.0, float(np.linalg.norm(b)))
         assert float(np.linalg.norm(g @ s_hat - b)) <= noise.weighted_norm + slack
         opt = _l1_ball_optimum(g, b, noise.weighted_norm)
         assert abs(report.objective - opt) <= 1e-6 * opt
+
+
+def test_noisy_weighted_duplicates_match_reference():
+    _check_noisy_weighted_duplicates(SystemKind("had_dhw_1d", 4))
+
+
+@pytest.mark.parametrize("tag,r", SYSTEMS_2D)
+def test_noisy_weighted_duplicates_match_reference_2d(tag, r):
+    _check_noisy_weighted_duplicates(SystemKind(tag, r))
 
 
 def test_infeasible_data_ball_raises(tmp_path, capsys):

@@ -10,10 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from hadhaar.indexing import build_levels
 from hadhaar.signals import (NoiseSpec, best_term_l1_error, effective_sparsity,
-                             generate, hard_threshold, load_signal_csv,
-                             make_noise, noise_sigma, save_image_csv,
-                             save_pgm, save_signal_csv, shepp_logan,
-                             sre_db, sre_from_ratios)
+                             gaussian_bump, generate, hard_threshold,
+                             load_signal_csv, make_noise, noise_sigma,
+                             save_image_csv, save_pgm, save_signal_csv,
+                             shepp_logan, sre_db, sre_from_ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +35,13 @@ def test_gaussian_bump_validation():
         generate("gaussian_bump", 100, sigma=4.0, center=50)
     with pytest.raises(ValueError):
         generate("gaussian_bump", 64, sigma=0.0, center=32)
+    for sigma in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            gaussian_bump(64, sigma, 32.0)
+    for center in (math.nan, math.inf, -math.inf, 0.5, 64.5, 1000.0):
+        with pytest.raises(ValueError, match=r"center must lie in \[1, 64\]"):
+            gaussian_bump(64, 2.0, center)
+    assert gaussian_bump(64, 2.0, 1.0)[0] == gaussian_bump(64, 2.0, 64.0)[-1]
 
 
 def test_piecewise_generators():
