@@ -30,8 +30,8 @@ from .experiment import (_ROLE_SIGNAL, SignalSpec, _make_signal,
 from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn
 from .sampling import (STRATEGIES, InfeasibleError, SampleSet, draw_sample,
                        mds_allocate, rng_stream, uds_pmf, vds_pmf)
-from .signals import (SIGNAL_KINDS, _fmt, _write_csv, _write_json,
-                      load_signal_csv, save_image_csv, save_pgm,
+from .signals import (SIGNAL_KINDS, _fmt, _read_csv, _scatter, _write_csv,
+                      _write_json, load_signal_csv, save_image_csv, save_pgm,
                       save_signal_csv)
 from .transforms import BASIS_TAGS, BasisKind, haar_transform
 
@@ -137,21 +137,15 @@ def cmd_sample(args):
 
 def _load_sample(path, system):
     """The sample in ``path`` and its ``sample_meta.json``: each row holds a
-    position, an index and a weight, and the metadata is an object naming
-    the strategy, the seed and the RNG, and the same system and r as
-    ``system`` when it records them.  ``SampleSet`` checks the values."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "position,index,weight":
-            raise ValueError(f"unrecognised sample CSV header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    for row in rows:
-        if len(row) != 3:
-            raise ValueError(f"{path}: row {','.join(row)!r} is not "
-                             f"position,index,weight")
-    rows.sort(key=lambda row: int(row[0]))
-    omega = np.array([int(row[1]) for row in rows], dtype=np.int64)
-    weights = np.array([float(row[2]) for row in rows])
+    position, an index and a weight, each position from 1 to the number of
+    rows occurs once, and the metadata is an object naming the strategy, the
+    seed and the RNG, and the same system and r as ``system`` when it
+    records them.  ``SampleSet`` checks the values."""
+    columns = _read_csv(path, ("position,index,weight",))
+    position = columns["position"]
+    row = _scatter(path, {"position": position}, (position.size,),
+                   np.arange(position.size))
+    omega, weights = columns["index"][row], columns["weight"][row]
     meta_path = os.path.join(os.path.dirname(path) or ".", "sample_meta.json")
     with open(meta_path, "r", encoding="ascii") as fh:
         meta = json.load(fh)
@@ -270,10 +264,12 @@ def build_parser():
                    help="sample.csv path (sample_meta.json beside it)")
     p.add_argument("--measurements", required=True)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--tol-feas", type=float, default=1e-6, dest="tol_feas")
-    p.add_argument("--tol-gap", type=float, default=1e-6, dest="tol_gap")
-    p.add_argument("--max-iterations", type=int, default=20000,
-                   dest="max_iterations")
+    p.add_argument("--tol-feas", type=float, dest="tol_feas",
+                   default=RecoveryProblem.tol_feas)
+    p.add_argument("--tol-gap", type=float, dest="tol_gap",
+                   default=RecoveryProblem.tol_gap)
+    p.add_argument("--max-iterations", type=int, dest="max_iterations",
+                   default=RecoveryProblem.max_iterations)
     p.add_argument("--me", action="store_true",
                    help="also write the minimal-energy reconstruction")
     p.add_argument("--out", default=".")

@@ -8,17 +8,16 @@ Haar sparsity bases:
 * ``had2_adhw``   H_r (x) H_r with the anisotropic 2-D Haar basis
 
 Every profile is available in two modes.  ``closed`` evaluates the analytic
-formulas.  ``brute`` forms the dense product U = Phi^T Psi from
-:func:`hadhaar.transforms.dense_basis` and takes maxima over its entries;
-the product is evaluated exactly (the dense factors split into sign
-patterns and per-column scales 2^(k/2), the sign patterns multiply in
-integer arithmetic, and the scales recombine with a single rounding), so
-vanishing blocks come out as exact zeros rather than roundoff dust.
+formulas.  ``brute`` forms the dense product U = Phi^T Psi and takes maxima
+over its level blocks.  Each dense basis is a sign pattern with per-column
+scales 2^(e/2), so the product is exact: the sign patterns multiply in
+integer arithmetic and entry (i, j) takes 2^((e_Phi[i] + e_Psi[j]) / 2)
+with a single rounding.  Vanishing blocks come out as exact zeros rather
+than roundoff dust, and products of maxima 2^(k/2) add their exponents.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,9 @@ import numpy as np
 from .indexing import LevelPartition, build_levels, index_to_pair
 from .transforms import (
     BasisKind,
+    _basis_parts,
     _hadamard_parts,
+    _half_exponents,
     _kron_parts,
     _materialize,
     _pow2_half,
@@ -40,6 +41,7 @@ SYSTEM_TAGS = ("had_dhw_1d", "had2_idhw", "had2_adhw")
 MODES = ("closed", "brute")
 
 __all__ = [
+    "MODES",
     "SYSTEM_TAGS",
     "SystemKind",
     "CoherenceProfile",
@@ -209,7 +211,7 @@ class CoherenceProfile:
     @property
     def values_squared(self):
         """Entrywise mu^2, with half-power entries squared exactly."""
-        return _exact_square(self.values)
+        return _exact_product(self.values, self.values)
 
     @property
     def sum_sq(self):
@@ -237,36 +239,37 @@ class MultilevelProfile:
 # exact dense product
 # ---------------------------------------------------------------------------
 
-def _sign_scale_split(mat):
-    """Split columns into {0, +-1} signs and 2^(a/2) scales, or return None."""
-    scale = np.max(np.abs(mat), axis=0)
-    if np.any(scale <= 0):
-        return None
-    a = np.round(2.0 * np.log2(scale)).astype(np.int64)
-    if not np.array_equal(_pow2_half_array(a), scale):
-        return None
-    signs = mat / scale[None, :]
-    good = (signs == 0) | (np.abs(signs) == 1.0)
-    if not good.all():
-        return None
-    return signs, a
-
-
-def _exact_gram(phi, psi):
-    """Phi^T Psi with exact cancellation for sign-pattern bases."""
-    left = _sign_scale_split(phi)
-    right = _sign_scale_split(psi)
-    if left is None or right is None:
-        return phi.T @ psi
-    ints = left[0].T @ right[0]  # integer-valued, exact in float64
-    return ints * _pow2_half_array(left[1][:, None] + right[1][None, :])
-
-
 def system_matrix(system, r=None):
     """Dense U = Phi^T Psi for the given system (exactly evaluated)."""
     system = _as_system(system, r)
-    return _exact_gram(dense_basis(system.sensing_basis),
-                       dense_basis(system.sparsity_basis))
+    phi, e_phi = _basis_parts(system.sensing_basis)
+    psi, e_psi = _basis_parts(system.sparsity_basis)
+    u = phi.T @ psi                 # integer-valued, exact in float64
+    # free the sign patterns before the scale temporaries exist: at 2-D
+    # r = 6 that takes 256 MiB off the peak
+    del phi, psi
+    u *= _pow2_half_array(e_phi[:, None] + e_psi[None, :])
+    return u
+
+
+def _exact_product(x, y):
+    """x * y, except that where both are powers 2^(k/2) their exponents add,
+    instead of two rounded square roots being multiplied."""
+    kx, px = _half_exponents(x)
+    ky, py = _half_exponents(y)
+    return np.where(px & py, _pow2_half_array(kx + ky), x * y)
+
+
+def _level_blocks(system):
+    """|U| with rows and columns in level-list order, and the maximum of each
+    of its level blocks."""
+    part = system.partition()
+    order = np.concatenate(part.levels) - 1
+    u = system_matrix(system)[np.ix_(order, order)]
+    np.abs(u, out=u)
+    starts = np.cumsum(part.sizes) - part.sizes
+    rows = np.maximum.reduceat(u, starts, axis=0)
+    return u, np.maximum.reduceat(rows, starts, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,36 +331,6 @@ def _multilevel_closed(system):
     return np.diag(np.array(diag))
 
 
-def _half_exponent(value):
-    """k with value == 2^(k/2) bit-exactly, else None."""
-    if value <= 0.0:
-        return None
-    k = int(round(2.0 * math.log2(value)))
-    return k if _pow2_half(k) == value else None
-
-
-_SQRT2_MANTISSA = math.frexp(math.sqrt(2.0))[0]
-
-
-def _exact_square(values):
-    # entries 2^(k/2) with odd k square to fl(sqrt(2))^2 = 2 + ulp; detect
-    # them by mantissa and substitute the exact power of two
-    mant, expo = np.frexp(values)
-    sq = values * values
-    odd = mant == _SQRT2_MANTISSA
-    sq[odd] = np.ldexp(1.0, 2 * expo[odd] - 1)
-    return sq
-
-
-def _max_product(x, y):
-    # both maxima are half-power-of-two magnitudes, so combine exponents
-    # instead of multiplying two rounded square roots
-    kx, ky = _half_exponent(x), _half_exponent(y)
-    if kx is not None and ky is not None:
-        return _pow2_half(kx + ky)
-    return x * y
-
-
 def multilevel_coherence(system, mode="closed", r=None):
     """Grid mu_{t,l} = mu(P_t U) * mu(P_t U P_l^T) over level pairs."""
     system = _as_system(system, r)
@@ -365,22 +338,9 @@ def multilevel_coherence(system, mode="closed", r=None):
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "closed":
         return MultilevelProfile(system, mode, _multilevel_closed(system))
-    u = system_matrix(system)
-    part = system.partition()
-    n_lev = part.n_levels
-    values = np.empty((n_lev, n_lev))
-    row_max = np.empty(n_lev)
-    for t, rows in enumerate(part.levels):
-        row_max[t] = np.max(np.abs(u[rows - 1, :]))
-    for t, rows in enumerate(part.levels):
-        sub = np.abs(u[rows - 1, :])
-        for l, cols in enumerate(part.levels):
-            block_max = float(np.max(sub[:, cols - 1]))
-            if block_max == 0.0:
-                values[t, l] = 0.0
-            else:
-                values[t, l] = _max_product(float(row_max[t]), block_max)
-    return MultilevelProfile(system, mode, values)
+    blocks = _level_blocks(system)[1]
+    row_max = blocks.max(axis=1, keepdims=True)
+    return MultilevelProfile(system, mode, _exact_product(row_max, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +437,11 @@ def structure_check(system, r=None):
     blocks must vanish identically.
     """
     system = _as_system(system, r)
-    u = system_matrix(system)
-    part = system.partition()
-    n_lev = part.n_levels
-    off = np.zeros((n_lev, n_lev))
-    diag = np.zeros(n_lev)
-    for t, rows in enumerate(part.levels):
-        sub = u[rows - 1, :]
-        for l, cols in enumerate(part.levels):
-            block = sub[:, cols - 1]
-            if t == l:
-                expected = _expected_diag_block(system, t)
-                diag[t] = np.max(np.abs(np.abs(block) - np.abs(expected)))
-            else:
-                off[t, l] = np.max(np.abs(block))
+    u, off = _level_blocks(system)
+    np.fill_diagonal(off, 0.0)
+    sizes = system.partition().sizes
+    ends = np.cumsum(sizes)
+    diag = np.array([
+        np.max(np.abs(u[a:b, a:b] - np.abs(_expected_diag_block(system, t))))
+        for t, (a, b) in enumerate(zip(ends - sizes, ends))])
     return StructureReport(system, off, diag)

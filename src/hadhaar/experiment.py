@@ -65,9 +65,9 @@ class MdsSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    tol_feas: float = 1e-6
-    tol_gap: float = 1e-6
-    max_iterations: int = 20000
+    tol_feas: float = RecoveryProblem.tol_feas
+    tol_gap: float = RecoveryProblem.tol_gap
+    max_iterations: int = RecoveryProblem.max_iterations
 
 
 @dataclass(frozen=True)
@@ -269,12 +269,11 @@ def _build_trial(config, system, partition, plan, ri, m_total, ti):
     sample = draw_sample(plan, m_total,
                          np.random.SeedSequence(entropy=config.seed,
                                                 spawn_key=(_ROLE_SAMPLE, ri, ti)))
-    weighted = config.strategy != "mds"
     noise = make_noise(NoiseSpec(config.snr_db), x, m_total,
-                       weights=sample.weights if weighted else None,
+                       weights=sample.weights if sample.weighted else None,
                        rng=rng_stream(config.seed, _ROLE_NOISE, ri, ti))
     y = measure(system, sample, x) + noise.vector
-    epsilon = noise.weighted_norm if weighted else noise.norm
+    epsilon = noise.weighted_norm if sample.weighted else noise.norm
     return SimpleNamespace(x=x, sample=sample, y=y, epsilon=float(epsilon),
                            noise_sigma=noise.sigma)
 

@@ -87,10 +87,6 @@ class RecoveryProblem:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
-    @property
-    def weighted(self):
-        return self.sample.strategy in ("uds", "vds")
-
 
 @dataclass(frozen=True)
 class RecoveryReport:
@@ -153,7 +149,7 @@ def _project_ellipsoid(v, batch):
 def _weighted_data(problem):
     """Weights w, weighted data b = w * y and ||b||."""
     m = problem.sample.n_measurements
-    w = (problem.sample.weights / math.sqrt(m) if problem.weighted
+    w = (problem.sample.weights / math.sqrt(m) if problem.sample.weighted
          else np.ones(m))
     b = w * problem.y
     return w, b, math.sqrt(float(np.sum(b * b)))

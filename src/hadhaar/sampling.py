@@ -117,6 +117,12 @@ class SampleSet:
     def n_measurements(self):
         return int(self.omega.size)
 
+    @property
+    def weighted(self):
+        """Whether recovery weights the data: uds and vds samples are
+        preconditioned by their weights, mds samples are not."""
+        return self.strategy in ("uds", "vds")
+
 
 def uds_pmf(system, r=None):
     """Uniform sampling plan over the Hadamard indices."""

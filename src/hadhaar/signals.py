@@ -8,10 +8,12 @@ table with additive intensities.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -350,22 +352,61 @@ def save_image_csv(path, img):
                 fh.write(f"{i + 1},{j + 1},{_fmt(img[i, j])}\n")
 
 
+def _read_csv(path, headers):
+    """The columns of the CSV file ``path``, by name.  Its header must be one
+    of ``headers``, each of which names integer columns and then one float
+    column.  Blank lines are skipped, and there must be a data row."""
+    # parsed straight into typed buffers, one 16 KiB block of lines at a
+    # time, split and converted a column at a time: no list of all the rows
+    # or of Python numbers is kept, which would outweigh the arrays many
+    # times over, and larger blocks raised the peak RSS of a 512 x 512 read
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header not in headers:
+            raise ValueError(f"{path}: unrecognised CSV header {header!r}")
+        names = header.split(",")
+        width = len(names)
+        kinds = [int] * (width - 1) + [float]
+        columns = [array("q" if kind is int else "d") for kind in kinds]
+        for lines in iter(functools.partial(fh.readlines, 1 << 14), []):
+            if set(map(str.count, lines, repeat(","))) != {width - 1}:
+                lines = list(filter(str.strip, lines))
+                for line in lines:
+                    if line.count(",") != width - 1:
+                        raise ValueError(f"{path}: row {line.strip()!r} is "
+                                         f"not {header}")
+                if not lines:
+                    continue
+            cells = ",".join(lines).split(",")
+            try:
+                for k, (column, kind) in enumerate(zip(columns, kinds)):
+                    column.extend(map(kind, cells[k::width]))
+            except OverflowError as exc:
+                raise ValueError(f"{path}: index out of range: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: a row is not {header}: {exc}") \
+                    from None
+    if not columns[-1]:
+        raise ValueError(f"{path}: no data rows")
+    return dict(zip(names, map(np.asarray, columns)))
+
+
 def _scatter(path, index, shape, values):
-    """Array of ``shape`` holding ``values`` at the 1-based positions
-    ``index`` (one integer array per axis); every position must occur once."""
-    names = ("index",) if len(shape) == 1 else ("row", "col")
-    for name, ix, n in zip(names, index, shape):
+    """Array of ``shape`` holding ``values`` at the 1-based positions in
+    ``index``, which maps each axis's name to one integer array; every
+    position must occur once."""
+    for (name, ix), n in zip(index.items(), shape):
         bad = (ix < 1) | (ix > n)
         if bad.any():
             raise ValueError(f"{path}: {name} {ix[bad][0]} outside [1, {n}]")
-    flat = np.ravel_multi_index(tuple(ix - 1 for ix in index), shape)
+    flat = np.ravel_multi_index(tuple(ix - 1 for ix in index.values()), shape)
     counts = np.bincount(flat, minlength=math.prod(shape))
     for kind, wrong in (("duplicate", counts > 1), ("missing", counts == 0)):
         if wrong.any():
             pos = np.unravel_index(np.flatnonzero(wrong)[0], shape)
-            where = ", ".join(f"{name} {p + 1}" for name, p in zip(names, pos))
+            where = ", ".join(f"{name} {p + 1}" for name, p in zip(index, pos))
             raise ValueError(f"{path}: {kind} {where}")
-    out = np.empty(shape)
+    out = np.empty(shape, dtype=values.dtype)
     out.reshape(-1)[flat] = values
     return out
 
@@ -376,36 +417,11 @@ def load_signal_csv(path):
     Every position must appear exactly once: a duplicate, missing or
     out-of-range index raises ValueError.
     """
-    # parsed straight into typed buffers: no list of rows or of Python
-    # numbers is kept, which would outweigh the array many times over
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if header not in (["index", "value"], ["row", "col", "value"]):
-            raise ValueError(f"unrecognised CSV header {header!r}")
-        idx_r, idx_c, values = array("q"), array("q"), array("d")
-        try:
-            if len(header) == 2:
-                for line in fh:
-                    if line.strip():
-                        i, val = line.split(",")
-                        idx_r.append(int(i))
-                        values.append(float(val))
-            else:
-                for line in fh:
-                    if line.strip():
-                        i, j, val = line.split(",")
-                        idx_r.append(int(i))
-                        idx_c.append(int(j))
-                        values.append(float(val))
-        except OverflowError as exc:
-            raise ValueError(f"{path}: index out of range: {exc}") from None
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    idx_r, idx_c = np.asarray(idx_r), np.asarray(idx_c)
-    if len(header) == 2:
-        return _scatter(path, (idx_r,), (len(values),), values)
-    return _scatter(path, (idx_r, idx_c), (int(idx_r.max()), int(idx_c.max())),
-                    values)
+    index = _read_csv(path, ("index,value", "row,col,value"))
+    values = index.pop("value")
+    shape = ((values.size,) if len(index) == 1
+             else tuple(int(ix.max()) for ix in index.values()))
+    return _scatter(path, index, shape, values)
 
 
 def save_pgm(path, img):

@@ -103,9 +103,19 @@ def _pow2_half(k):
 
 def _pow2_half_array(k):
     k = np.asarray(k, dtype=np.int64)
-    half, odd = np.divmod(k, 2)
-    out = np.ldexp(1.0, half.astype(np.int32))
-    return np.where(odd == 1, out * math.sqrt(2.0), out)
+    # k >> 1 is floor(k / 2); shifts cost a fraction of an integer divmod
+    out = np.ldexp(1.0, (k >> 1).astype(np.int32))
+    return np.where((k & 1) == 1, out * math.sqrt(2.0), out)
+
+
+def _half_exponents(values):
+    """The inverse of :func:`_pow2_half_array`: integers k and a mask of the
+    entries of ``values`` that equal 2^(k/2) bit for bit.  Those are the
+    entries whose mantissa is 1/2 (even k) or fl(sqrt(2))/2 (odd k); k is
+    meaningless where the mask is false."""
+    mant, expo = np.frexp(values)
+    odd = mant == _INV_SQRT2
+    return 2 * expo.astype(np.int64) - 2 + odd, odd | (mant == 0.5)
 
 
 def _require_pow2(n, what="length"):
@@ -296,18 +306,12 @@ def _adhw(pass_1d, x):
 
 @functools.lru_cache(maxsize=None)
 def _idhw_scales(n):
-    """Per-entry scales of the coefficient matrix: 2^(l-r-1), LL gets 2^-r.
-    Read-only."""
-    r = n.bit_length() - 1
-    expo = np.empty((n, n), dtype=np.int32)
-    expo[0, 0] = -r
-    size = n
-    for l in range(r, 0, -1):
-        h = size // 2
-        expo[:h, h:size] = l - r - 1
-        expo[h:size, :size] = l - r - 1
-        size = h
-    scale = np.ldexp(1.0, expo)
+    """Per-entry scales of the coefficient matrix, read-only.  Entry (i, j)
+    pairs two 1-D Haar functions of the level of max(i, j), so its scale is
+    the square 2^e of their scale 2^(e/2), e = _dhw_exponents(r)[max(i, j)]."""
+    e = _dhw_exponents(n.bit_length() - 1)
+    i = np.arange(n)
+    scale = np.ldexp(1.0, e[np.maximum.outer(i, i)])
     scale.flags.writeable = False
     return scale
 
@@ -461,6 +465,23 @@ def _check_cap(basis):
             f"({'2-D' if basis.is_2d else '1-D'}); requested r = {basis.r}")
 
 
+def _basis_parts(basis):
+    """Sign pattern and per-column half-exponents of a basis, within the
+    dense caps."""
+    _check_cap(basis)
+    if basis.tag == "hadamard1d":
+        return _hadamard_parts(basis.r)
+    if basis.tag == "dhw":
+        return _haar_parts(basis.r, window=False)
+    if basis.tag == "hadamard2d":
+        h = _hadamard_parts(basis.r)
+        return _kron_parts(h, h)
+    if basis.tag == "adhw":
+        w = _haar_parts(basis.r, window=False)
+        return _kron_parts(w, w)
+    return _idhw_parts(basis.r)
+
+
 def dense_basis(kind, r=None):
     """Dense orthonormal basis matrix, built by direct recursion.
 
@@ -468,19 +489,7 @@ def dense_basis(kind, r=None):
     entry carries a single rounding.  Sizes are capped (r <= 10 in 1-D,
     r <= 6 in 2-D) to keep memory bounded.
     """
-    basis = _as_basis(kind, r)
-    _check_cap(basis)
-    if basis.tag == "hadamard1d":
-        return _materialize(_hadamard_parts(basis.r))
-    if basis.tag == "dhw":
-        return _materialize(_haar_parts(basis.r, window=False))
-    if basis.tag == "hadamard2d":
-        h = _hadamard_parts(basis.r)
-        return _materialize(_kron_parts(h, h))
-    if basis.tag == "adhw":
-        w = _haar_parts(basis.r, window=False)
-        return _materialize(_kron_parts(w, w))
-    return _materialize(_idhw_parts(basis.r))
+    return _materialize(_basis_parts(_as_basis(kind, r)))
 
 
 def dense_window_matrix(r):

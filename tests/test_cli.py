@@ -353,6 +353,20 @@ def test_sample_files_round_trip_bit_exact(case):
     assert (got.strategy, got.seed) == (want.strategy, want.seed)
 
 
+def test_load_sample_orders_rows_by_position(tmp_path):
+    system = SystemKind("had_dhw_1d", 4)
+    assert main(["sample", "--strategy", "vds", "--system", "had_dhw_1d",
+                 "--r", "4", "--M", "8", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "sample.csv"
+    want = _load_sample(str(path), system)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + rows[::-1]) + "\n")
+    got = _load_sample(str(path), system)
+    assert got.omega.tobytes() == want.omega.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
 def _replace_weight(rows, weight):
     return rows[:1] + [rows[1].rsplit(",", 1)[0] + "," + weight] + rows[2:]
 
@@ -370,8 +384,13 @@ def _replace_weight(rows, weight):
      "weight nan is not finite and positive"),
     (lambda rows, meta: (_replace_weight(rows, "-1"), meta),
      "weight -1.0 is not finite and positive"),
+    (lambda rows, meta: (rows[:2] + ["1" + rows[2][1:]] + rows[3:], meta),
+     "duplicate position 1"),
+    (lambda rows, meta: (rows[:5] + rows[6:], meta),
+     "position 8 outside [1, 7]"),
 ], ids=["short-row", "no-strategy", "meta-list", "unknown-strategy",
-        "nan-weight", "negative-weight"])
+        "nan-weight", "negative-weight", "duplicate-position",
+        "missing-position"])
 def test_cmd_recover_rejects_malformed_sample(tmp_path, capsys, edit, expect):
     sample_dir = tmp_path / "smp"
     assert main(["sample", "--strategy", "vds", "--system", "had_dhw_1d",

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadhaar.coherence import (SYSTEM_TAGS, SystemKind, local_coherence,
-                               multilevel_coherence, relative_sparsity,
-                               structure_check, system_matrix)
+from hadhaar.coherence import (SYSTEM_TAGS, CoherenceProfile, SystemKind,
+                               local_coherence, multilevel_coherence,
+                               relative_sparsity, structure_check,
+                               system_matrix)
 from hadhaar.indexing import build_levels, pair_to_index
 
 ALL_SYSTEMS = [("had_dhw_1d", 6), ("had2_idhw", 3), ("had2_adhw", 3)]
@@ -198,6 +199,20 @@ def test_system_matrix_is_orthonormal():
     for tag, r in [("had_dhw_1d", 5), ("had2_idhw", 2), ("had2_adhw", 2)]:
         u = system_matrix(tag, r=r)
         assert np.max(np.abs(u.T @ u - np.eye(u.shape[0]))) <= 1e-12
+
+
+def test_system_matrix_dense_caps():
+    for tag, r in [("had_dhw_1d", 11), ("had2_idhw", 7), ("had2_adhw", 7)]:
+        with pytest.raises(ValueError, match="capped at r <="):
+            system_matrix(tag, r=r)
+
+
+def test_values_squared_of_any_values():
+    values = np.array([math.sqrt(2.0), math.sqrt(0.5) / 32, 0.25, 0.0, 3.0,
+                       0.7, -1.5])
+    profile = CoherenceProfile(SystemKind("had_dhw_1d", 2), "closed", values)
+    assert profile.values_squared.tolist() == [2.0, 2.0 ** -11, 2.0 ** -4,
+                                               0.0, 9.0, 0.7 * 0.7, 2.25]
 
 
 def test_system_kind_properties():

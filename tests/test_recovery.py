@@ -12,7 +12,7 @@ from hadhaar.recovery import (RecoveryProblem, RecoveryReport, me_reconstruct,
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
                               rng_stream, uds_pmf, vds_pmf)
 from hadhaar.signals import NoiseSpec, make_noise, save_signal_csv
-from hadhaar.transforms import haar_transform
+from hadhaar.transforms import dense_basis, haar_transform, vec
 
 
 def _full_sample(part):
@@ -347,21 +347,25 @@ def test_me_single_measurement_example():
     assert np.array_equal(x_hat, np.ones(4))
 
 
-def test_me_matches_pseudoinverse():
-    system = SystemKind("had_dhw_1d", 4)
+def _check_me_matches_pseudoinverse(system):
+    # A is the sampled rows of Phi^T; the second sample repeats index 2
     rng = rng_stream(6, 0)
     for omega in ([3, 1, 9, 14], [2, 2, 5, 2, 11]):
-        sample = SampleSet(np.array(omega, dtype=np.int64),
-                           np.ones(len(omega)), "uds", "0")
-        rows = []
-        for k in range(16):
-            e = np.zeros(16)
-            e[k] = 1.0
-            rows.append(measure(system, sample, e))
-        a = np.column_stack(rows)
-        y = rng.standard_normal(len(omega))
-        np.testing.assert_allclose(me_reconstruct(system, sample, y),
+        omega = np.array(omega, dtype=np.int64)
+        sample = SampleSet(omega, np.ones(omega.size), "uds", "0")
+        a = dense_basis(system.sensing_basis).T[omega - 1]
+        y = rng.standard_normal(omega.size)
+        np.testing.assert_allclose(vec(me_reconstruct(system, sample, y)),
                                    np.linalg.pinv(a) @ y, atol=1e-12)
+
+
+def test_me_matches_pseudoinverse():
+    _check_me_matches_pseudoinverse(SystemKind("had_dhw_1d", 4))
+
+
+@pytest.mark.parametrize("tag,r", [("had2_idhw", 2), ("had2_adhw", 2)])
+def test_me_matches_pseudoinverse_2d(tag, r):
+    _check_me_matches_pseudoinverse(SystemKind(tag, r))
 
 
 def test_me_full_sampling_inverts():

@@ -226,6 +226,9 @@ def test_load_csv_unknown_header(tmp_path):
     ("index,value\n0,1.0\n1,2.0\n", "index 0 outside"),
     ("index,value\n99999999999999999999,1.0\n", "index out of range"),
     ("index,value\n", "no data rows"),
+    ("index,value\n\n \n", "no data rows"),
+    ("row,col,value\n1,1,1\n\n1,2\n", "row '1,2' is not row,col,value"),
+    ("index,value\n1,x\n", "a row is not index,value"),
     ("row,col,value\n1,1,1\n1,1,2\n2,1,3\n2,2,4\n", "duplicate row 1, col 1"),
     ("row,col,value\n1,1,1\n1,2,2\n2,1,3\n", "missing row 2, col 2"),
     ("row,col,value\n0,1,1\n1,1,2\n", "row 0 outside"),
@@ -244,6 +247,12 @@ def test_load_csv_accepts_any_row_order(tmp_path):
     assert load_signal_csv(path).tolist() == [-2.0, 1.5]
     path.write_text("row,col,value\n2,1,3\n1,2,2\n1,1,1\n2,2,4\n")
     assert load_signal_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_load_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("index,value\n\n2,1.5\n \n1,-2\n\n")
+    assert load_signal_csv(path).tolist() == [-2.0, 1.5]
 
 
 def test_save_pgm(tmp_path):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadhaar.indexing import build_levels
-from hadhaar.transforms import (BasisKind, _dhw_scales, _idhw_scales,
-                                _paley_factor, coefficient_layout, dense_basis,
+from hadhaar.transforms import (BasisKind, _dhw_scales, _half_exponents,
+                                _idhw_scales, _paley_factor, _pow2_half_array,
+                                coefficient_layout, dense_basis,
                                 dense_window_matrix, fwht, haar_transform,
                                 unvec, vec)
 
@@ -295,6 +298,18 @@ def test_dense_caps():
         dense_basis("idhw", 7)
     with pytest.raises(ValueError):
         dense_window_matrix(11)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.integers(-600, 600), min_size=1, max_size=40))
+def test_half_exponents_inverts_pow2_half(k):
+    got, exact = _half_exponents(_pow2_half_array(k))
+    assert exact.all() and got.tolist() == k
+
+
+def test_half_exponents_rejects_other_values():
+    values = np.array([0.0, -0.0, 3.0, 0.7, -1.0, -math.sqrt(2.0), np.inf])
+    assert not _half_exponents(values)[1].any()
 
 
 def test_coefficient_layout_r1():
