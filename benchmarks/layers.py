@@ -22,12 +22,17 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
   ``solve_bpdn_batch`` on all 20 (B = 20), timed per call and divided by
   the problems' total iterations;
 * the same at 2-D r = 8 with B = 1 on one vds problem shaped like the
-  single-pixel-camera benchmark's (Shepp-Logan, M/N = 0.25, 20 dB).
+  single-pixel-camera benchmark's (Shepp-Logan, M/N = 0.25, 20 dB);
+* CSV I/O on files in a temporary directory: ``save_image_csv`` and
+  ``load_signal_csv`` of a random image at 2-D r = 8 and 9 (65,536 and
+  262,144 rows), ``save_signal_csv`` of a random vector of 16,384 rows, and
+  ``hadhaar sample``'s ``sample.csv`` write and its ``_read_csv`` parse for
+  a vds sample of 65,536 rows at 2-D r = 9.
 
 Each figure is the median of five windows of at least 0.1 s of back-to-back
 calls on one fixed input.  The script takes no options and prints one JSON
 line: the machine, the versions, the line count of ``src/`` and one row per
-(layer, dimension, r).
+(layer, dimension, r); the CSV rows also give the row count.
 """
 from __future__ import annotations
 
@@ -36,6 +41,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -44,13 +50,16 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from hadhaar.cli import _save_sample_csv  # noqa: E402
 from hadhaar.coherence import SystemKind  # noqa: E402
 from hadhaar.recovery import (RecoveryProblem, solve_bpdn,  # noqa: E402
                               solve_bpdn_batch)
 from hadhaar.sampling import (draw_sample, mds_allocate, measure,  # noqa: E402
                               measure_adjoint, rng_stream, uds_pmf, vds_pmf)
-from hadhaar.signals import (NoiseSpec, effective_sparsity,  # noqa: E402
-                             gaussian_bump, make_noise, shepp_logan)
+from hadhaar.signals import (NoiseSpec, _read_csv,  # noqa: E402
+                             effective_sparsity, gaussian_bump,
+                             load_signal_csv, make_noise, save_image_csv,
+                             save_signal_csv, shepp_logan)
 from hadhaar.transforms import fwht, haar_transform  # noqa: E402
 
 CASES = (("had_dhw_1d", (9, 12, 16)), ("had2_idhw", (6, 8, 9)))
@@ -171,6 +180,30 @@ def _solver_rows():
            "us_per_row_iteration": round(us, 2)}
 
 
+def _csv_layers(tmp):
+    """(layer name, dim, r, rows, function, input) for the CSV writers and
+    readers, each on one file in the directory ``tmp``."""
+    for r in (8, 9):
+        img = np.random.default_rng(r).standard_normal((2 ** r, 2 ** r))
+        path = os.path.join(tmp, f"image_{r}.csv")
+        save_image_csv(path, img)
+        yield ("save_image_csv", 2, r, img.size,
+               lambda a, p=path: save_image_csv(p, a), img)
+        yield "load_signal_csv", 2, r, img.size, load_signal_csv, path
+    x = np.random.default_rng(14).standard_normal(1 << 14)
+    path = os.path.join(tmp, "signal.csv")
+    yield ("save_signal_csv", 1, 14, x.size,
+           lambda v: save_signal_csv(path, v), x)
+    system = SystemKind("had2_idhw", 9)
+    sample = draw_sample(vds_pmf(system), 1 << 16, seed=9)
+    path = os.path.join(tmp, "sample.csv")
+    _save_sample_csv(path, sample)
+    yield ("save_sample_csv", 2, 9, sample.n_measurements,
+           lambda s: _save_sample_csv(path, s), sample)
+    yield ("read_sample_csv", 2, 9, sample.n_measurements,
+           lambda p: _read_csv(p, ("position,index,weight",)), path)
+
+
 def main():
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
@@ -188,6 +221,10 @@ def main():
         rows.append({"layer": name, "dim": 2, "r": 9,
                      "us_per_call": round(_us_per_call(fn, arg), 1)})
     rows += _solver_rows()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, dim, r, n_rows, fn, arg in _csv_layers(tmp):
+            rows.append({"layer": name, "dim": dim, "r": r, "rows": n_rows,
+                         "us_per_call": round(_us_per_call(fn, arg), 1)})
     print(json.dumps({"bench": "layers", "pinned_cpu": cpu,
                       "machine": _machine(), "rows": rows}))
 

@@ -30,9 +30,9 @@ from .experiment import (_ROLE_SIGNAL, SignalSpec, _make_signal,
 from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn
 from .sampling import (STRATEGIES, InfeasibleError, SampleSet, draw_sample,
                        mds_allocate, rng_stream, uds_pmf, vds_pmf)
-from .signals import (SIGNAL_KINDS, _fmt, _read_csv, _scatter, _write_csv,
-                      _write_json, load_signal_csv, save_image_csv, save_pgm,
-                      save_signal_csv)
+from .signals import (SIGNAL_KINDS, _fmt, _read_csv, _row_blocks, _scatter,
+                      _write_csv, _write_json, _write_table, load_signal_csv,
+                      save_image_csv, save_pgm, save_signal_csv)
 from .transforms import BASIS_TAGS, BasisKind, haar_transform
 
 EXIT_CODES = {"usage": 2, "validation": 2, "io": 3, "infeasible": 4,
@@ -118,14 +118,18 @@ def _build_plan(args, system):
     return mds_allocate(k, args.M, partition)
 
 
+def _save_sample_csv(path, sample):
+    _write_table(path, "position,index,weight",
+                 _row_blocks("%d,%d,%.17g\n",
+                             np.arange(1, sample.n_measurements + 1),
+                             sample.omega, sample.weights))
+
+
 def cmd_sample(args):
     system = SystemKind(args.system, args.r)
     plan = _build_plan(args, system)
     sample = draw_sample(plan, args.M, args.seed)
-    _write(args.out, "sample.csv", _write_csv, "position,index,weight",
-           zip(map(str, range(1, sample.n_measurements + 1)),
-               map(str, sample.omega),
-               map(_fmt, sample.weights)))
+    _write(args.out, "sample.csv", _save_sample_csv, sample)
     _write(args.out, "sample_meta.json", _write_json, {
         "strategy": sample.strategy, "system": args.system, "r": args.r,
         "n_total": system.n_total, "m_total": int(sample.n_measurements),

@@ -32,6 +32,7 @@ from .transforms import (
     _materialize,
     _pow2_half,
     _pow2_half_array,
+    _require_size,
     dense_basis,
     fwht,
     haar_transform,
@@ -65,6 +66,7 @@ class SystemKind:
             raise ValueError(f"unknown system tag {self.tag!r}")
         if self.r < 1:
             raise ValueError("r must be at least 1")
+        _require_size(self.tag, self.r, self.is_2d)
 
     @property
     def is_2d(self):

@@ -31,6 +31,9 @@ DENSE_CAP_R_1D = 10
 DENSE_CAP_R_2D = 6
 
 _INV_SQRT2 = math.sqrt(0.5)
+# N = 2^r in 1-D and 4^r in 2-D is at most 2^32: far past any array that
+# fits in memory, and a larger r would make the first 2 ** r run away
+_MAX_LOG2_N = 32
 
 __all__ = [
     "BASIS_TAGS",
@@ -56,6 +59,7 @@ class BasisKind:
             raise ValueError(f"unknown basis tag {self.tag!r}")
         if self.r < 0:
             raise ValueError("r must be nonnegative")
+        _require_size(self.tag, self.r, self.is_2d)
 
     @property
     def is_2d(self):
@@ -68,6 +72,14 @@ class BasisKind:
     @property
     def n_total(self):
         return 4 ** self.r if self.is_2d else 2 ** self.r
+
+
+def _require_size(tag, r, is_2d):
+    """ValueError unless N = 2^r, or 4^r in 2-D, is at most 2^32."""
+    most = _MAX_LOG2_N // (2 if is_2d else 1)
+    if r > most:
+        raise ValueError(f"r must be at most {most} for {tag} "
+                         f"(N at most 2^{_MAX_LOG2_N}), got {r}")
 
 
 def _as_basis(kind, r=None):

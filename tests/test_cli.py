@@ -269,6 +269,61 @@ def test_cmd_sample_k_overflow_is_validation(tmp_path, capsys):
     assert "per-level sparsities" in err
 
 
+@pytest.mark.parametrize("strategy,r,m_total", [("vds", 13, 4097),
+                                                ("uds", 13, 8192),
+                                                ("mds", 4, 7)])
+def test_cmd_sample_csv_matches_per_element_format(tmp_path, strategy, r,
+                                                   m_total):
+    system = SystemKind("had_dhw_1d", r)
+    k = [1] * system.partition().n_levels
+    plan = (mds_allocate(k, m_total, system.partition()) if strategy == "mds"
+            else {"uds": uds_pmf, "vds": vds_pmf}[strategy](system))
+    sample = draw_sample(plan, m_total, 5)
+    assert main(["sample", "--strategy", strategy, "--system", "had_dhw_1d",
+                 "--r", str(r), "--M", str(m_total), "--seed", "5",
+                 "--out", str(tmp_path)]
+                + (["--k", ",".join(map(str, k))] if strategy == "mds"
+                   else [])) == 0
+    want = "position,index,weight\n" + "".join(
+        f"{p},{o},{format(float(w), '.17g')}\n"
+        for p, (o, w) in enumerate(zip(sample.omega, sample.weights), start=1))
+    assert (tmp_path / "sample.csv").read_bytes() == want.encode("ascii")
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--system", "had2_idhw", "--r", "99999999999999"],
+    ["coherence", "--system", "had_dhw_1d", "--r", "33"],
+    ["transform", "--basis", "dhw", "--r", "99999999999999999999"],
+    ["transform", "--basis", "idhw", "--r", "17"],
+], ids=["coherence-huge", "coherence-1d-33", "transform-huge",
+        "transform-2d-17"])
+def test_cli_rejects_r_past_the_size_cap(tmp_path, capsys, argv):
+    save_signal_csv(tmp_path / "x.csv", np.ones(4))
+    if argv[0] == "transform":
+        argv = argv + ["--input", str(tmp_path / "x.csv")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) \
+        == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation: r must be at most")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body", ["index,value\n# note\n1,2\n",
+                                  'index,value\n"1",2\n',
+                                  "index,value\n1_0,2\n"],
+                         ids=["comment", "quoted", "underscore"])
+def test_cmd_transform_rejects_cells_outside_the_grammar(tmp_path, capsys,
+                                                         body):
+    path = tmp_path / "x.csv"
+    path.write_text(body)
+    assert main(["transform", "--basis", "dhw", "--input", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+    assert "is not index,value" in err
+
+
 def test_cmd_recover_end_to_end(tmp_path):
     out = tmp_path / "rec"
     sample_dir = tmp_path / "smp"

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hadhaar.indexing import build_levels
-from hadhaar.signals import (NoiseSpec, best_term_l1_error, effective_sparsity,
-                             gaussian_bump, generate, hard_threshold,
-                             load_signal_csv, make_noise, noise_sigma,
-                             save_image_csv, save_pgm, save_signal_csv,
-                             shepp_logan, sre_db, sre_from_ratios)
+from hadhaar.signals import (_BLOCK_ROWS, NoiseSpec, best_term_l1_error,
+                             effective_sparsity, gaussian_bump, generate,
+                             hard_threshold, load_signal_csv, make_noise,
+                             noise_sigma, save_image_csv, save_pgm,
+                             save_signal_csv, shepp_logan, sre_db,
+                             sre_from_ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,70 @@ def test_load_csv_skips_blank_lines(tmp_path):
     assert load_signal_csv(path).tolist() == [-2.0, 1.5]
 
 
+def test_load_csv_reads_crlf(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_bytes(b"index,value\r\n2,1.5\r\n\r\n1,-2\r\n")
+    assert load_signal_csv(path).tolist() == [-2.0, 1.5]
+    path.write_bytes(b"row,col,value\r\n1,1,nan\r\n1,2,-inf\r\n")
+    back = load_signal_csv(path)
+    assert np.isnan(back[0, 0]) and back[0, 1] == -math.inf
+
+
+@pytest.mark.parametrize("body,message", [
+    ("index,value\n# values\n1,2\n", "row '# values' is not index,value"),
+    ("index,value\n#1,2\n", "a row is not index,value"),
+    ('index,value\n"1",2\n', "a row is not index,value"),
+    ('index,value\n1,"2"\n', "a row is not index,value"),
+    ("index,value\n1_0,2\n", "a row is not index,value"),
+    ("index,value\n1,1_0\n", "a row is not index,value"),
+    ("index,value\n1.0,2\n", "a row is not index,value"),
+])
+def test_load_csv_grammar_rejects(tmp_path, body, message):
+    # no comments, quotes or digit separators: 1_0 is not read as 10
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        load_signal_csv(path)
+
+
+def _fmt_reference(v):
+    return format(float(v), ".17g")
+
+
+def _signal_reference(x):
+    return "index,value\n" + "".join(f"{i},{_fmt_reference(v)}\n"
+                                     for i, v in enumerate(x, start=1))
+
+
+def _image_reference(img):
+    return "row,col,value\n" + "".join(
+        f"{i + 1},{j + 1},{_fmt_reference(img[i, j])}\n"
+        for i in range(img.shape[0]) for j in range(img.shape[1]))
+
+
+_SPECIAL = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e22,
+                     -1e22, 1.0 / 3.0, -2.5e-310, 2.0 ** 60, 1.0])
+
+
+@pytest.mark.parametrize("n", [1, len(_SPECIAL), _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                               2 * _BLOCK_ROWS + 3])
+def test_save_signal_csv_matches_per_element_format(tmp_path, n):
+    x = np.resize(_SPECIAL, n) * np.random.default_rng(n).choice([1.0, -7.5], n)
+    path = tmp_path / "sig.csv"
+    save_signal_csv(path, x)
+    assert path.read_bytes() == _signal_reference(x).encode("ascii")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (4, 3), (16, 16), (2, 517),
+                                   (131, 5)])
+def test_save_image_csv_matches_per_element_format(tmp_path, shape):
+    img = (np.resize(_SPECIAL, math.prod(shape)).reshape(shape)
+           * np.random.default_rng(shape[0]).choice([1.0, -7.5], shape))
+    path = tmp_path / "img.csv"
+    save_image_csv(path, img)
+    assert path.read_bytes() == _image_reference(img).encode("ascii")
+
+
 def test_save_pgm(tmp_path):
     img = np.array([[0, 128], [255, 64]], dtype=np.uint8)
     path = tmp_path / "img.pgm"
@@ -265,7 +330,7 @@ def test_save_pgm(tmp_path):
         save_pgm(path, np.zeros((2, 2, 2)))
 
 
-_FLOATS = st.floats(allow_nan=False)       # every finite double, +-0 and +-inf
+_FLOATS = st.floats()          # every double: +-0, +-inf and NaN included
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -278,4 +343,7 @@ def test_csv_round_trip_is_bit_exact(x):
         path = os.path.join(tmp, "x.csv")
         (save_signal_csv if x.ndim == 1 else save_image_csv)(path, x)
         back = load_signal_csv(path)
-    assert back.shape == x.shape and back.tobytes() == x.tobytes()
+    # a NaN is written as nan, so its sign and payload are not kept
+    nan = np.isnan(x)
+    assert back.shape == x.shape and np.array_equal(np.isnan(back), nan)
+    assert back[~nan].tobytes() == x[~nan].tobytes()

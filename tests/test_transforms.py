@@ -193,6 +193,16 @@ def test_round_trip(tag, r):
     np.testing.assert_allclose(back, x, rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
 
 
+@pytest.mark.parametrize("tag", ["hadamard1d", "hadamard2d", "dhw", "adhw",
+                                 "idhw"])
+def test_basis_kind_caps_n_at_2_to_32(tag):
+    most = 16 if BasisKind(tag, 1).is_2d else 32
+    assert BasisKind(tag, most).n_total == 2 ** 32
+    for r in (most + 1, 10 ** 20):
+        with pytest.raises(ValueError, match=f"r must be at most {most}"):
+            BasisKind(tag, r)
+
+
 def test_haar_rejects_bad_input():
     with pytest.raises(ValueError):
         haar_transform("dhw", "analysis", np.ones((4, 4)))
