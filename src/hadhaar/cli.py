@@ -30,9 +30,10 @@ from .experiment import (_ROLE_SIGNAL, SignalSpec, _make_signal,
 from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn
 from .sampling import (STRATEGIES, InfeasibleError, SampleSet, draw_sample,
                        mds_allocate, rng_stream, uds_pmf, vds_pmf)
-from .signals import (SIGNAL_KINDS, _fmt, _read_csv, _row_blocks, _scatter,
-                      _write_csv, _write_json, _write_table, load_signal_csv,
-                      save_image_csv, save_pgm, save_signal_csv)
+from .signals import (SIGNAL_KINDS, _fmt, _position_order, _read_csv,
+                      _row_blocks, _write_csv, _write_json, _write_table,
+                      load_signal_csv, save_image_csv, save_pgm,
+                      save_signal_csv)
 from .transforms import BASIS_TAGS, BasisKind, haar_transform
 
 EXIT_CODES = {"usage": 2, "validation": 2, "io": 3, "infeasible": 4,
@@ -147,8 +148,7 @@ def _load_sample(path, system):
     records them.  ``SampleSet`` checks the values."""
     columns = _read_csv(path, ("position,index,weight",))
     position = columns["position"]
-    row = _scatter(path, {"position": position}, (position.size,),
-                   np.arange(position.size))
+    row = _position_order(path, {"position": position}, (position.size,))
     omega, weights = columns["index"][row], columns["weight"][row]
     meta_path = os.path.join(os.path.dirname(path) or ".", "sample_meta.json")
     with open(meta_path, "r", encoding="ascii") as fh:

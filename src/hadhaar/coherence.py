@@ -232,10 +232,6 @@ class MultilevelProfile:
     mode: str
     values: np.ndarray = field(repr=False)
 
-    def relative_sparsity_bound(self, k):
-        """Upper bound on the relative sparsities K_t given per-level k."""
-        return relative_sparsity(self.system, k, mode="bound")
-
 
 # ---------------------------------------------------------------------------
 # exact dense product

@@ -440,24 +440,30 @@ def _read_csv(path, headers):
     return dict(zip(names, map(np.asarray, columns)))
 
 
-def _scatter(path, index, shape, values):
-    """Array of ``shape`` holding ``values`` at the 1-based positions in
-    ``index``, which maps each axis's name to one integer array; every
-    position must occur once."""
+def _position_order(path, index, shape):
+    """The rows sorted by their 1-based positions in ``index``, which maps
+    each axis's name to one integer array: row ``order[p]`` holds flat
+    position p of ``shape``.  Every position must occur once; a duplicate,
+    else a missing one, is named, smallest first.  The check sorts the
+    positions, so neither its time nor its memory grows with the largest."""
     for (name, ix), n in zip(index.items(), shape):
         bad = (ix < 1) | (ix > n)
         if bad.any():
             raise ValueError(f"{path}: {name} {ix[bad][0]} outside [1, {n}]")
     flat = np.ravel_multi_index(tuple(ix - 1 for ix in index.values()), shape)
-    counts = np.bincount(flat, minlength=math.prod(shape))
-    for kind, wrong in (("duplicate", counts > 1), ("missing", counts == 0)):
-        if wrong.any():
-            pos = np.unravel_index(np.flatnonzero(wrong)[0], shape)
-            where = ", ".join(f"{name} {p + 1}" for name, p in zip(index, pos))
-            raise ValueError(f"{path}: {kind} {where}")
-    out = np.empty(shape, dtype=values.dtype)
-    out.reshape(-1)[flat] = values
-    return out
+    order = np.argsort(flat)
+    flat = flat[order]
+    dup = np.flatnonzero(flat[1:] == flat[:-1])
+    if dup.size:
+        kind, p = "duplicate", flat[dup[0]]
+    elif flat.size < math.prod(shape):
+        gap = np.flatnonzero(flat != np.arange(flat.size))
+        kind, p = "missing", gap[0] if gap.size else flat.size
+    else:
+        return order
+    where = ", ".join(f"{name} {q + 1}"
+                      for name, q in zip(index, np.unravel_index(p, shape)))
+    raise ValueError(f"{path}: {kind} {where}")
 
 
 def load_signal_csv(path):
@@ -470,7 +476,7 @@ def load_signal_csv(path):
     values = index.pop("value")
     shape = ((values.size,) if len(index) == 1
              else tuple(int(ix.max()) for ix in index.values()))
-    return _scatter(path, index, shape, values)
+    return values[_position_order(path, index, shape)].reshape(shape)
 
 
 def save_pgm(path, img):

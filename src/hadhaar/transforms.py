@@ -15,6 +15,12 @@ reproduces the subband blocks in the order (01), (11), (10); subband (ab)
 filters the first (row) axis with type b and the second (column) axis with
 type a, where type 1 is the oscillating wavelet and type 0 the constant
 window.
+
+The Haar bases repeat one unscaled lifting step per level, the sums and
+differences of entry pairs along the last axis: dhw on the low-pass half
+of a vector, adhw as dhw along each axis in turn, idhw on the rows, then
+the columns, of the low-pass block of an image.  Each scales once at the
+end, so small-integer inputs stay exact until then.
 """
 from __future__ import annotations
 
@@ -273,47 +279,46 @@ def _dhw_scales(r):
     return scale
 
 
-def _one_vector(x):
-    """x as a 1-D vector when it holds a single one along its last axis:
-    strided slices of a 1-D array cost less than those of a (1, n) one."""
-    return x.reshape(-1) if x.size == x.shape[-1] else x
+def _split(a, low, high):
+    """One unscaled Haar analysis step along the last axis of a: the sums
+    of its entry pairs into ``low`` (a new array if None), their
+    differences into ``high``.  Returns the sums."""
+    even, odd = a[..., 0::2], a[..., 1::2]
+    np.subtract(even, odd, out=high)
+    return np.add(even, odd, out=low)
 
 
-def _dhw_analysis(x):
-    """W_r^T along the last axis of x."""
-    x = np.asarray(x, dtype=np.float64)
-    a = _one_vector(x)
-    out = np.empty(a.shape)
-    size = a.shape[-1]
+def _merge(s, d, out):
+    """The synthesis step that undoes :func:`_split` up to a factor of 2:
+    s + d and s - d interleaved along the last axis of ``out``."""
+    np.add(s, d, out=out[..., 0::2])
+    np.subtract(s, d, out=out[..., 1::2])
+
+
+def _dhw(x, inverse):
+    """W_r^T, or W_r if ``inverse``, along the last axis of x."""
+    shape, n = x.shape, x.shape[-1]
+    if x.size == n:     # strided slices of (n,) cost less than of (1, n)
+        x = x.reshape(n)
+    scales = _dhw_scales(n.bit_length() - 1)
+    if inverse:
+        # rebinding x frees a temporary input, such as adhw's first pass,
+        # for the levels to reuse; holding it made adhw synthesis 20-40% slower
+        x = x * scales
+        a, size = x[..., :1], 1
+        while size < n:
+            nxt = np.empty(x.shape[:-1] + (2 * size,))
+            _merge(a, x[..., size:2 * size], nxt)
+            a, size = nxt, 2 * size
+        return a.reshape(shape)
+    out = np.empty(x.shape)
+    a, size = x, n
     while size > 1:
-        np.subtract(a[..., 0::2], a[..., 1::2], out=out[..., size // 2:size])
-        a = a[..., 0::2] + a[..., 1::2]
         size //= 2
-    out[..., 0] = a[..., 0]
-    out *= _dhw_scales(out.shape[-1].bit_length() - 1)
-    return out.reshape(x.shape)
-
-
-def _dhw_synthesis(c):
-    """W_r along the last axis of c."""
-    c = np.asarray(c, dtype=np.float64)
-    shape = c.shape
-    c = _one_vector(c) * _dhw_scales(c.shape[-1].bit_length() - 1)
-    a = c[..., 0:1]
-    size = 1
-    while size < c.shape[-1]:
-        d = c[..., size:2 * size]
-        nxt = np.empty(c.shape[:-1] + (2 * size,))
-        np.add(a, d, out=nxt[..., 0::2])
-        np.subtract(a, d, out=nxt[..., 1::2])
-        a = nxt
-        size *= 2
-    return a.reshape(shape)
-
-
-def _adhw(pass_1d, x):
-    """A separable 1-D Haar pass along the second-last axis, then the last."""
-    return pass_1d(pass_1d(x.swapaxes(-1, -2)).swapaxes(-1, -2))
+        a = _split(a, None, out[..., size:2 * size])
+    out[..., :1] = a
+    out *= scales
+    return out.reshape(shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,84 +333,72 @@ def _idhw_scales(n):
     return scale
 
 
-def _idhw_analysis(x):
-    """Isotropic Haar analysis of the square image(s) in the last two axes."""
-    c = np.array(x, dtype=np.float64)
-    size = c.shape[-1]
-    while size > 1:
-        h = size // 2
-        block = c[..., :size, :size]
-        low0 = block[..., 0::2, :] + block[..., 1::2, :]
-        high0 = block[..., 0::2, :] - block[..., 1::2, :]
-        np.add(low0[..., 0::2], low0[..., 1::2], out=c[..., :h, :h])
-        np.subtract(low0[..., 0::2], low0[..., 1::2], out=c[..., :h, h:size])
-        np.add(high0[..., 0::2], high0[..., 1::2], out=c[..., h:size, :h])
-        np.subtract(high0[..., 0::2], high0[..., 1::2],
-                    out=c[..., h:size, h:size])
-        size = h
-    c *= _idhw_scales(c.shape[-1])
-    return c
+def _idhw(x, inverse):
+    """Isotropic Haar analysis, or synthesis if ``inverse``, of the square
+    image(s) in the last two axes.  A level is a step along the rows of the
+    low-pass block, on transposed views of C-ordered halves, and one along
+    its columns, which reads or writes the block's four quarters in place."""
+    n, lead = x.shape[-1], x.shape[:-2]
+    if inverse:
+        out = x * _idhw_scales(n)
+        h = 1
+        while h < n:
+            q = out[..., :2 * h, :2 * h]
+            low = np.empty(lead + (h, 2 * h))
+            high = np.empty(lead + (h, 2 * h))
+            _merge(q[..., :h, :h], q[..., :h, h:], low)
+            _merge(q[..., h:, :h], q[..., h:, h:], high)
+            # low and high hold all that the block's four quarters held
+            _merge(low.swapaxes(-1, -2), high.swapaxes(-1, -2),
+                   q.swapaxes(-1, -2))
+            h *= 2
+        return out
+    out = np.empty(x.shape)
+    block, h = x, n // 2
+    while h:
+        q = out[..., :2 * h, :2 * h]
+        low = np.empty(lead + (h, 2 * h))
+        high = np.empty(lead + (h, 2 * h))
+        _split(block.swapaxes(-1, -2), low.swapaxes(-1, -2),
+               high.swapaxes(-1, -2))
+        _split(low, q[..., :h, :h], q[..., :h, h:])
+        _split(high, q[..., h:, :h], q[..., h:, h:])
+        block, h = q[..., :h, :h], h // 2
+    out[..., :1, :1] = block
+    out *= _idhw_scales(n)
+    return out
 
 
-def _idhw_synthesis(c):
-    """Inverse of :func:`_idhw_analysis`."""
-    c = np.asarray(c, dtype=np.float64)
-    x = c * _idhw_scales(c.shape[-1])
-    lead = x.shape[:-2]
-    size = 1
-    n = x.shape[-1]
-    while size < n:
-        ll = x[..., :size, :size]
-        d10 = x[..., :size, size:2 * size]
-        d01 = x[..., size:2 * size, :size]
-        d11 = x[..., size:2 * size, size:2 * size]
-        low0 = np.empty(lead + (size, 2 * size))
-        high0 = np.empty(lead + (size, 2 * size))
-        np.add(ll, d10, out=low0[..., 0::2])
-        np.subtract(ll, d10, out=low0[..., 1::2])
-        np.add(d01, d11, out=high0[..., 0::2])
-        np.subtract(d01, d11, out=high0[..., 1::2])
-        # low0 and high0 hold all that the block's four quarters held
-        np.add(low0, high0, out=x[..., 0:2 * size:2, :2 * size])
-        np.subtract(low0, high0, out=x[..., 1:2 * size:2, :2 * size])
-        size *= 2
-    return x
-
-
-def haar_transform(kind, direction, x, r=None, batch=False):
+def haar_transform(kind, direction, x, batch=False):
     """Apply a Haar transform (``dhw``, ``adhw`` or ``idhw``).
 
     ``direction`` is ``"analysis"`` (signal to coefficients) or
     ``"synthesis"``.  1-D dhw expects a vector of length 2^r; the 2-D kinds
     expect a square 2^r x 2^r array whose vectorisation is column-major.
-    With ``batch`` true, axis 0 indexes independent inputs, each
-    transformed as above; every one comes out bit for bit as it would
+    ``kind`` is a :class:`BasisKind`, or a tag whose r comes from the
+    input's shape.  With ``batch`` true, axis 0 indexes independent inputs,
+    each transformed as above; every one comes out bit for bit as it would
     alone.
     """
     x = np.asarray(x, dtype=np.float64)
     shape = x.shape[1:] if batch else x.shape
-    if isinstance(kind, BasisKind):
-        basis = kind
-    elif r is not None:
-        basis = BasisKind(kind, int(r))
-    else:
-        basis = BasisKind(kind, _require_pow2(shape[0] if shape else 0, "side"))
+    basis = kind if isinstance(kind, BasisKind) else BasisKind(
+        kind, _require_pow2(shape[0] if shape else 0, "side"))
     if direction not in ("analysis", "synthesis"):
         raise ValueError("direction must be 'analysis' or 'synthesis'")
-    analysis = direction == "analysis"
+    inverse = direction == "synthesis"
+    if basis.tag in ("hadamard1d", "hadamard2d"):
+        return fwht(x, batch=batch)
     if basis.tag == "dhw":
         if shape != (basis.side,):
             raise ValueError("dhw expects a vector of length 2^r")
-        return _dhw_analysis(x) if analysis else _dhw_synthesis(x)
-    if basis.tag in ("adhw", "idhw"):
-        if shape != (basis.side, basis.side):
-            raise ValueError(f"{basis.tag} expects a square array of side 2^r")
-        if basis.tag == "adhw":
-            return _adhw(_dhw_analysis if analysis else _dhw_synthesis, x)
-        return _idhw_analysis(x) if analysis else _idhw_synthesis(x)
-    if basis.tag in ("hadamard1d", "hadamard2d"):
-        return fwht(x, batch=batch)
-    raise ValueError(f"unknown basis tag {basis.tag!r}")
+        return _dhw(x, inverse)
+    if shape != (basis.side, basis.side):
+        raise ValueError(f"{basis.tag} expects a square array of side 2^r")
+    if basis.tag == "adhw":
+        return _dhw(_dhw(x.swapaxes(-1, -2), inverse).swapaxes(-1, -2),
+                    inverse)
+    return _idhw(x, inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import resource
 import tempfile
 
 import numpy as np
@@ -89,6 +90,11 @@ def test_config_unknown_keys_rejected():
     (None, "trials", True, "'trials' must be an integer"),
     (None, "rho", None, "'rho' must be a number"),
     (None, "ratios", ["0.5"], "'ratios' must be a list of numbers"),
+    (None, "rho", 1.5, r"rho must lie in \(0, 1\]"),
+    (None, "snr_db", math.nan, "snr_db must be finite or infinite"),
+    ("mds", "sparsity_source", "x", "sparsity_source must be one of"),
+    ("mds", "pregenerated", 0, "pregenerated count must be at least 1"),
+    ("signal", "kind", "x", "signal kind must be one of"),
 ])
 def test_config_value_types_rejected(tmp_path, capsys, section, key, value,
                                      expect):
@@ -101,6 +107,15 @@ def test_config_value_types_rejected(tmp_path, capsys, section, key, value,
     assert main(["experiment", "--config", str(path)]) == EXIT_CODES["validation"]
     err = capsys.readouterr().err
     assert err.startswith("error:validation:") and err.count("\n") == 1
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[]")
+    assert main(["experiment", "--config", str(path)]) \
+        == EXIT_CODES["validation"]
+    assert capsys.readouterr().err == \
+        "error:validation: config must be a JSON object\n"
 
 
 def test_config_validation():
@@ -269,6 +284,19 @@ def test_cmd_sample_k_overflow_is_validation(tmp_path, capsys):
     assert "per-level sparsities" in err
 
 
+@pytest.mark.parametrize("k,expect", [
+    ("1,x", "--k must be a comma-separated integer list"),
+    ("1,1,2", "--k must list 4 per-level counts"),
+])
+def test_cmd_sample_rejects_bad_k(tmp_path, capsys, k, expect):
+    out = tmp_path / "smp"
+    assert main(["sample", "--strategy", "mds", "--system", "had_dhw_1d",
+                 "--r", "3", "--M", "4", "--seed", "1", "--k", k,
+                 "--out", str(out)]) == EXIT_CODES["validation"]
+    assert capsys.readouterr().err == f"error:validation: {expect}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("strategy,r,m_total", [("vds", 13, 4097),
                                                 ("uds", 13, 8192),
                                                 ("mds", 4, 7)])
@@ -322,6 +350,27 @@ def test_cmd_transform_rejects_cells_outside_the_grammar(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:validation:") and err.count("\n") == 1
     assert "is not index,value" in err
+
+
+def test_cmd_transform_position_check_ignores_the_largest_index(tmp_path,
+                                                                 capsys):
+    # a check sized by the largest index took 3.8 GiB and 4.5 s on this file
+    path = tmp_path / "x.csv"
+    path.write_text("row,col,value\n1,1,0\n1,400000000,1\n")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert main(["transform", "--basis", "idhw", "--input", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CODES["validation"]
+    rise_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    assert rise_kib < 8 * 1024
+    assert capsys.readouterr().err == \
+        f"error:validation: {path}: missing row 1, col 2\n"
+    # 2^32 x 2^32 positions overflow int64
+    path.write_text("row,col,value\n1,1,0\n4294967296,4294967296,1\n")
+    assert main(["transform", "--basis", "idhw", "--input", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_recover_end_to_end(tmp_path):

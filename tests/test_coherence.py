@@ -131,6 +131,11 @@ def test_multilevel_closed_equals_brute_bitwise(tag, rmax):
         assert np.array_equal(closed, brute)
 
 
+def test_multilevel_coherence_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        multilevel_coherence("had_dhw_1d", mode="x", r=3)
+
+
 # ---------------------------------------------------------------------------
 # relative sparsity
 # ---------------------------------------------------------------------------

@@ -203,6 +203,22 @@ def test_basis_kind_caps_n_at_2_to_32(tag):
             BasisKind(tag, r)
 
 
+@pytest.mark.parametrize("direction", ["analysis", "synthesis"])
+@pytest.mark.parametrize("tag,r", [("dhw", 0), ("dhw", 1), ("dhw", 9),
+                                   ("adhw", 0), ("adhw", 1), ("adhw", 5),
+                                   ("idhw", 0), ("idhw", 1), ("idhw", 5)])
+def test_batched_haar_rows_match_single_inputs(tag, r, direction):
+    basis = BasisKind(tag, r)
+    shape = (basis.side,) * (2 if basis.is_2d else 1)
+    rng = np.random.default_rng(r)
+    for rows in (5, 1):
+        xs = rng.standard_normal((rows,) + shape)
+        out = haar_transform(basis, direction, xs, batch=True)
+        assert out.shape == xs.shape
+        for got, x in zip(out, xs):
+            assert got.tobytes() == haar_transform(tag, direction, x).tobytes()
+
+
 def test_haar_rejects_bad_input():
     with pytest.raises(ValueError):
         haar_transform("dhw", "analysis", np.ones((4, 4)))
