@@ -8,13 +8,11 @@ table with additive intensities.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
-from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -382,18 +380,6 @@ def save_image_csv(path, img):
                   for i, row in enumerate(img, start=1)))
 
 
-def _out_of_range(lines, width):
-    """The first integer cell of ``lines`` (in the first ``width - 1``
-    columns) that lies outside int64, or None."""
-    for line in lines:
-        for cell in line.split(",")[:width - 1]:
-            cell = cell.strip()
-            if (re.fullmatch(r"[+-]?[0-9]+", cell)
-                    and not -(1 << 63) <= int(cell) < 1 << 63):
-                return cell
-    return None
-
-
 def _read_csv(path, headers):
     """The columns of the CSV file ``path``, by name.  Its header must be one
     of ``headers``, each of which names int64 columns and then one float64
@@ -401,43 +387,47 @@ def _read_csv(path, headers):
     follow numpy's grammar: ASCII digits with an optional sign, and floats
     as Python writes them (``inf``, ``nan``); no ``_`` separators, quotes
     or comments."""
-    # parsed straight into typed buffers one 16 KiB block of lines at a time:
-    # no list of all the rows or of Python numbers is kept, which would
-    # outweigh the arrays many times over, and larger blocks raised the peak
-    # RSS of a 512 x 512 read
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header not in headers:
             raise ValueError(f"{path}: unrecognised CSV header {header!r}")
         names = header.split(",")
-        width = len(names)
         dtype = np.dtype([(name, np.int64) for name in names[:-1]]
                          + [(names[-1], np.float64)])
-        columns = [array("q") for _ in names[:-1]] + [array("d")]
-        for lines in iter(functools.partial(fh.readlines, 1 << 14), []):
-            if set(map(str.count, lines, repeat(","))) != {width - 1}:
-                lines = list(filter(str.strip, lines))
-                for line in lines:
-                    if line.count(",") != width - 1:
-                        raise ValueError(f"{path}: row {line.strip()!r} is "
-                                         f"not {header}")
-                if not lines:
-                    continue
-            try:
-                block = np.loadtxt(lines, dtype=dtype, delimiter=",",
-                                   comments=None, ndmin=1)
-            except ValueError as exc:
-                cell = _out_of_range(lines, width)
-                if cell is not None:
-                    raise ValueError(f"{path}: index out of range: {cell}") \
-                        from None
-                raise ValueError(f"{path}: a row is not {header}: {exc}") \
-                    from None
-            for column, name in zip(columns, names):
-                column.frombytes(block[name].tobytes())
-    if not columns[-1]:
-        raise ValueError(f"{path}: no data rows")
-    return dict(zip(names, map(np.asarray, columns)))
+        lines = filter(str.strip, fh)
+        # np.loadtxt only warns when it finds no rows
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        try:
+            table = np.loadtxt(chain((first,), lines), dtype=dtype,
+                               delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _parse_error(path, header, exc) from None
+    return {name: table[name] for name in names}
+
+
+def _parse_error(path, header, exc):
+    """The ValueError for the file ``path`` that ``np.loadtxt`` rejected
+    with ``exc``: it names the first data row with the wrong number of
+    cells, else the first integer cell outside int64, else repeats
+    ``exc``."""
+    width = header.count(",") + 1
+    cell = None
+    with open(path, "r", encoding="ascii") as fh:
+        fh.readline()
+        for line in filter(str.strip, fh):
+            cells = line.split(",")
+            if len(cells) != width:
+                return ValueError(f"{path}: row {line.strip()!r} is not "
+                                  f"{header}")
+            for c in map(str.strip, cells[:-1]):
+                if (cell is None and re.fullmatch(r"[+-]?[0-9]+", c)
+                        and not -(1 << 63) <= int(c) < 1 << 63):
+                    cell = c
+    if cell is not None:
+        return ValueError(f"{path}: index out of range: {cell}")
+    return ValueError(f"{path}: a row is not {header}: {exc}")
 
 
 def _position_order(path, index, shape):
@@ -450,7 +440,12 @@ def _position_order(path, index, shape):
         bad = (ix < 1) | (ix > n)
         if bad.any():
             raise ValueError(f"{path}: {name} {ix[bad][0]} outside [1, {n}]")
-    flat = np.ravel_multi_index(tuple(ix - 1 for ix in index.values()), shape)
+    if math.prod(shape) >= 1 << 63:
+        raise ValueError(f"{path}: {' x '.join(map(str, shape))} positions "
+                         f"overflow int64")
+    flat = 0
+    for ix, n in zip(index.values(), shape):
+        flat = flat * n + (ix - 1)
     order = np.argsort(flat)
     flat = flat[order]
     dup = np.flatnonzero(flat[1:] == flat[:-1])

@@ -37,9 +37,10 @@ DENSE_CAP_R_1D = 10
 DENSE_CAP_R_2D = 6
 
 _INV_SQRT2 = math.sqrt(0.5)
-# N = 2^r in 1-D and 4^r in 2-D is at most 2^32: far past any array that
-# fits in memory, and a larger r would make the first 2 ** r run away
-_MAX_LOG2_N = 32
+# N = 2^r in 1-D and 4^r in 2-D is at most 2^28, so one float64 vector is
+# at most 2 GiB: past that a command would exhaust the machine's memory
+# before it could exit 2
+_MAX_LOG2_N = 28
 
 __all__ = [
     "BASIS_TAGS",
@@ -81,7 +82,7 @@ class BasisKind:
 
 
 def _require_size(tag, r, is_2d):
-    """ValueError unless N = 2^r, or 4^r in 2-D, is at most 2^32."""
+    """ValueError unless N = 2^r, or 4^r in 2-D, is at most 2^28."""
     most = _MAX_LOG2_N // (2 if is_2d else 1)
     if r > most:
         raise ValueError(f"r must be at most {most} for {tag} "

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -280,6 +281,50 @@ def test_load_csv_grammar_rejects(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(ValueError, match=message):
         load_signal_csv(path)
+
+
+def _long_signal(n):
+    """``index,value`` lines of the signal 1.5 * index, for index 1..n."""
+    return [f"{i},{1.5 * i}\n" for i in range(1, n + 1)]
+
+
+# numpy counts the nonblank data rows from 0: data row 4,000 is its row 3999.
+# Every bad row lies past the first 16 KiB of the file, and a row with the
+# wrong number of cells is named before an earlier index outside int64.
+@pytest.mark.parametrize("rows,message", [
+    ({3999: "4000,x\n"}, "a row is not index,value: could not convert "
+                         "string 'x' to float64 at row 3999, column 2."),
+    ({3999: "4000,1,2\n"}, "row '4000,1,2' is not index,value"),
+    ({3999: "4000\n"}, "row '4000' is not index,value"),
+    ({3999: "99999999999999999999,1\n"},
+     "index out of range: 99999999999999999999"),
+    ({3999: "-9223372036854775809,1\n"},
+     "index out of range: -9223372036854775809"),
+    ({9: "99999999999999999999,1\n", 4499: "4500,1,2\n"},
+     "row '4500,1,2' is not index,value"),
+], ids=["grammar", "wide", "narrow", "above-int64", "below-int64",
+        "width-first"])
+def test_load_csv_names_a_bad_row_anywhere_in_the_file(tmp_path, rows,
+                                                        message):
+    lines = _long_signal(5000)
+    for k, row in rows.items():
+        lines[k] = row
+    path = tmp_path / "bad.csv"
+    path.write_text("index,value\n" + "".join(lines))
+    assert path.stat().st_size > 2 * (1 << 14)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_signal_csv(path)
+
+
+def test_load_csv_skips_blank_lines_throughout_a_long_file(tmp_path):
+    lines = _long_signal(5000)
+    for k in range(4990, 0, -7):
+        lines.insert(k, ("\n", " \n", "\t \r\n")[k % 3])
+    path = tmp_path / "sig.csv"
+    path.write_text("index,value\n\n" + "".join(lines) + "  \n")
+    assert path.stat().st_size > 3 * (1 << 14)
+    assert np.array_equal(load_signal_csv(path),
+                          1.5 * np.arange(1, 5001))
 
 
 def _fmt_reference(v):
