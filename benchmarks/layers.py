@@ -13,9 +13,13 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
 
 * ``draw_sample`` with the vds and mds plans at 2-D r = 9 (N/4 indices, mds
   sized by the Shepp-Logan phantom's effective sparsity at rho = 0.995);
-* U v for ``had2_idhw`` at r in {7, 8, 9}: ``level_op`` (one 2-D Paley
-  transform per level, in level order) against the two flat-order
-  compositions ``spectrum(synthesis(v))`` and ``coefficients(signal(v))``;
+* U v for ``had2_idhw`` at r in {7, 8, 9}: ``level_op`` (one flat
+  Walsh-Hadamard transform per level, from level order to spectral order)
+  against the two flat-order compositions ``spectrum(synthesis(v))`` and
+  ``coefficients(signal(v))``, and ``level_op`` on a batch of 20 at r in
+  {7, 8}, timed per call;
+* the data-ball projection ``_project_ellipsoid`` on the vds problem below,
+  at the solver's first iterate (v = 0 on the sample);
 * the solver per row-iteration at 1-D r = 9 on 20 vds problems shaped
   like the strategy-ordering experiment's (Gaussian bump, sigma = 64,
   random centre, M/N = 0.2, 20 dB): ``solve_bpdn`` on each in turn (B = 1) and
@@ -52,8 +56,9 @@ import numpy as np  # noqa: E402
 
 from hadhaar.cli import _save_sample_csv  # noqa: E402
 from hadhaar.coherence import SystemKind  # noqa: E402
-from hadhaar.recovery import (RecoveryProblem, solve_bpdn,  # noqa: E402
-                              solve_bpdn_batch)
+from hadhaar.recovery import (RecoveryProblem, _Batch,  # noqa: E402
+                              _collapse, _project_ellipsoid, _weighted_data,
+                              solve_bpdn, solve_bpdn_batch)
 from hadhaar.sampling import (draw_sample, mds_allocate, measure,  # noqa: E402
                               measure_adjoint, rng_stream, uds_pmf, vds_pmf)
 from hadhaar.signals import (NoiseSpec, _read_csv,  # noqa: E402
@@ -141,17 +146,19 @@ def _solver_problems():
 
 
 def _level_op_layers():
-    """(layer name, function, input) for U v at 2-D r = 7, 8 and 9."""
+    """(r, layer name, batch, function, input) for U v at 2-D r = 7, 8 and
+    9, and for a batch of 20 at r = 7 and 8."""
     for r in (7, 8, 9):
         system = SystemKind("had2_idhw", r)
-        v = np.random.default_rng(r).standard_normal(system.n_total)
-        out = np.empty_like(v)
-        yield (r, "level_op",
-               lambda u, s=system, o=out: s.level_op(u, out=o), v)
-        yield (r, "spectrum_synthesis",
-               lambda u, s=system: s.spectrum(s.synthesis(u)), v)
-        yield (r, "coefficients_signal",
-               lambda u, s=system: s.coefficients(s.signal(u)), v)
+        rows = np.random.default_rng(r).standard_normal((20, system.n_total))
+        for v in [rows[0]] + ([rows] if r < 9 else []):
+            out = np.empty_like(v)
+            yield (r, "level_op", len(v) if v.ndim == 2 else 1,
+                   lambda u, s=system, o=out: s.level_op(u, out=o), v)
+        yield (r, "spectrum_synthesis", 1,
+               lambda u, s=system: s.spectrum(s.synthesis(u)), rows[0])
+        yield (r, "coefficients_signal", 1,
+               lambda u, s=system: s.coefficients(s.signal(u)), rows[0])
 
 
 def _camera_problem():
@@ -164,6 +171,18 @@ def _camera_problem():
                        rng=rng_stream(8, 0))
     return RecoveryProblem(system, sample, measure(system, sample, x)
                            + noise.vector, noise.weighted_norm)
+
+
+def _projection_layer():
+    """(function, input) for the data-ball projection of the camera-shaped
+    vds problem at the solver's first iterate, where v = 0 on the sample."""
+    problem = _camera_problem()
+    system = problem.system
+    position = np.empty(system.n_total, dtype=np.int64)
+    position[system.spectral_order] = np.arange(system.n_total)
+    batch = _Batch([_collapse(problem, *_weighted_data(problem), position)],
+                   system.n_total)
+    return (lambda v: _project_ellipsoid(v, batch)), np.zeros(batch.c.size)
 
 
 def _solver_rows():
@@ -214,9 +233,13 @@ def main():
             for name, fn, arg in _layers(tag, r):
                 rows.append({"layer": name, "dim": dim, "r": r,
                              "us_per_call": round(_us_per_call(fn, arg), 1)})
-    for r, name, fn, arg in _level_op_layers():
-        rows.append({"layer": name, "dim": 2, "r": r,
+    for r, name, batch, fn, arg in _level_op_layers():
+        rows.append({"layer": name, "dim": 2, "r": r, "batch": batch,
                      "us_per_call": round(_us_per_call(fn, arg), 1)})
+    fn, arg = _projection_layer()
+    rows.append({"layer": "project_ellipsoid", "dim": 2, "r": 8,
+                 "rows": arg.size,
+                 "us_per_call": round(_us_per_call(fn, arg), 1)})
     for name, fn, arg in _draw_layers():
         rows.append({"layer": name, "dim": 2, "r": 9,
                      "us_per_call": round(_us_per_call(fn, arg), 1)})

@@ -18,6 +18,7 @@ than roundoff dust, and products of maxima 2^(k/2) add their exponents.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,9 @@ import numpy as np
 from .indexing import LevelPartition, build_levels, index_to_pair
 from .transforms import (
     BasisKind,
+    _apply_factor,
     _basis_parts,
+    _digit_split,
     _hadamard_parts,
     _half_exponents,
     _kron_parts,
@@ -33,6 +36,7 @@ from .transforms import (
     _pow2_half,
     _pow2_half_array,
     _require_size,
+    _sylvester_factor,
     dense_basis,
     fwht,
     haar_transform,
@@ -40,6 +44,12 @@ from .transforms import (
 
 SYSTEM_TAGS = ("had_dhw_1d", "had2_idhw", "had2_adhw")
 MODES = ("closed", "brute")
+# An idhw level's transform takes factors of at most 2^_LEVEL_FACTOR_MAX,
+# smallest first.  Pinned to one CPU, the 3 x 2^14 entries of level 8 took
+# 150-195 us in factors of 8, 8, 16, 16 against 200-285 us in factors of
+# 32, 32, 16; level 6 took about 5 us more (22 against 17 us) and the
+# other levels of r <= 9 split the same way as with factors of 32.
+_LEVEL_FACTOR_MAX = 4
 
 __all__ = [
     "MODES",
@@ -147,16 +157,26 @@ class SystemKind:
         s, batch = self._shaped(s)
         return haar_transform(self.sparsity_basis, "synthesis", s, batch=batch)
 
-    # In level order, a fixed permutation of the flat indices applied to
-    # both spectra and coefficients, U is block-diagonal over the wavelet
-    # levels and symmetric.  For idhw it is the iso partition's order, in
-    # which level l >= 1 is I_3 (x) H_{l-1} (x) H_{l-1} on three contiguous
-    # (2^(l-1))^2 squares; for the other systems it is the natural order,
-    # in which U is blockdiag(1, H_0, ..., H_{r-1}) or its Kronecker square.
+    # In level order, a fixed permutation of the flat indices, U is
+    # block-diagonal over the wavelet levels.  Coefficients are taken in
+    # ``level_order`` and spectra in ``spectral_order``.  For idhw the level
+    # order is the iso partition's, in which level l >= 1 holds three
+    # contiguous (2^(l-1))^2 squares, each a C-ordered a x a image,
+    # a = 2^(l-1), on which U acts as H_a (x) H_a.  The Paley matrix is
+    # H_a = S_a B_a / sqrt(a), with S_a the Sylvester (natural-order)
+    # Hadamard sign matrix and B_a the bit reversal, which commutes with
+    # S_a; so reading each square's spectrum in bit-reversed rows and
+    # columns leaves S_a (x) S_a / a = S_{a^2} / a, one flat Walsh-Hadamard
+    # transform of each square.  Between the two orders U is then
+    # blockdiag(1, I_3 (x) S_1, ..., I_3 (x) S_{4^(r-1)} / 2^(r-1)), which
+    # is symmetric.  For the other systems both orders are the natural
+    # order, in which U is blockdiag(1, H_0, ..., H_{r-1}) or its Kronecker
+    # square.
 
     @functools.cached_property
     def level_order(self):
-        """The flat (0-based) index at each level-order position, read-only."""
+        """The flat (0-based) index of the coefficient at each level-order
+        position, read-only."""
         if self.tag == "had2_idhw":
             order = np.concatenate(self.partition().levels) - 1
         else:
@@ -164,14 +184,69 @@ class SystemKind:
         order.flags.writeable = False
         return order
 
+    @functools.cached_property
+    def spectral_order(self):
+        """The flat (0-based) index of the spectrum entry at each
+        spectral-order position, read-only: the level order with each idhw
+        square read in bit-reversed rows and columns."""
+        if self.tag != "had2_idhw":
+            return self.level_order
+        perm = np.arange(self.n_total)
+        rev = np.zeros(1, dtype=np.int64)
+        for l in range(2, self.r + 1):
+            # the bit reversal of range(a), a = 2^(l-1), from that of a / 2
+            rev = np.concatenate([2 * rev, 2 * rev + 1])
+            a = rev.size
+            square = (rev[:, None] * a + rev).reshape(-1)
+            perm[a * a:4 * a * a] = (a * a * np.arange(1, 4)[:, None]
+                                     + square).reshape(-1)
+        order = self.level_order[perm]
+        order.flags.writeable = False
+        return order
+
+    @functools.cached_property
+    def _level_plan(self):
+        """The idhw level operator past level 1, which is the identity: for
+        each level its positions and factor steps (factor, squares times
+        the digits before it, factor size, digits after it).  The level's
+        scale 2^-(l-1) is folded into its first factor, exactly, as it is a
+        power of two."""
+        plan = []
+        for l in range(2, self.r + 1):
+            lo = 1 << 2 * (l - 1)           # a^2, the size of a square
+            digits = sorted(_digit_split(2 * (l - 1), _LEVEL_FACTOR_MAX))
+            sizes = [1 << f for f in digits]
+            plan.append((lo, 4 * lo, [
+                (_sylvester_factor(f, math.ldexp(1.0, 1 - l) if d == 0
+                                   else 1.0),
+                 3 * math.prod(sizes[:d]), sizes[d],
+                 math.prod(sizes[d + 1:]))
+                for d, f in enumerate(digits)]))
+        return plan
+
+    def _level_work(self, rows):
+        """Two scratch arrays of ``rows`` rows for the largest level, kept
+        for the system's life and grown only when a larger batch comes (in
+        the instance dict, as the dataclass is frozen).  Calls that share a
+        system therefore must not run at once."""
+        work = self.__dict__.get("_work")
+        if work is None or work.shape[1] < rows:
+            work = np.empty((2, rows, 3 * self.n_total // 4))
+            self.__dict__["_work"] = work
+        return work[:, :rows]
+
     def level_op(self, v, adjoint=False, out=None):
-        """U v for flat v in level order, optionally after a batch axis,
-        written to ``out`` (which may be v) when given.  U is symmetric in
-        level order, so this is U^T v as well.  idhw applies one batched
-        2-D Paley transform per level.  The other systems keep the two
+        """U v for coefficients v in level order, giving the spectrum in
+        spectral order; with ``adjoint``, U^T v for a spectrum v in spectral
+        order, giving coefficients in level order.  v is flat, optionally
+        after a batch axis; the result is written to ``out`` (which may be
+        v) when given.  idhw applies the symmetric U above, whichever the
+        direction: per level, a flat Walsh-Hadamard transform of 3 B
+        contiguous squares in factor steps through kept buffers, the last
+        straight into ``out``.  The other systems keep the two
         compositions: spectrum(synthesis(v)), or coefficients(signal(v))
-        with ``adjoint``, whose roundings differ.  Each row of a batch
-        comes out bit for bit as it would alone."""
+        with ``adjoint``, whose roundings differ.  Each row of a batch comes
+        out bit for bit as it would alone."""
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.n_total:
             raise ValueError(f"{self.tag} with r = {self.r} expects "
@@ -187,12 +262,19 @@ class SystemKind:
             return out
         if out is None:
             out = np.empty(v.shape)
-        out[..., 0] = v[..., 0]
-        for l in range(1, self.r + 1):
-            a = 1 << (l - 1)
-            level = slice(a * a, 4 * a * a)
-            blocks = fwht(v[..., level].reshape(-1, a, a), batch=True)
-            out[..., level] = blocks.reshape(v.shape[:-1] + (3 * a * a,))
+        src_rows = v.reshape(-1, self.n_total)
+        out_rows = out.reshape(-1, self.n_total)
+        rows = src_rows.shape[0]
+        out_rows[:, :4] = src_rows[:, :4]
+        work = self._level_work(rows)
+        for lo, hi, steps in self._level_plan:
+            src = src_rows[:, lo:hi]
+            for d, (p, pre, a, rest) in enumerate(steps):
+                dst = (out_rows[:, lo:hi] if d == len(steps) - 1
+                       else work[d % 2, :, :hi - lo])
+                _apply_factor(p, src.reshape(rows, pre, a, rest),
+                              dst.reshape(rows, pre, a, rest))
+                src = dst
         return out
 
 

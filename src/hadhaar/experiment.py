@@ -20,9 +20,9 @@ from .coherence import SystemKind
 from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn_batch
 from .sampling import (RNG_ALGORITHM, STRATEGIES, draw_sample, mds_allocate,
                        measure, rng_stream, uds_pmf, vds_pmf)
-from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _write_csv,
-                      _write_json, effective_sparsity, gaussian_bump,
-                      generate, make_noise, sre_from_ratios)
+from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _norm,
+                      _write_csv, _write_json, effective_sparsity,
+                      gaussian_bump, generate, make_noise, sre_from_ratios)
 
 SPARSITY_SOURCES = ("worst_case_pregenerated", "oracle_from_signal")
 
@@ -314,9 +314,9 @@ def run_experiment(config):
             records.append(TrialRecord(
                 ratio_index=ri, ratio=ratio, trial=ti + 1, m=m_total,
                 sample_seed=trial.sample.seed,
-                x_norm=float(np.linalg.norm(trial.x)),
-                cs_error=float(np.linalg.norm(trial.x - report.x_hat)),
-                me_error=float(np.linalg.norm(trial.x - me_hat)),
+                x_norm=_norm(trial.x),
+                cs_error=_norm(trial.x - report.x_hat),
+                me_error=_norm(trial.x - me_hat),
                 epsilon=trial.epsilon, noise_sigma=trial.noise_sigma,
                 cs_objective=report.objective,
                 cs_iterations=report.iterations,

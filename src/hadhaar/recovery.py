@@ -16,10 +16,16 @@ on the sampled indices, projected onto with a scalar Newton solve.  The
 stopping rule is a relative duality gap, so a converged report certifies
 near-optimality of the returned point.
 
-The iteration runs in the system's level order (``SystemKind.level_order``),
-in which U is block-diagonal and symmetric: the sample is mapped there once,
-U and U^T are ``SystemKind.level_op``, and only a stopped row's spectrum is
-put back in flat order before its synthesis.
+The iteration runs in the system's two level orders: coefficients in
+``SystemKind.level_order`` and spectra in ``SystemKind.spectral_order``,
+between which U is block-diagonal and symmetric (for had2_idhw one flat
+Walsh-Hadamard transform per level; for the other systems both orders are
+the natural order).  The sample is mapped to spectral positions once, U and
+U^T are ``SystemKind.level_op``, and only a stopped row's spectrum is put
+back in flat order before its synthesis.  Off the sample the projection is
+the identity, so there the update t + z - y is y itself: an iteration
+forms only the sampled entries of z and of the next t, and z in full only
+when the stopping rule is checked.
 
 ``solve_bpdn_batch`` runs problems that share one system as a single
 iteration over a (B, N) array, so each numpy call serves every row;
@@ -36,6 +42,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .sampling import InfeasibleError, SampleSet
+from .signals import _norm
 
 __all__ = ["RecoveryProblem", "RecoveryReport", "me_reconstruct", "solve_bpdn",
            "solve_bpdn_batch"]
@@ -115,31 +122,37 @@ def _project_ellipsoid(v, batch):
     q(lam) = radius, where q(lam)^2 = sum c d^2 / (1 + lam c)^2.  1/q is
     concave and increasing in lam, so Newton's method on 1/q - 1/radius
     started at lam = 0 climbs monotonically to the root (Moré & Sorensen's
-    secular equation).  Each row keeps its own multiplier and stops on its
-    own test, so a row's result does not depend on the rows beside it.
+    secular equation).  A row's c takes few values (one for mds, a few
+    dozen for vds) and its entries are sorted by c, so the sums run over
+    its groups of equal c: q(lam)^2 = sum_g S_g / (1 + lam c_g)^2 with
+    S_g = c_g sum_{i in g} d_i^2, one segment sum per group and then
+    O(groups) work per Newton step.  Each row keeps its own groups,
+    multiplier and stopping test, so a row's result does not depend on the
+    rows beside it.
     """
-    beta, c, radius = batch.beta, batch.c, batch.radius
+    beta, radius, group_c = batch.beta, batch.radius, batch.group_c
     d = v - beta
-    cd2 = c * d * d
+    sums = group_c * np.add.reduceat(d * d, batch.group_starts)
     exact = radius == 0.0
-    outside = ~exact & ~(np.sqrt(batch.row_sums(cd2)) <= radius)
+    outside = ~exact & ~(np.sqrt(batch.group_sums(sums)) <= radius)
     lam = np.zeros(radius.size)
     active = outside.copy()
     tol = _NEWTON_RTOL * radius
     step = np.empty(radius.size)
     for _ in range(_NEWTON_STEPS if np.count_nonzero(active) else 0):
-        shrink = 1.0 / (1.0 + batch.spread(lam) * c)
-        terms = cd2 * shrink * shrink
-        q = np.sqrt(batch.row_sums(terms))
+        shrink = 1.0 / (1.0 + batch.group_spread(lam) * group_c)
+        terms = sums * shrink * shrink
+        q = np.sqrt(batch.group_sums(terms))
         excess = q - radius
         active &= excess > tol
         if not np.count_nonzero(active):
             break
-        slope = batch.row_sums(terms * c * shrink)
+        slope = batch.group_sums(terms * group_c * shrink)
         # only rows still outside have slope > 0
         np.divide(excess * q * q, radius * slope, out=step, where=active)
         np.add(lam, step, out=lam, where=active)
-    z = beta + d / (1.0 + batch.spread(lam) * c)
+    denominator = 1.0 + batch.group_spread(lam) * group_c
+    z = beta + d / denominator.repeat(batch.group_sizes)
     if not outside.all():
         np.copyto(z, v, where=batch.spread(~exact & ~outside))
         np.copyto(z, beta, where=batch.spread(exact))
@@ -152,34 +165,40 @@ def _weighted_data(problem):
     w = (problem.sample.weights / math.sqrt(m) if problem.sample.weighted
          else np.ones(m))
     b = w * problem.y
-    return w, b, math.sqrt(float(np.sum(b * b)))
+    return w, b, _norm(b)
 
 
 def _collapse(problem, w, b, b_norm, position):
     """The problem's collapsed data ball, with what the iteration needs of
-    the problem: ``rows`` (the level-order position of each measurement),
-    ``omega`` (the positions of the distinct sampled indices, taken in
-    ascending index order), ``c`` and ``beta`` on omega, ``radius``
-    (eps_eff) and ``gamma`` (the step).  ``position`` maps a 0-based flat
-    index to its level-order position.  Raises InfeasibleError when the
-    ball is empty."""
+    the problem: ``rows`` (the spectral-order position of each
+    measurement), ``omega`` (the positions of the distinct sampled
+    indices), ``c`` and ``beta`` on omega, the distinct values ``group_c``
+    of c with the number of entries ``group_sizes`` of each, ``radius``
+    (eps_eff) and ``gamma`` (the step).  omega is sorted by c, then by
+    position, so each group is one run of ascending positions.
+    ``position`` maps a 0-based flat index to its spectral-order position.
+    Raises InfeasibleError when the ball is empty."""
     n = problem.system.n_total
     eps = float(problem.epsilon)
     feas_slack = problem.tol_feas * max(1.0, b_norm)
     rows = problem.sample.omega - 1
     c_all = np.bincount(rows, weights=w * w, minlength=n)
     omega = np.flatnonzero(c_all > 0.0)
-    c = c_all[omega]
     beta_all = np.zeros(n)
-    beta_all[omega] = np.bincount(rows, weights=w * b, minlength=n)[omega] / c
+    beta_all[omega] = (np.bincount(rows, weights=w * b, minlength=n)[omega]
+                       / c_all[omega])
     scatter = float(np.sum((b - w * beta_all[rows]) ** 2))
     if math.sqrt(scatter) - eps > feas_slack:
         raise InfeasibleError(
             f"data ball is infeasible: repeated measurements scatter by "
             f"{math.sqrt(scatter):.6g} > epsilon = {eps:.6g}")
+    group_c, group, group_sizes = np.unique(
+        c_all[omega], return_inverse=True, return_counts=True)
+    omega = omega[np.lexsort((position[omega], group))]
     return SimpleNamespace(
-        w=w, b=b, rows=position[rows], omega=position[omega], c=c,
-        beta=beta_all[omega], eps=eps,
+        w=w, b=b, rows=position[rows], omega=position[omega],
+        c=c_all[omega], beta=beta_all[omega], group_c=group_c,
+        group_sizes=group_sizes, eps=eps,
         radius=math.sqrt(max(eps * eps - scatter, 0.0)),
         gamma=_STEP_SCALE * b_norm / math.sqrt(omega.size),
         feas_slack=feas_slack, tol_gap=problem.tol_gap,
@@ -187,9 +206,10 @@ def _collapse(problem, w, b, b_norm, position):
 
 
 class _Batch:
-    """The live rows of a batch: per-row scalars as arrays, and the sampled
+    """The live rows of a batch: per-row scalars as arrays, the sampled
     entries of all rows back to back (``flat`` indexes a (B, N) array's
-    ravel)."""
+    ravel), and the rows' groups of equal c back to back, each a run of
+    ``group_sizes`` entries from ``group_starts``."""
 
     def __init__(self, data, n):
         self.data = data
@@ -199,6 +219,11 @@ class _Batch:
         self.c = np.concatenate([d.c for d in data])
         self.root_c = np.sqrt(self.c)
         self.beta = np.concatenate([d.beta for d in data])
+        self.group_c = np.concatenate([d.group_c for d in data])
+        self.group_sizes = np.concatenate([d.group_sizes for d in data])
+        self.group_starts = np.cumsum(self.group_sizes) - self.group_sizes
+        self.row_groups = np.array([d.group_c.size for d in data])
+        self.row_group_starts = np.cumsum(self.row_groups) - self.row_groups
         for name in ("radius", "gamma", "tol_gap", "max_iterations"):
             setattr(self, name, np.array([getattr(d, name) for d in data]))
         self.first_stop = int(self.max_iterations.min())
@@ -210,6 +235,14 @@ class _Batch:
     def row_sums(self, entries):
         """Per-row sums of an array laid out like the sampled entries."""
         return np.add.reduceat(entries, self.starts)
+
+    def group_spread(self, per_row):
+        """A per-row array repeated over each row's groups."""
+        return per_row.repeat(self.row_groups)
+
+    def group_sums(self, per_group):
+        """Per-row sums of an array laid out like the groups."""
+        return np.add.reduceat(per_group, self.row_group_starts)
 
 
 def solve_bpdn(problem):
@@ -235,7 +268,7 @@ def solve_bpdn(problem):
     Iteration.  y = U soft(U^T t, gamma) is the prox of the l1 term (U is
     orthogonal); z is the projection of 2y - t onto the ellipsoid (z = beta
     on Omega when eps_eff = 0, otherwise one scalar Newton solve for the
-    multiplier); then t += z - y.  The step is
+    multiplier); then t += z - y, which is y off Omega.  The step is
     gamma = 0.2 ||b|| / sqrt(|Omega|), which makes the iterates
     scale-equivariant in b.
 
@@ -275,7 +308,7 @@ def solve_bpdn_batch(problems):
     if any(p.system != system for p in problems):
         raise ValueError("every problem in a batch must share one system")
     n = system.n_total
-    order = system.level_order
+    order = system.spectral_order
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     reports = [None] * len(problems)
@@ -291,11 +324,13 @@ def solve_bpdn_batch(problems):
     if not live:
         return reports
 
-    # t, y and z are kept buffers in level order for the whole solve, and
-    # s is scratch; every step writes into them
+    # t, y and s are kept buffers for the whole solve: t and y hold spectra
+    # in spectral order, s coefficients in level order; every step writes
+    # into them
     batch = _Batch(data, n)
     t = np.zeros((len(live), n))
-    y, z, s = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    y, s = np.empty_like(t), np.empty_like(t)
+    t_on = np.zeros(batch.flat.size)
     it = 0
     while True:
         it += 1
@@ -306,35 +341,43 @@ def solve_bpdn_batch(problems):
         np.clip(s, -gamma, gamma, out=y)
         np.subtract(s, y, out=s)
         system.level_op(s, out=y)
-        np.multiply(y, 2.0, out=z)
-        np.subtract(z, t, out=z)
-        z_flat = z.reshape(-1)
-        z_flat[batch.flat] = _project_ellipsoid(z_flat[batch.flat], batch)
+        # off omega the projection is the identity, so z = 2y - t and the
+        # next t = t + z - y = y there: only the sampled entries are formed
+        # (t_on holds those of t), and z in full only when it is checked
+        y_on = y.reshape(-1)[batch.flat]
+        z_on = _project_ellipsoid(2.0 * y_on - t_on, batch)
         stopped = []
         if it % _CHECK_EVERY == 0 or it == batch.first_stop:
             at_max = it == batch.max_iterations
             due = at_max | (it % _CHECK_EVERY == 0)
-            system.level_op(z, adjoint=True, out=s)
-            objective = np.abs(s, out=s).sum(axis=1)
-            p_on = ((t.reshape(-1)[batch.flat] - y.reshape(-1)[batch.flat])
-                    / batch.spread(batch.gamma))
-            s.fill(0.0)
-            s.reshape(-1)[batch.flat] = p_on
-            system.level_op(s, adjoint=True, out=s)
-            p_on /= batch.spread(np.maximum(1.0, np.abs(s, out=s).max(axis=1)))
+            # z goes into s; t is scratch from here on, as the next t is y
+            # with its sampled entries updated
+            z = s
+            np.multiply(y, 2.0, out=z)
+            np.subtract(z, t, out=z)
+            z.reshape(-1)[batch.flat] = z_on
+            system.level_op(z, adjoint=True, out=t)
+            objective = np.abs(t, out=t).sum(axis=1)
+            p_on = (t_on - y_on) / batch.spread(batch.gamma)
+            t.fill(0.0)
+            t.reshape(-1)[batch.flat] = p_on
+            system.level_op(t, adjoint=True, out=t)
+            p_on /= batch.spread(np.maximum(1.0, np.abs(t, out=t).max(axis=1)))
             dual = (batch.row_sums(p_on * batch.beta) - batch.radius
                     * np.sqrt(batch.row_sums(np.square(p_on / batch.root_c))))
             gap_ok = objective - dual <= batch.tol_gap * objective
             for k in np.flatnonzero(due & (gap_ok | at_max)):
                 d = batch.data[k]
-                residual = math.sqrt(float(np.sum(
-                    np.square(d.w * z[k, d.rows] - d.b))))
+                residual = _norm(d.w * z[k, d.rows] - d.b)
                 converged = bool(residual - d.eps <= d.feas_slack
                                  and gap_ok[k])
                 if converged or at_max[k]:
                     with np.errstate(divide="ignore", invalid="ignore"):
                         gap = float((objective[k] - dual[k]) / objective[k])
                     stopped.append((k, residual, converged, gap))
+        t, y = y, t
+        t_on = t_on + (z_on - y_on)
+        t.reshape(-1)[batch.flat] = t_on
         if stopped:
             spectra = np.empty((len(stopped), n))
             spectra[:, order] = z[[k for k, *_ in stopped]]
@@ -348,14 +391,12 @@ def solve_bpdn_batch(problems):
             live = [i for i, kept in zip(live, keep) if kept]
             if not live:
                 break
-            # move the kept rows to the front of each buffer
+            # move the kept rows of t to the front; y and s are scratch
             rows = np.flatnonzero(keep)
-            for buf in (t, y, z):
-                buf[:rows.size] = buf[rows]
-            t, y, z, s = (buf[:rows.size] for buf in (t, y, z, s))
+            t[:rows.size] = t[rows]
+            t, y, s = (buf[:rows.size] for buf in (t, y, s))
             batch = _Batch([d for d, kept in zip(batch.data, keep) if kept], n)
-        np.subtract(z, y, out=s)
-        np.add(t, s, out=t)
+            t_on = t.reshape(-1)[batch.flat]
     return reports
 
 

@@ -20,6 +20,7 @@ from .indexing import LevelPartition
 from .transforms import _require_pow2
 
 SRE_CAP_DB = 300.0
+_NORM_BLOCK = 1 << 14
 SIGNAL_KINDS = ("gaussian_bump", "blocks", "bumps", "heavisine", "doppler",
                 "shepp_logan")
 
@@ -180,12 +181,23 @@ class NoiseDraw:
     weighted_norm: float | None = None
 
 
+def _norm(x):
+    """The Euclidean norm of all entries of x, from numpy sums of squares
+    over blocks of _NORM_BLOCK entries, so that no temporary exceeds
+    128 KiB.  np.linalg.norm calls BLAS ddot, which OpenBLAS runs on its
+    threads above 10,000 entries: in a process pinned to one CPU a
+    65,536-entry norm took 3-33 ms, and the woken thread slowed the next
+    100 transforms by 1.6-2.9x."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    return math.sqrt(sum(float(np.sum(np.square(x[i:i + _NORM_BLOCK])))
+                         for i in range(0, x.size, _NORM_BLOCK)))
+
+
 def noise_sigma(snr_db, x, n_meas):
     """Component deviation so that 20 log10(||x|| / (sigma sqrt(n_meas))) = snr."""
     if math.isinf(snr_db):
         return 0.0
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.linalg.norm(x.reshape(-1)) / (math.sqrt(n_meas) * 10.0 ** (snr_db / 20.0)))
+    return _norm(x) / (math.sqrt(n_meas) * 10.0 ** (snr_db / 20.0))
 
 
 def make_noise(spec, x, n_meas, weights=None, rng=None):
@@ -209,8 +221,8 @@ def make_noise(spec, x, n_meas, weights=None, rng=None):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n_meas,):
             raise ValueError("weights length must match the noise length")
-        weighted = float(np.linalg.norm(weights * vector) / math.sqrt(n_meas))
-    return NoiseDraw(vector, sigma, float(np.linalg.norm(vector)), weighted)
+        weighted = _norm(weights * vector) / math.sqrt(n_meas)
+    return NoiseDraw(vector, sigma, _norm(vector), weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +305,10 @@ def sre_db(x, x_hats):
     Returns (aggregate dB, per-trial dB array, per-trial error norms).
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(x))
+    norm = _norm(x)
     if norm == 0.0:
         raise ValueError("reference signal must be nonzero")
-    errors = np.array([float(np.linalg.norm(x - np.asarray(xh, dtype=np.float64).reshape(-1)))
+    errors = np.array([_norm(x - np.asarray(xh, dtype=np.float64).reshape(-1))
                        for xh in x_hats])
     with np.errstate(divide="ignore"):
         ratios = np.where(errors > 0, norm / np.maximum(errors, 1e-300), np.inf)
@@ -386,11 +398,16 @@ def _read_csv(path, headers):
     column.  Blank lines are skipped, and there must be a data row.  Cells
     follow numpy's grammar: ASCII digits with an optional sign, and floats
     as Python writes them (``inf``, ``nan``); no ``_`` separators, quotes
-    or comments."""
-    with open(path, "r", encoding="ascii") as fh:
+    or comments.  A byte outside ASCII is read as a lone surrogate, which
+    no cell parses, so it is reported with its row."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header not in headers:
-            raise ValueError(f"{path}: unrecognised CSV header {header!r}")
+            byte = _non_ascii(header)
+            raise ValueError(f"{path}: unrecognised CSV header {header!r}"
+                             if byte is None else
+                             f"{path}: the header holds the non-ASCII byte "
+                             f"{byte}")
         names = header.split(",")
         dtype = np.dtype([(name, np.int64) for name in names[:-1]]
                          + [(names[-1], np.float64)])
@@ -407,16 +424,28 @@ def _read_csv(path, headers):
     return {name: table[name] for name in names}
 
 
+def _non_ascii(line):
+    """The first byte of ``line`` outside ASCII, as read with
+    ``errors="surrogateescape"``, in hex; None if there is none."""
+    if line.isascii():
+        return None
+    return hex(next(ord(ch) - 0xDC00 for ch in line if not ch.isascii()))
+
+
 def _parse_error(path, header, exc):
     """The ValueError for the file ``path`` that ``np.loadtxt`` rejected
-    with ``exc``: it names the first data row with the wrong number of
-    cells, else the first integer cell outside int64, else repeats
-    ``exc``."""
+    with ``exc``: it names the first data row (1-based, blank lines not
+    counted) that holds a non-ASCII byte or has the wrong number of cells,
+    else the first integer cell outside int64, else repeats ``exc``."""
     width = header.count(",") + 1
     cell = None
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         fh.readline()
-        for line in filter(str.strip, fh):
+        for row, line in enumerate(filter(str.strip, fh), 1):
+            byte = _non_ascii(line)
+            if byte is not None:
+                return ValueError(f"{path}: data row {row} holds the "
+                                  f"non-ASCII byte {byte}")
             cells = line.split(",")
             if len(cells) != width:
                 return ValueError(f"{path}: row {line.strip()!r} is not "

@@ -159,7 +159,10 @@ def _require_pow2(n, what="length"):
 # at the end.
 
 _FACTOR_MAX = 5          # factors are at most 32 x 32
-_GEMM_CAP = 1 << 17      # m*n*k per gemm; larger gemms wake OpenBLAS threads
+# m*n*k per gemm; larger gemms wake OpenBLAS threads, as does a ddot of more
+# than 10,000 entries (see signals._norm).  In a process pinned to one CPU a
+# woken thread stalls the call and slows the calls after it.
+_GEMM_CAP = 1 << 17
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,10 +173,23 @@ def _paley_factor(f):
     return signs
 
 
-def _digit_split(r):
+@functools.lru_cache(maxsize=None)
+def _sylvester_factor(f, scale=1.0):
+    """``scale`` times the Sylvester (natural-order) Hadamard sign matrix of
+    size 2^f, the f-th Kronecker power of [[1, 1], [1, -1]], read-only.  It
+    is symmetric, and S_a (x) S_b = S_ab."""
+    signs = np.ones((1, 1))
+    for _ in range(f):
+        signs = np.kron(signs, [[1.0, 1.0], [1.0, -1.0]])
+    signs *= scale
+    signs.flags.writeable = False
+    return signs
+
+
+def _digit_split(r, most=_FACTOR_MAX):
     """Exponents of the factors of a length-2^r axis: near-equal, each at
-    most _FACTOR_MAX."""
-    m = -(-r // _FACTOR_MAX)
+    most ``most``, largest first."""
+    m = -(-r // most)
     return [r // m + (i < r % m) for i in range(m)]
 
 
@@ -196,23 +212,24 @@ def _paley_plan(shape):
 
 def _apply_factor(p, src, dst):
     """dst = p applied along axis 2 of the (lead, pre, a, rest) arrays src,
-    dst, in gemms of at most _GEMM_CAP multiply-adds.  Each of the ``lead``
+    dst, in gemms of at most _GEMM_CAP multiply-adds; p is symmetric.  The
+    lead axis may step over rows of a larger array.  Each of the ``lead``
     inputs gives the same bits as it would alone: a lone vector (pre = rest
     = 1) is a vector-matrix product, which BLAS sums in another order than
     a gemm row, so it stays one in a batch."""
     lead, pre, a, rest = src.shape
     step = max(1, _GEMM_CAP // (a * a))
-    if rest == 1 and pre == 1:
-        np.matmul(src.reshape(lead, 1, a), p, out=dst.reshape(lead, 1, a))
-    elif rest == 1:                     # p is symmetric: rows times p
-        src, dst = src.reshape(lead * pre, a), dst.reshape(lead * pre, a)
-        for s in range(0, lead * pre, step):
-            np.matmul(src[s:s + step], p, out=dst[s:s + step])
-    else:
-        src = src.reshape(lead * pre, a, rest)
-        dst = dst.reshape(lead * pre, a, rest)
+    if rest > 1:
         for s in range(0, rest, step):
-            np.matmul(p, src[:, :, s:s + step], out=dst[:, :, s:s + step])
+            np.matmul(p, src[..., s:s + step], out=dst[..., s:s + step])
+        return
+    src, dst = src[..., 0], dst[..., 0]
+    if pre > 1 and src.flags.c_contiguous and dst.flags.c_contiguous:
+        # rows times p, in one gemm over every input
+        src = src.reshape(1, lead * pre, a)
+        dst = dst.reshape(1, lead * pre, a)
+    for s in range(0, src.shape[1], step):
+        np.matmul(src[:, s:s + step], p, out=dst[:, s:s + step])
 
 
 def _paley(x, scale, batch):

@@ -354,6 +354,22 @@ def test_cmd_transform_rejects_cells_outside_the_grammar(tmp_path, capsys,
     assert "is not index,value" in err
 
 
+@pytest.mark.parametrize("body,where", [
+    (b"index,value\n1,0.5\n\n2,0.\xe95\n", "data row 2 holds"),
+    (b"index,value\n1,0.5\n" + b"2,1\n" * 3000 + b"\xe9\n",
+     "data row 3002 holds"),
+    (b"ind\xe9x,value\n1,0.5\n", "the header holds")],
+    ids=["row", "past-the-first-block", "header"])
+def test_cmd_transform_names_a_non_ascii_byte(tmp_path, capsys, body, where):
+    path = tmp_path / "x.csv"
+    path.write_bytes(body)
+    assert main(["transform", "--basis", "dhw", "--input", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CODES["validation"]
+    assert capsys.readouterr().err == (f"error:validation: {path}: {where} "
+                                       f"the non-ASCII byte 0xe9\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_transform_position_check_ignores_the_largest_index(tmp_path,
                                                                  capsys):
     # a check sized by the largest index took 3.8 GiB and 4.5 s on this file

@@ -282,32 +282,45 @@ def test_system_methods_apply_u_and_its_adjoint(case):
                 assert row.tobytes() == np.ascontiguousarray(single).tobytes()
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(_system_and_vectors())
-def test_level_op_is_u_in_level_order(case):
-    system, column, (s, q, x) = case
-    order = system.level_order
-    assert not order.flags.writeable
-    assert np.array_equal(np.sort(order), np.arange(system.n_total))
-    u = system_matrix(system)[np.ix_(order, order)]
+def _assert_level_op(system, column, s, q, x, u=None):
+    """level_op against U between the two orders: the dense matrix ``u``
+    with rows in spectral order and columns in level order, or, without
+    it, the flat-order compositions, which are exact on unit vectors."""
+    order, spectral = system.level_order, system.spectral_order
+    for perm in (order, spectral):
+        assert not perm.flags.writeable
+        assert np.array_equal(np.sort(perm), np.arange(system.n_total))
+    if system.tag != "had2_idhw":
+        assert np.array_equal(spectral, order)
+    # the flat-order compositions, permuted
+    compositions = (
+        (False, order, spectral,
+         lambda v: system.spectrum(system.synthesis(v))),
+        (True, spectral, order,
+         lambda v: system.coefficients(system.signal(v))))
+
+    def composed(adjoint, v):
+        _, into, back, compose = compositions[adjoint]
+        flat = np.empty(system.n_total)
+        flat[into] = v
+        return compose(flat)[back]
+
     unit = np.zeros(system.n_total)
     unit[column] = 1.0
     for adjoint in (False, True):
+        want = (composed(adjoint, unit) if u is None
+                else u[column] if adjoint else u[:, column])
         np.testing.assert_allclose(system.level_op(unit, adjoint=adjoint),
-                                   u[:, column], rtol=0, atol=1e-15)
-    # the flat-order compositions, permuted; bit for bit in natural order
-    compositions = ((False, lambda v: system.spectrum(system.synthesis(v))),
-                    (True, lambda v: system.coefficients(system.signal(v))))
-    for adjoint, compose in compositions:
-        flat = np.empty(system.n_total)
-        flat[order] = s
-        want = compose(flat)[order]
+                                   want, rtol=0, atol=1e-15)
+    # bit for bit in natural order
+    for adjoint in (False, True):
         got = system.level_op(s, adjoint=adjoint)
         if system.tag == "had2_idhw":
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, composed(adjoint, s), rtol=0,
+                                       atol=1e-12)
         else:
-            assert got.tobytes() == want.tobytes()
-    # symmetric in level order: <U s, q> = <s, U q>
+            assert got.tobytes() == composed(adjoint, s).tobytes()
+    # symmetric between the two orders: <U s, q> = <s, U q>
     assert math.isclose(float(system.level_op(s) @ q),
                         float(s @ system.level_op(q)),
                         rel_tol=1e-12, abs_tol=1e-12)
@@ -320,6 +333,30 @@ def test_level_op_is_u_in_level_order(case):
         inplace = batch.copy()
         assert system.level_op(inplace, adjoint, out=inplace) is inplace
         assert inplace.tobytes() == rows.tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_system_and_vectors())
+def test_level_op_is_u_in_level_order(case):
+    system, column, (s, q, x) = case
+    u = system_matrix(system)[np.ix_(system.spectral_order,
+                                     system.level_order)]
+    _assert_level_op(system, column, s, q, x, u)
+
+
+@pytest.mark.parametrize("r", [5, 8])
+def test_level_op_factor_steps(r):
+    # idhw levels 5 to 8 take two to four factor steps through the kept
+    # buffers; at r = 8 the dense U is past its size cap, so the
+    # compositions are the reference
+    system = SystemKind("had2_idhw", r)
+    rng = np.random.default_rng(r)
+    u = (system_matrix(system)[np.ix_(system.spectral_order,
+                                      system.level_order)]
+         if r == 5 else None)
+    for column in (0, 300, system.n_total - 1):
+        _assert_level_op(system, column,
+                         *rng.standard_normal((3, system.n_total)), u)
 
 
 def test_level_op_rejects_other_layouts():

@@ -7,8 +7,9 @@ from scipy.optimize import linprog, minimize
 from hadhaar.cli import EXIT_CODES, main
 from hadhaar.coherence import SystemKind, system_matrix
 from hadhaar.indexing import build_levels
-from hadhaar.recovery import (RecoveryProblem, RecoveryReport, me_reconstruct,
-                              solve_bpdn, solve_bpdn_batch)
+from hadhaar.recovery import (RecoveryProblem, RecoveryReport, _Batch,
+                              _collapse, _project_ellipsoid, _weighted_data,
+                              me_reconstruct, solve_bpdn, solve_bpdn_batch)
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
                               rng_stream, uds_pmf, vds_pmf)
 from hadhaar.signals import NoiseSpec, make_noise, save_signal_csv
@@ -268,6 +269,70 @@ def test_batch_rows_bit_equal_alone(tag, r):
     assert batch[-1].stop_reason == "max_iterations"
     assert batch[-1].iterations == 3
     assert reasons == {"converged", "max_iterations", "zero_data"}
+
+
+def _bisected_projection(v, beta, c, radius):
+    """The projection of v onto {z : sum c (z - beta)^2 <= radius^2}, its
+    multiplier found by bisection on the secular equation."""
+    d = v - beta
+
+    def q(lam):
+        return math.sqrt(float(np.sum(c * d * d / (1.0 + lam * c) ** 2)))
+
+    if radius == 0.0:
+        return beta
+    if q(0.0) <= radius:
+        return v
+    lo, hi = 0.0, 1.0
+    while q(hi) > radius:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if q(mid) > radius else (lo, mid)
+    return beta + d / (1.0 + 0.5 * (lo + hi) * c)
+
+
+def test_grouped_projection_matches_bisection():
+    system = SystemKind("had_dhw_1d", 6)
+    n = system.n_total
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal(n)
+    # repeated indices with four weights, so c repeats; then a noiseless
+    # row (radius 0) and a row whose point is inside its ball
+    data = []
+    for strategy, m, eps in (("vds", 48, 0.05), ("mds", 20, 0.0),
+                             ("uds", 48, 10.0)):
+        omega = (rng.choice(np.arange(1, n + 1), m, replace=False)
+                 if strategy == "mds" else rng.integers(1, n + 1, size=m))
+        sample = SampleSet(omega, rng.choice([0.5, 1.0, 2.0, 4.0], size=m),
+                           strategy, seed="0")
+        problem = RecoveryProblem(system, sample, base[omega - 1], eps)
+        data.append(_collapse(problem, *_weighted_data(problem),
+                              np.arange(n)))
+    batch = _Batch(data, n)
+    assert batch.group_c.size < batch.c.size
+    assert list(batch.radius[1:]) == [0.0, pytest.approx(10.0)]
+    shift = rng.standard_normal(batch.c.size)
+    v = batch.beta + np.where(batch.spread(np.array([1.0, 1.0, 1e-3])) == 1.0,
+                              shift, 1e-3 * shift)
+    together = _project_ellipsoid(v, batch)
+    for k, d in enumerate(data):
+        rows = slice(batch.starts[k], batch.starts[k] + batch.sizes[k])
+        alone = _project_ellipsoid(v[rows], _Batch([d], n))
+        assert alone.tobytes() == together[rows].tobytes()
+        want = _bisected_projection(v[rows], d.beta, d.c, d.radius)
+        np.testing.assert_allclose(alone, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+    assert np.array_equal(together[batch.starts[1]:batch.starts[2]],
+                          data[1].beta)
+    assert np.array_equal(together[batch.starts[2]:], v[batch.starts[2]:])
+    # the first row was outside: its projection lies on the boundary
+    d = data[0]
+    z = together[:batch.sizes[0]]
+    assert math.isclose(math.sqrt(float(np.sum(d.c * (z - d.beta) ** 2))),
+                        d.radius, rel_tol=1e-12)
 
 
 def test_batch_rejects_mixed_systems():

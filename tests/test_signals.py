@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hadhaar.indexing import build_levels
-from hadhaar.signals import (_BLOCK_ROWS, NoiseSpec, best_term_l1_error,
+from hadhaar.signals import (_BLOCK_ROWS, NoiseSpec, _norm, best_term_l1_error,
                              effective_sparsity, gaussian_bump, generate,
                              hard_threshold, load_signal_csv, make_noise,
                              noise_sigma, save_image_csv, save_pgm,
@@ -111,6 +111,24 @@ def test_make_noise_noiseless_and_weighted():
         make_noise(NoiseSpec(10.0), x, 5, weights=np.ones(4))
     with pytest.raises(ValueError):
         make_noise(NoiseSpec(10.0), x, 0)
+
+
+@pytest.mark.parametrize("shape", [(1,), (9_999,), (10_001,), (256, 256)])
+def test_norm_matches_linalg_norm(shape):
+    # np.linalg.norm runs BLAS ddot, threaded above 10,000 entries
+    x = np.random.default_rng(shape[0]).standard_normal(shape)
+    assert _norm(x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-15)
+
+
+def test_noise_norms_match_their_vectors():
+    x = generate("gaussian_bump", 512, sigma=24.0, center=200)
+    w = np.random.default_rng(3).uniform(0.5, 2.0, 16_384)
+    draw = make_noise(NoiseSpec(20.0, seed=4), x, w.size, weights=w)
+    assert draw.norm == pytest.approx(float(np.linalg.norm(draw.vector)),
+                                      rel=1e-15)
+    assert draw.weighted_norm == pytest.approx(
+        float(np.linalg.norm(w * draw.vector)) / math.sqrt(w.size),
+        rel=1e-15)
 
 
 def test_make_noise_deterministic():
