@@ -13,11 +13,13 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
 
 * ``draw_sample`` with the vds and mds plans at 2-D r = 9 (N/4 indices, mds
   sized by the Shepp-Logan phantom's effective sparsity at rho = 0.995);
-* U v for ``had2_idhw`` at r in {7, 8, 9}: ``level_op`` (one flat
-  Walsh-Hadamard transform per level, from level order to spectral order)
-  against the two flat-order compositions ``spectrum(synthesis(v))`` and
-  ``coefficients(signal(v))``, and ``level_op`` on a batch of 20 at r in
-  {7, 8}, timed per call;
+* U v for ``had2_idhw`` at r in {7, 8, 9}, ``had_dhw_1d`` at r = 9 and
+  ``had2_adhw`` at r = 7: ``level_op`` (one flat Walsh-Hadamard transform
+  per block, from level order to spectral order) against the two
+  flat-order compositions ``spectrum(synthesis(v))`` and
+  ``coefficients(signal(v))``, and ``level_op`` on a batch of 20 for idhw
+  at r in {7, 8} and for 1-D at r = 9 (the strategy-ordering experiment's
+  batch), timed per call;
 * the data-ball projection ``_project_ellipsoid`` on the vds problem below,
   at the solver's first iterate (v = 0 on the sample);
 * the solver per row-iteration at 1-D r = 9 on 20 vds problems shaped
@@ -146,18 +148,21 @@ def _solver_problems():
 
 
 def _level_op_layers():
-    """(r, layer name, batch, function, input) for U v at 2-D r = 7, 8 and
-    9, and for a batch of 20 at r = 7 and 8."""
-    for r in (7, 8, 9):
-        system = SystemKind("had2_idhw", r)
+    """(system, layer name, batch, function, input) for U v: idhw at r = 7,
+    8 and 9, 1-D at r = 9 and adhw at r = 7, with a batch of 20 for idhw
+    at r = 7 and 8 and for 1-D."""
+    for tag, r, batched in (("had2_idhw", 7, True), ("had2_idhw", 8, True),
+                            ("had2_idhw", 9, False), ("had_dhw_1d", 9, True),
+                            ("had2_adhw", 7, False)):
+        system = SystemKind(tag, r)
         rows = np.random.default_rng(r).standard_normal((20, system.n_total))
-        for v in [rows[0]] + ([rows] if r < 9 else []):
+        for v in [rows[0]] + ([rows] if batched else []):
             out = np.empty_like(v)
-            yield (r, "level_op", len(v) if v.ndim == 2 else 1,
+            yield (system, "level_op", len(v) if v.ndim == 2 else 1,
                    lambda u, s=system, o=out: s.level_op(u, out=o), v)
-        yield (r, "spectrum_synthesis", 1,
+        yield (system, "spectrum_synthesis", 1,
                lambda u, s=system: s.spectrum(s.synthesis(u)), rows[0])
-        yield (r, "coefficients_signal", 1,
+        yield (system, "coefficients_signal", 1,
                lambda u, s=system: s.coefficients(s.signal(u)), rows[0])
 
 
@@ -233,8 +238,10 @@ def main():
             for name, fn, arg in _layers(tag, r):
                 rows.append({"layer": name, "dim": dim, "r": r,
                              "us_per_call": round(_us_per_call(fn, arg), 1)})
-    for r, name, batch, fn, arg in _level_op_layers():
-        rows.append({"layer": name, "dim": 2, "r": r, "batch": batch,
+    for system, name, batch, fn, arg in _level_op_layers():
+        rows.append({"layer": name, "system": system.tag,
+                     "dim": 2 if system.is_2d else 1, "r": system.r,
+                     "batch": batch,
                      "us_per_call": round(_us_per_call(fn, arg), 1)})
     fn, arg = _projection_layer()
     rows.append({"layer": "project_ellipsoid", "dim": 2, "r": 8,

@@ -23,31 +23,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexing import LevelPartition, build_levels, index_to_pair
+from .indexing import build_levels
 from .transforms import (
     BasisKind,
     _apply_factor,
     _basis_parts,
     _digit_split,
-    _hadamard_parts,
     _half_exponents,
-    _kron_parts,
-    _materialize,
     _pow2_half,
     _pow2_half_array,
     _require_size,
     _sylvester_factor,
-    dense_basis,
     fwht,
     haar_transform,
 )
 
 SYSTEM_TAGS = ("had_dhw_1d", "had2_idhw", "had2_adhw")
 MODES = ("closed", "brute")
-# An idhw level's transform takes factors of at most 2^_LEVEL_FACTOR_MAX,
-# smallest first.  Pinned to one CPU, the 3 x 2^14 entries of level 8 took
-# 150-195 us in factors of 8, 8, 16, 16 against 200-285 us in factors of
-# 32, 32, 16; level 6 took about 5 us more (22 against 17 us) and the
+# A level's transform takes factors of at most 2^_LEVEL_FACTOR_MAX,
+# smallest first.  Pinned to one CPU, the 3 x 2^14 entries of idhw level 8
+# took 150-195 us in factors of 8, 8, 16, 16 against 200-285 us in factors
+# of 32, 32, 16; level 6 took about 5 us more (22 against 17 us) and the
 # other levels of r <= 9 split the same way as with factors of 32.
 _LEVEL_FACTOR_MAX = 4
 
@@ -157,117 +153,132 @@ class SystemKind:
         s, batch = self._shaped(s)
         return haar_transform(self.sparsity_basis, "synthesis", s, batch=batch)
 
-    # In level order, a fixed permutation of the flat indices, U is
-    # block-diagonal over the wavelet levels.  Coefficients are taken in
-    # ``level_order`` and spectra in ``spectral_order``.  For idhw the level
-    # order is the iso partition's, in which level l >= 1 holds three
-    # contiguous (2^(l-1))^2 squares, each a C-ordered a x a image,
-    # a = 2^(l-1), on which U acts as H_a (x) H_a.  The Paley matrix is
+    # In level order, a fixed permutation of the flat indices that
+    # concatenates the partition's levels, U is block-diagonal: level t
+    # is ``count`` copies of one Hadamard block, H_a on a length a or
+    # H_b (x) H_a on a C-ordered b x a image, with a and b powers of two
+    # (``level_table``).  Each U_t maps the level's coefficients to the
+    # spectrum entries at the same flat indices.  The Paley matrix is
     # H_a = S_a B_a / sqrt(a), with S_a the Sylvester (natural-order)
     # Hadamard sign matrix and B_a the bit reversal, which commutes with
-    # S_a; so reading each square's spectrum in bit-reversed rows and
-    # columns leaves S_a (x) S_a / a = S_{a^2} / a, one flat Walsh-Hadamard
-    # transform of each square.  Between the two orders U is then
-    # blockdiag(1, I_3 (x) S_1, ..., I_3 (x) S_{4^(r-1)} / 2^(r-1)), which
-    # is symmetric.  For the other systems both orders are the natural
-    # order, in which U is blockdiag(1, H_0, ..., H_{r-1}) or its Kronecker
-    # square.
+    # S_a; so reading each block's spectrum in bit-reversed rows and
+    # columns (``spectral_order``) leaves S_b (x) S_a / sqrt(ab) =
+    # S_ab / sqrt(ab), one flat Walsh-Hadamard transform of each block.
+    # Between the two orders U is then blockdiag(I_count (x) S_n / sqrt(n))
+    # over the levels, n the block size, which is symmetric.
+
+    @functools.cached_property
+    def level_table(self):
+        """Per level, in the partition's list order: its offset in level
+        order, its number of blocks and its block shape, (a,) in 1-D or
+        (b, a) in 2-D, each side a power of two.  This is the one place
+        that names a system's block geometry."""
+        sides = [1] + [1 << l for l in range(self.r)]       # |T_t|
+        if self.tag == "had_dhw_1d":
+            blocks = [(1, (a,)) for a in sides]
+        elif self.tag == "had2_idhw":
+            # level l >= 1: three a x a subband squares
+            blocks = [(1, (1, 1))] + [(3, (a, a)) for a in sides[1:]]
+        else:
+            # level (t1, t2), t1 fastest: the flattening of T_t1 x T_t2 is
+            # a C-ordered |T_t2| x |T_t1| image
+            blocks = [(1, (b, a)) for b in sides for a in sides]
+        table, offset = [], 0
+        for count, shape in blocks:
+            table.append((offset, count, shape))
+            offset += count * math.prod(shape)
+        return tuple(table)
 
     @functools.cached_property
     def level_order(self):
         """The flat (0-based) index of the coefficient at each level-order
         position, read-only."""
-        if self.tag == "had2_idhw":
-            order = np.concatenate(self.partition().levels) - 1
-        else:
-            order = np.arange(self.n_total)
+        order = np.concatenate(self.partition().levels) - 1
         order.flags.writeable = False
         return order
 
     @functools.cached_property
     def spectral_order(self):
         """The flat (0-based) index of the spectrum entry at each
-        spectral-order position, read-only: the level order with each idhw
-        square read in bit-reversed rows and columns."""
-        if self.tag != "had2_idhw":
-            return self.level_order
+        spectral-order position, read-only: the level order with each
+        block read in bit-reversed rows and columns."""
         perm = np.arange(self.n_total)
-        rev = np.zeros(1, dtype=np.int64)
-        for l in range(2, self.r + 1):
-            # the bit reversal of range(a), a = 2^(l-1), from that of a / 2
-            rev = np.concatenate([2 * rev, 2 * rev + 1])
-            a = rev.size
-            square = (rev[:, None] * a + rev).reshape(-1)
-            perm[a * a:4 * a * a] = (a * a * np.arange(1, 4)[:, None]
-                                     + square).reshape(-1)
+        for offset, count, shape in self.level_table:
+            within = np.zeros(1, dtype=np.int64)
+            for side in shape:
+                within = (within[:, None] * side
+                          + _bit_reversal(side)).reshape(-1)
+            size = within.size
+            perm[offset:offset + count * size] = (
+                offset + size * np.arange(count)[:, None] + within).reshape(-1)
         order = self.level_order[perm]
         order.flags.writeable = False
         return order
 
     @functools.cached_property
     def _level_plan(self):
-        """The idhw level operator past level 1, which is the identity: for
-        each level its positions and factor steps (factor, squares times
-        the digits before it, factor size, digits after it).  The level's
-        scale 2^-(l-1) is folded into its first factor, exactly, as it is a
-        power of two."""
-        plan = []
-        for l in range(2, self.r + 1):
-            lo = 1 << 2 * (l - 1)           # a^2, the size of a square
-            digits = sorted(_digit_split(2 * (l - 1), _LEVEL_FACTOR_MAX))
+        """The level operator's work: the spans of the levels whose blocks
+        have one entry, where U is the identity, merged where they touch;
+        and for each other level its span and factor steps (factor, blocks
+        times the digits before it, factor size, digits after it).  A
+        block of 2^k entries takes factors of at most 2^_LEVEL_FACTOR_MAX,
+        smallest first, with its scale 2^(-k/2) folded into the first."""
+        copies, plan = [], []
+        for offset, count, shape in self.level_table:
+            k = math.prod(shape).bit_length() - 1
+            hi = offset + (count << k)
+            if k == 0:
+                if copies and copies[-1][1] == offset:
+                    offset = copies.pop()[0]
+                copies.append((offset, hi))
+                continue
+            digits = sorted(_digit_split(k, _LEVEL_FACTOR_MAX))
             sizes = [1 << f for f in digits]
-            plan.append((lo, 4 * lo, [
-                (_sylvester_factor(f, math.ldexp(1.0, 1 - l) if d == 0
-                                   else 1.0),
-                 3 * math.prod(sizes[:d]), sizes[d],
+            plan.append((offset, hi, [
+                (_sylvester_factor(f, _pow2_half(-k) if d == 0 else 1.0),
+                 count * math.prod(sizes[:d]), sizes[d],
                  math.prod(sizes[d + 1:]))
                 for d, f in enumerate(digits)]))
-        return plan
+        return copies, plan
 
     def _level_work(self, rows):
-        """Two scratch arrays of ``rows`` rows for the largest level, kept
-        for the system's life and grown only when a larger batch comes (in
-        the instance dict, as the dataclass is frozen).  Calls that share a
-        system therefore must not run at once."""
+        """Two scratch arrays of ``rows`` rows for the largest level span,
+        kept for the system's life and grown only when a larger batch comes
+        (in the instance dict, as the dataclass is frozen).  Calls that
+        share a system therefore must not run at once."""
         work = self.__dict__.get("_work")
         if work is None or work.shape[1] < rows:
-            work = np.empty((2, rows, 3 * self.n_total // 4))
+            span = max([0] + [hi - lo for lo, hi, _ in self._level_plan[1]])
+            work = np.empty((2, rows, span))
             self.__dict__["_work"] = work
         return work[:, :rows]
 
     def level_op(self, v, adjoint=False, out=None):
         """U v for coefficients v in level order, giving the spectrum in
         spectral order; with ``adjoint``, U^T v for a spectrum v in spectral
-        order, giving coefficients in level order.  v is flat, optionally
-        after a batch axis; the result is written to ``out`` (which may be
-        v) when given.  idhw applies the symmetric U above, whichever the
-        direction: per level, a flat Walsh-Hadamard transform of 3 B
-        contiguous squares in factor steps through kept buffers, the last
-        straight into ``out``.  The other systems keep the two
-        compositions: spectrum(synthesis(v)), or coefficients(signal(v))
-        with ``adjoint``, whose roundings differ.  Each row of a batch comes
-        out bit for bit as it would alone."""
+        order, giving coefficients in level order.  Both apply the
+        symmetric U above: one-entry blocks are copied, and each other
+        level takes a flat Walsh-Hadamard transform of every block of every
+        row at once, in factor steps through kept buffers, the last
+        straight into ``out`` (which may be v) when given.  v is flat,
+        optionally after a batch axis; each row of a batch comes out bit
+        for bit as it would alone."""
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.n_total:
             raise ValueError(f"{self.tag} with r = {self.r} expects "
                              f"{self.n_total} entries in level order, "
                              f"optionally after a batch axis, got shape "
                              f"{v.shape}")
-        if self.tag != "had2_idhw":
-            u_v = (self.coefficients(self.signal(v)) if adjoint
-                   else self.spectrum(self.synthesis(v)))
-            if out is None:
-                return u_v
-            np.copyto(out, u_v)
-            return out
         if out is None:
             out = np.empty(v.shape)
         src_rows = v.reshape(-1, self.n_total)
         out_rows = out.reshape(-1, self.n_total)
         rows = src_rows.shape[0]
-        out_rows[:, :4] = src_rows[:, :4]
+        copies, plan = self._level_plan
+        for lo, hi in copies:
+            out_rows[:, lo:hi] = src_rows[:, lo:hi]
         work = self._level_work(rows)
-        for lo, hi, steps in self._level_plan:
+        for lo, hi, steps in plan:
             src = src_rows[:, lo:hi]
             for d, (p, pre, a, rest) in enumerate(steps):
                 dst = (out_rows[:, lo:hi] if d == len(steps) - 1
@@ -276,6 +287,14 @@ class SystemKind:
                               dst.reshape(rows, pre, a, rest))
                 src = dst
         return out
+
+
+def _bit_reversal(a):
+    """The bit reversal of range(a), a a power of two."""
+    rev = np.zeros(1, dtype=np.int64)
+    while rev.size < a:
+        rev = np.concatenate([2 * rev, 2 * rev + 1])
+    return rev
 
 
 def _as_system(system, r=None):
@@ -341,44 +360,31 @@ def _exact_product(x, y):
 
 
 def _level_blocks(system):
-    """|U| with rows and columns in level-list order, and the maximum of each
-    of its level blocks."""
-    part = system.partition()
-    order = np.concatenate(part.levels) - 1
+    """|U| with rows and columns in level order, and the maximum of each of
+    its level blocks."""
+    order = system.level_order
     u = system_matrix(system)[np.ix_(order, order)]
     np.abs(u, out=u)
-    starts = np.cumsum(part.sizes) - part.sizes
+    starts = [offset for offset, _, _ in system.level_table]
     rows = np.maximum.reduceat(u, starts, axis=0)
     return u, np.maximum.reduceat(rows, starts, axis=1)
+
+
+def _level_exponents(system):
+    """k_t per level: each block of level t is a Hadamard block of 2^k_t
+    entries, all of magnitude 2^(-k_t/2)."""
+    return np.array([math.prod(shape).bit_length() - 1
+                     for _, _, shape in system.level_table], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # local coherence
 # ---------------------------------------------------------------------------
 
-def _floor_log2(values):
-    return np.floor(np.log2(values.astype(np.float64))).astype(np.int64)
-
-
 def _local_closed(system):
-    n = system.side
-    if system.tag == "had_dhw_1d":
-        mu = np.ones(n)
-        l = np.arange(2, n + 1)
-        mu[1:] = _pow2_half_array(-_floor_log2(l - 1))
-        return mu
-    l = np.arange(1, n * n + 1)
-    l1, l2 = index_to_pair(l, n, n)
-    if system.tag == "had2_idhw":
-        m = np.maximum(l1, l2)
-        mu = np.ones(n * n)
-        inner = m > 1
-        mu[inner] = _pow2_half_array(-2 * _floor_log2(m[inner] - 1))
-        return mu
-    # anisotropic: product of the two 1-D exponents, evaluated jointly
-    e1 = np.where(l1 > 1, _floor_log2(np.maximum(l1 - 1, 1)), 0)
-    e2 = np.where(l2 > 1, _floor_log2(np.maximum(l2 - 1, 1)), 0)
-    return _pow2_half_array(-(e1 + e2))
+    # row l lies in one level's block, whose entries share one magnitude
+    levels = _pow2_half_array(-_level_exponents(system))
+    return levels[system.partition().level_of_index()]
 
 
 def local_coherence(system, mode="closed", r=None):
@@ -398,17 +404,8 @@ def local_coherence(system, mode="closed", r=None):
 # ---------------------------------------------------------------------------
 
 def _multilevel_closed(system):
-    r = system.r
-    if system.tag == "had_dhw_1d":
-        diag = [_pow2_half(-2 * max(t - 1, 0)) for t in range(r + 1)]
-    elif system.tag == "had2_idhw":
-        diag = [_pow2_half(-4 * max(t - 1, 0)) for t in range(r + 1)]
-    else:
-        diag = []
-        for t in range(1, (r + 1) ** 2 + 1):
-            p1, p2 = index_to_pair(t, r + 1, r + 1)
-            diag.append(_pow2_half(-2 * (max(p1 - 2, 0) + max(p2 - 2, 0))))
-    return np.diag(np.array(diag))
+    # mu(P_t U) mu(P_t U P_t^T) = 2^(-k_t); the off-diagonal blocks vanish
+    return np.diag(_pow2_half_array(-2 * _level_exponents(system)))
 
 
 def multilevel_coherence(system, mode="closed", r=None):
@@ -493,22 +490,6 @@ class StructureReport:
         return float(self.diagonal_deviation.max())
 
 
-def _hadamard_kron(ra, rb):
-    # exact H_ra (x) H_rb: kron the sign patterns, add the exponents
-    return _materialize(_kron_parts(_hadamard_parts(ra), _hadamard_parts(rb)))
-
-
-def _expected_diag_block(system, t):
-    if system.tag == "had_dhw_1d":
-        return dense_basis("hadamard1d", max(t - 1, 0))
-    if system.tag == "had2_idhw":
-        if t == 0:
-            return np.ones((1, 1))
-        return np.kron(np.eye(3), _hadamard_kron(t - 1, t - 1))
-    p1, p2 = index_to_pair(t + 1, system.r + 1, system.r + 1)
-    return _hadamard_kron(max(p2 - 2, 0), max(p1 - 2, 0))
-
-
 def structure_check(system, r=None):
     """Check the two-sided level-restricted structure of U.
 
@@ -519,9 +500,13 @@ def structure_check(system, r=None):
     system = _as_system(system, r)
     u, off = _level_blocks(system)
     np.fill_diagonal(off, 0.0)
-    sizes = system.partition().sizes
-    ends = np.cumsum(sizes)
-    diag = np.array([
-        np.max(np.abs(u[a:b, a:b] - np.abs(_expected_diag_block(system, t))))
-        for t, (a, b) in enumerate(zip(ends - sizes, ends))])
-    return StructureReport(system, off, diag)
+    diag = []
+    for offset, count, shape in system.level_table:
+        # |U_t|: count Hadamard blocks of size = 2^k entries down the
+        # diagonal, each entry 2^(-k/2)
+        size = math.prod(shape)
+        want = np.kron(np.eye(count), np.full(
+            (size, size), _pow2_half(1 - size.bit_length())))
+        end = offset + count * size
+        diag.append(np.max(np.abs(u[offset:end, offset:end] - want)))
+    return StructureReport(system, off, np.array(diag))

@@ -18,14 +18,13 @@ near-optimality of the returned point.
 
 The iteration runs in the system's two level orders: coefficients in
 ``SystemKind.level_order`` and spectra in ``SystemKind.spectral_order``,
-between which U is block-diagonal and symmetric (for had2_idhw one flat
-Walsh-Hadamard transform per level; for the other systems both orders are
-the natural order).  The sample is mapped to spectral positions once, U and
-U^T are ``SystemKind.level_op``, and only a stopped row's spectrum is put
-back in flat order before its synthesis.  Off the sample the projection is
-the identity, so there the update t + z - y is y itself: an iteration
-forms only the sampled entries of z and of the next t, and z in full only
-when the stopping rule is checked.
+between which U is block-diagonal and symmetric, one flat Walsh-Hadamard
+transform per Hadamard block of each level.  The sample is mapped to
+spectral positions once, U and U^T are ``SystemKind.level_op``, and only a
+stopped row's spectrum is put back in flat order before its synthesis.
+Off the sample the projection is the identity, so there the update
+t + z - y is y itself: an iteration forms only the sampled entries of z
+and of the next t, and z in full only when the stopping rule is checked.
 
 ``solve_bpdn_batch`` runs problems that share one system as a single
 iteration over a (B, N) array, so each numpy call serves every row;
@@ -41,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .sampling import InfeasibleError, SampleSet
+from .sampling import InfeasibleError, SampleSet, _check_indices
 from .signals import _norm
 
 __all__ = ["RecoveryProblem", "RecoveryReport", "me_reconstruct", "solve_bpdn",
@@ -77,11 +76,7 @@ class RecoveryProblem:
             raise ValueError("measurement vector length must match the sample")
         if y.size == 0:
             raise ValueError("cannot reconstruct from zero measurements")
-        n = self.system.n_total
-        if self.sample.omega.max() > n:
-            raise ValueError(f"sample index {self.sample.omega.max()} outside "
-                             f"[1, {n}] for {self.system.tag} with "
-                             f"r = {self.system.r}")
+        _check_indices(self.system, self.sample)
         if not np.isfinite(y).all():
             raise ValueError("measurements must be finite")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
@@ -412,6 +407,7 @@ def me_reconstruct(system, sample, y):
         raise ValueError("measurement vector length must match the sample")
     if y.size == 0:
         raise ValueError("cannot reconstruct from zero measurements")
+    _check_indices(system, sample)
     pos = sample.omega - 1
     sums = np.bincount(pos, weights=y, minlength=system.n_total)
     counts = np.bincount(pos, minlength=system.n_total)

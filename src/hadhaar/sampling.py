@@ -272,12 +272,21 @@ def draw_sample(plan, m_total, seed, replace=True):
                      seed=f"{entropy}[{key}]" if key else str(entropy))
 
 
+def _check_indices(system, sample):
+    """Raise ValueError for an index of ``sample`` past the system's N."""
+    n = system.n_total
+    if sample.omega.size and sample.omega.max() > n:
+        raise ValueError(f"sample index {sample.omega.max()} outside "
+                         f"[1, {n}] for {system.tag} with r = {system.r}")
+
+
 def measure(system, sample, x):
     """Subsampled Hadamard measurements y_j = (Phi^T x)_{omega_j}.
 
     ``x`` is a vector of length 2^r, or for 2-D systems a 2^r x 2^r image
     or its column-major vectorisation.
     """
+    _check_indices(system, sample)
     return system.spectrum(x)[sample.omega - 1]
 
 
@@ -286,5 +295,6 @@ def measure_adjoint(system, sample, y):
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (sample.n_measurements,):
         raise ValueError("measurement vector length must match the sample")
+    _check_indices(system, sample)
     z = np.bincount(sample.omega - 1, weights=y, minlength=system.n_total)
     return system.signal(z)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hadhaar.coherence import SystemKind
 from hadhaar.indexing import PARTITION_KINDS, build_levels
+from hadhaar.recovery import me_reconstruct
 from hadhaar.sampling import (SampleSet, SamplingPlan, _draw_distinct,
                               draw_sample, mds_allocate, measure,
                               measure_adjoint, rng_stream, uds_pmf, vds_pmf)
@@ -295,6 +296,13 @@ def test_measure_validation():
         measure_adjoint(system, sample, np.ones(3))
     with pytest.raises(ValueError):
         measure(SystemKind("had2_idhw", 2), sample, np.ones((2, 8)))
+    # an index past N is named, not an IndexError or a shape error
+    beyond = _manual_sample(np.array([1, 9]))
+    for call, arg in ((measure, np.ones(8)), (measure_adjoint, np.ones(2)),
+                      (me_reconstruct, np.ones(2))):
+        with pytest.raises(ValueError, match=r"sample index 9 outside "
+                           r"\[1, 8\] for had_dhw_1d with r = 3"):
+            call(system, beyond, arg)
 
 
 def _manual_sample(omega):
