@@ -20,13 +20,18 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
   ``coefficients(signal(v))``, and ``level_op`` on a batch of 20 for idhw
   at r in {7, 8} and for 1-D at r = 9 (the strategy-ordering experiment's
   batch), timed per call;
-* the data-ball projection ``_project_ellipsoid`` on the vds problem below,
-  at the solver's first iterate (v = 0 on the sample);
-* the solver per row-iteration at 1-D r = 9 on 20 vds problems shaped
-  like the strategy-ordering experiment's (Gaussian bump, sigma = 64,
-  random centre, M/N = 0.2, 20 dB): ``solve_bpdn`` on each in turn (B = 1) and
-  ``solve_bpdn_batch`` on all 20 (B = 20), timed per call and divided by
-  the problems' total iterations;
+* the data-ball projection ``_project_ellipsoid`` on the vds problem below:
+  cold, at the solver's first iterate (v = 0 on the sample, Newton from
+  0), and warm, at the iterate of the solver's 50th iteration started from
+  the multipliers of its 49th, as the solver runs it (both recorded by
+  wrapping the projection during one solve);
+* the solver at 1-D r = 9 on 20 vds problems shaped like the
+  strategy-ordering experiment's (Gaussian bump, sigma = 64, random
+  centre, M/N = 0.2, 20 dB): ``solve_bpdn`` on each in turn (B = 1) and
+  ``solve_bpdn_batch`` on all 20 (B = 20), timed per call, with the
+  problems' total iterations, the milliseconds per problem and the
+  microseconds per row-iteration (a cut in iterations shows in the first
+  two, not in the last);
 * the same at 2-D r = 8 with B = 1 on one vds problem shaped like the
   single-pixel-camera benchmark's (Shepp-Logan, M/N = 0.25, 20 dB);
 * CSV I/O on files in a temporary directory: ``save_image_csv`` and
@@ -57,6 +62,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from hadhaar.cli import _save_sample_csv  # noqa: E402
+from hadhaar import recovery  # noqa: E402
 from hadhaar.coherence import SystemKind  # noqa: E402
 from hadhaar.recovery import (RecoveryProblem, _Batch,  # noqa: E402
                               _collapse, _project_ellipsoid, _weighted_data,
@@ -178,30 +184,53 @@ def _camera_problem():
                            + noise.vector, noise.weighted_norm)
 
 
-def _projection_layer():
-    """(function, input) for the data-ball projection of the camera-shaped
-    vds problem at the solver's first iterate, where v = 0 on the sample."""
+def _projection_layers():
+    """(layer name, function, input) for the data-ball projection of the
+    camera-shaped vds problem: cold at the solver's first iterate, where
+    v = 0 on the sample, and warm at its 50th, from the multipliers of its
+    49th."""
     problem = _camera_problem()
     system = problem.system
     position = np.empty(system.n_total, dtype=np.int64)
     position[system.spectral_order] = np.arange(system.n_total)
     batch = _Batch([_collapse(problem, *_weighted_data(problem), position)],
                    system.n_total)
-    return (lambda v: _project_ellipsoid(v, batch)), np.zeros(batch.c.size)
+    yield ("project_ellipsoid", lambda v: _project_ellipsoid(v, batch),
+           np.zeros(batch.c.size))
+    calls = []
+
+    def record(v, solve_batch, lam):
+        calls.append((v.copy(), lam.copy()))
+        return _project_ellipsoid(v, solve_batch, lam)
+
+    recovery._project_ellipsoid = record
+    try:
+        solve_bpdn(problem)
+    finally:
+        recovery._project_ellipsoid = _project_ellipsoid
+    v, lam = calls[49]
+    yield ("project_ellipsoid_warm",
+           lambda u: _project_ellipsoid(u, batch, lam.copy()), v)
+
+
+def _solver_row(dim, r, batch, problems, solve):
+    """The solver row for ``solve`` over ``problems``: total iterations,
+    milliseconds per problem and microseconds per row-iteration."""
+    iterations = sum(report.iterations for report in solve(problems))
+    us = _us_per_call(solve, problems)
+    return {"layer": "solve_row_iteration", "dim": dim, "r": r,
+            "batch": batch, "iterations": iterations,
+            "ms_per_problem": round(us / len(problems) / 1e3, 3),
+            "us_per_row_iteration": round(us / iterations, 2)}
 
 
 def _solver_rows():
     problems = _solver_problems()
-    iterations = sum(report.iterations for report in solve_bpdn_batch(problems))
-    for batch, solve in ((1, lambda ps: [solve_bpdn(p) for p in ps]),
-                         (20, solve_bpdn_batch)):
-        us = _us_per_call(solve, problems) / iterations
-        yield {"layer": "solve_row_iteration", "dim": 1, "r": 9,
-               "batch": batch, "us_per_row_iteration": round(us, 2)}
-    camera = _camera_problem()
-    us = _us_per_call(solve_bpdn, camera) / solve_bpdn(camera).iterations
-    yield {"layer": "solve_row_iteration", "dim": 2, "r": 8, "batch": 1,
-           "us_per_row_iteration": round(us, 2)}
+    yield _solver_row(1, 9, 1, problems,
+                      lambda ps: [solve_bpdn(p) for p in ps])
+    yield _solver_row(1, 9, 20, problems, solve_bpdn_batch)
+    yield _solver_row(2, 8, 1, [_camera_problem()],
+                      lambda ps: [solve_bpdn(p) for p in ps])
 
 
 def _csv_layers(tmp):
@@ -243,10 +272,9 @@ def main():
                      "dim": 2 if system.is_2d else 1, "r": system.r,
                      "batch": batch,
                      "us_per_call": round(_us_per_call(fn, arg), 1)})
-    fn, arg = _projection_layer()
-    rows.append({"layer": "project_ellipsoid", "dim": 2, "r": 8,
-                 "rows": arg.size,
-                 "us_per_call": round(_us_per_call(fn, arg), 1)})
+    for name, fn, arg in _projection_layers():
+        rows.append({"layer": name, "dim": 2, "r": 8, "rows": arg.size,
+                     "us_per_call": round(_us_per_call(fn, arg), 1)})
     for name, fn, arg in _draw_layers():
         rows.append({"layer": name, "dim": 2, "r": 9,
                      "us_per_call": round(_us_per_call(fn, arg), 1)})

@@ -46,6 +46,13 @@ MODES = ("closed", "brute")
 # of 32, 32, 16; level 6 took about 5 us more (22 against 17 us) and the
 # other levels of r <= 9 split the same way as with factors of 32.
 _LEVEL_FACTOR_MAX = 4
+# The levels that begin level order, up to the last whole level within
+# _HEAD_MAX entries, are applied as one dense product.  Pinned to one CPU,
+# the 1-D r = 9 level operator took 25-38 us at B = 1 to 4 with this head
+# (levels 0 to 6) against 48-70 us without, and 46-70 against 71-100 us at
+# B = 20.  The head's product alone took 14 us at B = 20; a head of 128
+# entries took 63 us.
+_HEAD_MAX = 64
 
 __all__ = [
     "MODES",
@@ -165,7 +172,9 @@ class SystemKind:
     # columns (``spectral_order``) leaves S_b (x) S_a / sqrt(ab) =
     # S_ab / sqrt(ab), one flat Walsh-Hadamard transform of each block.
     # Between the two orders U is then blockdiag(I_count (x) S_n / sqrt(n))
-    # over the levels, n the block size, which is symmetric.
+    # over the levels, n the block size, which is symmetric.  Its first
+    # levels are small, so ``level_op`` applies the longest prefix of whole
+    # levels within _HEAD_MAX entries as one dense matrix of that form.
 
     @functools.cached_property
     def level_table(self):
@@ -217,16 +226,21 @@ class SystemKind:
 
     @functools.cached_property
     def _level_plan(self):
-        """The level operator's work: the spans of the levels whose blocks
-        have one entry, where U is the identity, merged where they touch;
-        and for each other level its span and factor steps (factor, blocks
-        times the digits before it, factor size, digits after it).  A
-        block of 2^k entries takes factors of at most 2^_LEVEL_FACTOR_MAX,
-        smallest first, with its scale 2^(-k/2) folded into the first."""
-        copies, plan = [], []
+        """The level operator's work: the dense head, U on the longest
+        prefix of whole levels within _HEAD_MAX entries (read-only); the
+        spans of the later levels whose blocks have one entry, where U is
+        the identity, merged where they touch; and for each other level its
+        span and factor steps (factor, blocks times the digits before it,
+        factor size, digits after it).  A block of 2^k entries takes
+        factors of at most 2^_LEVEL_FACTOR_MAX, smallest first, with its
+        scale 2^(-k/2) folded into the first."""
+        blocks, copies, plan = [], [], []
         for offset, count, shape in self.level_table:
             k = math.prod(shape).bit_length() - 1
             hi = offset + (count << k)
+            if hi <= _HEAD_MAX:
+                blocks += [_sylvester_factor(k, _pow2_half(-k))] * count
+                continue
             if k == 0:
                 if copies and copies[-1][1] == offset:
                     offset = copies.pop()[0]
@@ -239,7 +253,13 @@ class SystemKind:
                  count * math.prod(sizes[:d]), sizes[d],
                  math.prod(sizes[d + 1:]))
                 for d, f in enumerate(digits)]))
-        return copies, plan
+        size = sum(len(block) for block in blocks)
+        head, at = np.zeros((size, size)), 0
+        for block in blocks:
+            head[at:at + len(block), at:at + len(block)] = block
+            at += len(block)
+        head.flags.writeable = False
+        return head, copies, plan
 
     def _level_work(self, rows):
         """Two scratch arrays of ``rows`` rows for the largest level span,
@@ -248,7 +268,7 @@ class SystemKind:
         share a system therefore must not run at once."""
         work = self.__dict__.get("_work")
         if work is None or work.shape[1] < rows:
-            span = max([0] + [hi - lo for lo, hi, _ in self._level_plan[1]])
+            span = max([0] + [hi - lo for lo, hi, _ in self._level_plan[2]])
             work = np.empty((2, rows, span))
             self.__dict__["_work"] = work
         return work[:, :rows]
@@ -257,12 +277,13 @@ class SystemKind:
         """U v for coefficients v in level order, giving the spectrum in
         spectral order; with ``adjoint``, U^T v for a spectrum v in spectral
         order, giving coefficients in level order.  Both apply the
-        symmetric U above: one-entry blocks are copied, and each other
-        level takes a flat Walsh-Hadamard transform of every block of every
-        row at once, in factor steps through kept buffers, the last
-        straight into ``out`` (which may be v) when given.  v is flat,
-        optionally after a batch axis; each row of a batch comes out bit
-        for bit as it would alone."""
+        symmetric U above: the head levels (all of U when N <= _HEAD_MAX)
+        take one dense product per row, later one-entry blocks are copied,
+        and each other level takes a flat Walsh-Hadamard transform of every
+        block of every row at once, in factor steps through kept buffers,
+        the last straight into ``out`` (which may be v) when given.  v is
+        flat, optionally after a batch axis; each row of a batch comes out
+        bit for bit as it would alone."""
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.n_total:
             raise ValueError(f"{self.tag} with r = {self.r} expects "
@@ -274,7 +295,11 @@ class SystemKind:
         src_rows = v.reshape(-1, self.n_total)
         out_rows = out.reshape(-1, self.n_total)
         rows = src_rows.shape[0]
-        copies, plan = self._level_plan
+        head, copies, plan = self._level_plan
+        size = len(head)
+        # a stacked vector-matrix product per row: a (B, size) gemm would sum
+        # in another order than a lone row's product
+        np.matmul(src_rows[:, None, :size], head, out=out_rows[:, None, :size])
         for lo, hi in copies:
             out_rows[:, lo:hi] = src_rows[:, lo:hi]
         work = self._level_work(rows)

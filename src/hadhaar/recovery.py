@@ -22,9 +22,11 @@ between which U is block-diagonal and symmetric, one flat Walsh-Hadamard
 transform per Hadamard block of each level.  The sample is mapped to
 spectral positions once, U and U^T are ``SystemKind.level_op``, and only a
 stopped row's spectrum is put back in flat order before its synthesis.
-Off the sample the projection is the identity, so there the update
-t + z - y is y itself: an iteration forms only the sampled entries of z
-and of the next t, and z in full only when the stopping rule is checked.
+The update is over-relaxed, t + lambda (z - y) with lambda = _RELAX
+(Eckstein & Bertsekas 1992).  Off the sample the projection is the
+identity, so there z = 2y - t and the next t is y + (1 - lambda)(t - y),
+formed in place: an iteration projects only the sampled entries, and
+forms z in full only when the stopping rule is checked.
 
 ``solve_bpdn_batch`` runs problems that share one system as a single
 iteration over a (B, N) array, so each numpy call serves every row;
@@ -49,12 +51,22 @@ __all__ = ["RecoveryProblem", "RecoveryReport", "me_reconstruct", "solve_bpdn",
 _CHECK_EVERY = 10
 _NEWTON_STEPS = 50
 _NEWTON_RTOL = 1e-12
-# Douglas-Rachford step gamma = _STEP_SCALE * ||b|| / sqrt(|Omega|).  Among
-# scales from 0.01 to 3, total iterations were fewest at 0.1-0.2 for the
-# strategy-ordering experiment (1-D, r = 9, M/N = 0.2, uds/vds/mds x 20)
-# and at 0.3 for a 2-D Shepp-Logan phantom (r = 6, M/N = 1/4, one trial per
-# strategy); 0.2 is within 1.3x of the fewest on both.
+# Douglas-Rachford step gamma = _STEP_SCALE * ||b|| / sqrt(|Omega|).  With
+# the relaxation below, on the strategy-ordering experiment (1-D, r = 9,
+# M/N = 0.2, 20 dB, uds/vds/mds x 20 at seeds 11 and 101-103) scales 0.15,
+# 0.2 and 0.3 took 7,750/10,440/1,610, 6,950/12,780/1,730 and
+# 7,180/17,350/2,430 iterations in all, and the batch maxima, which set a
+# batch's time, summed to 1,890, 1,870 and 2,310; on a 2-D Shepp-Logan
+# phantom (r = 8, M/N = 1/4, 20 dB, two samples each) they took 80/220,
+# 50/190 and 50/260 iterations (mds/vds).  0.2 has the smallest sum of
+# batch maxima and the fewest iterations on the phantom.
 _STEP_SCALE = 0.2
+# Over-relaxation: t += _RELAX (z - y).  Against plain Douglas-Rachford
+# (1.0) on the problems above, 1.5 cut the iterations in all from
+# 10,240/17,160/2,550 to 6,950/12,780/1,730 and on the phantom from 80/270
+# and 80/280 to 50/190 each.  1.7 took 6,230/12,180/3,180 and 50/170: it
+# cut the phantom's vds further, but took more than 1.0 on 1-D mds.
+_RELAX = 1.5
 
 
 @dataclass(frozen=True)
@@ -106,7 +118,7 @@ class RecoveryReport:
     stop_reason: str = "max_iterations"
 
 
-def _project_ellipsoid(v, batch):
+def _project_ellipsoid(v, batch, lam=None):
     """Row by row, the Euclidean projection of v onto
     {z : sum c (z - beta)^2 <= radius^2}.
 
@@ -114,13 +126,20 @@ def _project_ellipsoid(v, batch):
     its ``beta`` and ``c`` do, and each row has its own ``radius``.  A zero
     radius gives beta.  Outside the ellipsoid the projection is
     beta + d / (1 + lam c) with d = v - beta and lam > 0 the root of
-    q(lam) = radius, where q(lam)^2 = sum c d^2 / (1 + lam c)^2.  1/q is
-    concave and increasing in lam, so Newton's method on 1/q - 1/radius
-    started at lam = 0 climbs monotonically to the root (Moré & Sorensen's
-    secular equation).  A row's c takes few values (one for mds, a few
-    dozen for vds) and its entries are sorted by c, so the sums run over
-    its groups of equal c: q(lam)^2 = sum_g S_g / (1 + lam c_g)^2 with
-    S_g = c_g sum_{i in g} d_i^2, one segment sum per group and then
+    q(lam) = radius, where q(lam)^2 = sum c d^2 / (1 + lam c)^2 (Moré &
+    Sorensen's secular equation), found by Newton's method on
+    1/q - 1/radius, which is concave and increasing in lam.  A step from
+    the left of the root stays at or left of it, so from lam = 0 Newton
+    climbs monotonically to the root; a step from the right lands at or
+    left of it, and is clamped at 0, so any start >= 0 is safe.  ``lam``,
+    when given, holds each row's multiplier from the previous projection
+    (the root moves little between iterations), starts the solve and is
+    overwritten with the new multipliers, 0 for rows that are not outside;
+    without it every row starts at 0.  A row stops when |q - radius| is
+    within a relative _NEWTON_RTOL.  A row's c takes few values (one for
+    mds, a few dozen for vds) and its entries are sorted by c, so the sums
+    run over its groups of equal c: q(lam)^2 = sum_g S_g / (1 + lam c_g)^2
+    with S_g = c_g sum_{i in g} d_i^2, one segment sum per group and then
     O(groups) work per Newton step.  Each row keeps its own groups,
     multiplier and stopping test, so a row's result does not depend on the
     rows beside it.
@@ -130,7 +149,10 @@ def _project_ellipsoid(v, batch):
     sums = group_c * np.add.reduceat(d * d, batch.group_starts)
     exact = radius == 0.0
     outside = ~exact & ~(np.sqrt(batch.group_sums(sums)) <= radius)
-    lam = np.zeros(radius.size)
+    if lam is None:
+        lam = np.zeros(radius.size)
+    else:
+        np.copyto(lam, 0.0, where=~outside)
     active = outside.copy()
     tol = _NEWTON_RTOL * radius
     step = np.empty(radius.size)
@@ -139,13 +161,14 @@ def _project_ellipsoid(v, batch):
         terms = sums * shrink * shrink
         q = np.sqrt(batch.group_sums(terms))
         excess = q - radius
-        active &= excess > tol
+        active &= np.abs(excess) > tol
         if not np.count_nonzero(active):
             break
         slope = batch.group_sums(terms * group_c * shrink)
-        # only rows still outside have slope > 0
+        # a row that is not active may have radius * slope = 0
         np.divide(excess * q * q, radius * slope, out=step, where=active)
         np.add(lam, step, out=lam, where=active)
+        np.maximum(lam, 0.0, out=lam)
     denominator = 1.0 + batch.group_spread(lam) * group_c
     z = beta + d / denominator.repeat(batch.group_sizes)
     if not outside.all():
@@ -263,9 +286,10 @@ def solve_bpdn(problem):
     Iteration.  y = U soft(U^T t, gamma) is the prox of the l1 term (U is
     orthogonal); z is the projection of 2y - t onto the ellipsoid (z = beta
     on Omega when eps_eff = 0, otherwise one scalar Newton solve for the
-    multiplier); then t += z - y, which is y off Omega.  The step is
-    gamma = 0.2 ||b|| / sqrt(|Omega|), which makes the iterates
-    scale-equivariant in b.
+    multiplier, started from the previous iteration's); then
+    t += 1.5 (z - y), over-relaxed Douglas-Rachford, which off Omega is
+    y - 0.5 (t - y).  The step is gamma = 0.2 ||b|| / sqrt(|Omega|), which
+    makes the iterates scale-equivariant in b.
 
     Certificate.  Every few iterations p = (t - y) / gamma, restricted to
     Omega and scaled down until ||U^T p||_inf <= 1, is dual feasible, and
@@ -326,6 +350,7 @@ def solve_bpdn_batch(problems):
     t = np.zeros((len(live), n))
     y, s = np.empty_like(t), np.empty_like(t)
     t_on = np.zeros(batch.flat.size)
+    lam = np.zeros(len(live))
     it = 0
     while True:
         it += 1
@@ -336,21 +361,28 @@ def solve_bpdn_batch(problems):
         np.clip(s, -gamma, gamma, out=y)
         np.subtract(s, y, out=s)
         system.level_op(s, out=y)
-        # off omega the projection is the identity, so z = 2y - t and the
-        # next t = t + z - y = y there: only the sampled entries are formed
-        # (t_on holds those of t), and z in full only when it is checked
+        # off omega the projection is the identity, so z = 2y - t there:
+        # only the sampled entries are projected (t_on holds those of t),
+        # with each row's multiplier kept in lam, and z is formed in full
+        # only when it is checked
         y_on = y.reshape(-1)[batch.flat]
-        z_on = _project_ellipsoid(2.0 * y_on - t_on, batch)
-        stopped = []
-        if it % _CHECK_EVERY == 0 or it == batch.first_stop:
-            at_max = it == batch.max_iterations
-            due = at_max | (it % _CHECK_EVERY == 0)
-            # z goes into s; t is scratch from here on, as the next t is y
-            # with its sampled entries updated
+        z_on = _project_ellipsoid(2.0 * y_on - t_on, batch, lam)
+        check = it % _CHECK_EVERY == 0 or it == batch.first_stop
+        if check:
+            # z goes into s while t is still whole
             z = s
             np.multiply(y, 2.0, out=z)
             np.subtract(z, t, out=z)
             z.reshape(-1)[batch.flat] = z_on
+        # the next t, y + (1 - _RELAX) (t - y) off omega, goes into y; t is
+        # scratch from here on
+        np.subtract(t, y, out=t)
+        np.multiply(t, 1.0 - _RELAX, out=t)
+        np.add(y, t, out=y)
+        stopped = []
+        if check:
+            at_max = it == batch.max_iterations
+            due = at_max | (it % _CHECK_EVERY == 0)
             system.level_op(z, adjoint=True, out=t)
             objective = np.abs(t, out=t).sum(axis=1)
             p_on = (t_on - y_on) / batch.spread(batch.gamma)
@@ -371,7 +403,7 @@ def solve_bpdn_batch(problems):
                         gap = float((objective[k] - dual[k]) / objective[k])
                     stopped.append((k, residual, converged, gap))
         t, y = y, t
-        t_on = t_on + (z_on - y_on)
+        t_on += _RELAX * (z_on - y_on)
         t.reshape(-1)[batch.flat] = t_on
         if stopped:
             spectra = np.empty((len(stopped), n))
@@ -390,6 +422,7 @@ def solve_bpdn_batch(problems):
             rows = np.flatnonzero(keep)
             t[:rows.size] = t[rows]
             t, y, s = (buf[:rows.size] for buf in (t, y, s))
+            lam = lam[rows]
             batch = _Batch([d for d, kept in zip(batch.data, keep) if kept], n)
             t_on = t.reshape(-1)[batch.flat]
     return reports

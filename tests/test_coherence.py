@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadhaar.coherence import (SYSTEM_TAGS, CoherenceProfile, SystemKind,
-                               local_coherence, multilevel_coherence,
-                               relative_sparsity, structure_check,
-                               system_matrix)
+from hadhaar.coherence import (_HEAD_MAX, SYSTEM_TAGS, CoherenceProfile,
+                               SystemKind, local_coherence,
+                               multilevel_coherence, relative_sparsity,
+                               structure_check, system_matrix)
 from hadhaar.indexing import build_levels, pair_to_index
 
 ALL_SYSTEMS = [("had_dhw_1d", 6), ("had2_idhw", 3), ("had2_adhw", 3)]
@@ -371,6 +371,26 @@ def test_level_op_factor_steps(tag, r, dense):
     for column in (0, 300, system.n_total - 1):
         _assert_level_op(system, column,
                          *rng.standard_normal((3, system.n_total)), u)
+
+
+@pytest.mark.parametrize("tag", SYSTEM_TAGS)
+@pytest.mark.parametrize("r", range(1, 6))
+def test_level_op_head_spans_whole_levels(tag, r):
+    # the dense head is U on the longest prefix of whole levels within
+    # _HEAD_MAX entries, all of U when N <= _HEAD_MAX, and the factor steps
+    # and copies take the levels after it
+    system = SystemKind(tag, r)
+    head, copies, plan = system._level_plan
+    ends = [offset + count * math.prod(shape)
+            for offset, count, shape in system.level_table]
+    size = max(end for end in ends if end <= _HEAD_MAX)
+    assert head.shape == (size, size) and not head.flags.writeable
+    if system.n_total <= _HEAD_MAX:
+        assert size == system.n_total and not copies and not plan
+    else:
+        assert min(lo for lo, *_ in copies + plan) == size
+    assert np.array_equal(head, head.T)
+    np.testing.assert_allclose(head @ head, np.eye(size), rtol=0, atol=1e-15)
 
 
 def test_level_op_rejects_other_layouts():

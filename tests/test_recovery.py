@@ -300,10 +300,12 @@ def test_grouped_projection_matches_bisection():
     rng = np.random.default_rng(5)
     base = rng.standard_normal(n)
     # repeated indices with four weights, so c repeats; then a noiseless
-    # row (radius 0) and a row whose point is inside its ball
+    # row (radius 0), a row whose point is inside its ball and one whose
+    # point is just outside, where Newton from far right of its root steps
+    # below 0
     data = []
     for strategy, m, eps in (("vds", 48, 0.05), ("mds", 20, 0.0),
-                             ("uds", 48, 10.0)):
+                             ("uds", 48, 10.0), ("vds", 48, 1.0)):
         omega = (rng.choice(np.arange(1, n + 1), m, replace=False)
                  if strategy == "mds" else rng.integers(1, n + 1, size=m))
         sample = SampleSet(omega, rng.choice([0.5, 1.0, 2.0, 4.0], size=m),
@@ -313,26 +315,44 @@ def test_grouped_projection_matches_bisection():
                               np.arange(n)))
     batch = _Batch(data, n)
     assert batch.group_c.size < batch.c.size
-    assert list(batch.radius[1:]) == [0.0, pytest.approx(10.0)]
+    assert list(batch.radius[1:3]) == [0.0, pytest.approx(10.0)]
     shift = rng.standard_normal(batch.c.size)
-    v = batch.beta + np.where(batch.spread(np.array([1.0, 1.0, 1e-3])) == 1.0,
-                              shift, 1e-3 * shift)
-    together = _project_ellipsoid(v, batch)
-    for k, d in enumerate(data):
-        rows = slice(batch.starts[k], batch.starts[k] + batch.sizes[k])
-        alone = _project_ellipsoid(v[rows], _Batch([d], n))
-        assert alone.tobytes() == together[rows].tobytes()
-        want = _bisected_projection(v[rows], d.beta, d.c, d.radius)
-        np.testing.assert_allclose(alone, want, rtol=1e-12,
-                                   atol=1e-12 * np.abs(want).max())
-    assert np.array_equal(together[batch.starts[1]:batch.starts[2]],
-                          data[1].beta)
-    assert np.array_equal(together[batch.starts[2]:], v[batch.starts[2]:])
-    # the first row was outside: its projection lies on the boundary
-    d = data[0]
-    z = together[:batch.sizes[0]]
-    assert math.isclose(math.sqrt(float(np.sum(d.c * (z - d.beta) ** 2))),
-                        d.radius, rel_tol=1e-12)
+    last = slice(batch.starts[3], None)
+    outside = 1.02 * batch.radius[3] / math.sqrt(
+        float(np.sum(batch.c[last] * shift[last] ** 2)))
+    v = batch.beta + batch.spread(np.array([1.0, 1.0, 1e-3, outside])) * shift
+    root = np.zeros(4)
+    _project_ellipsoid(v, batch, root)
+    assert root[0] > 0.0 and root[3] > 0.0 and list(root[1:3]) == [0.0, 0.0]
+    # started cold, then warm at 0, at the root, at 10x and at 10^4x the
+    # root (there the last row's first step lands below 0, so it needs the
+    # clamp); the noiseless and the inside row start at a multiplier that
+    # is not theirs
+    for start in (None, 0.0, 1.0, 10.0, 1e4):
+        lam = (None if start is None
+               else np.array([start * root[0], 5.0, 5.0, start * root[3]]))
+        warm = None if lam is None else lam.copy()
+        together = _project_ellipsoid(v, batch, warm)
+        for k, d in enumerate(data):
+            rows = slice(batch.starts[k], batch.starts[k] + batch.sizes[k])
+            alone = _project_ellipsoid(v[rows], _Batch([d], n),
+                                       None if lam is None
+                                       else lam[k:k + 1].copy())
+            assert alone.tobytes() == together[rows].tobytes()
+            want = _bisected_projection(v[rows], d.beta, d.c, d.radius)
+            np.testing.assert_allclose(alone, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+            if k in (0, 3):
+                # outside: the projection lies on the boundary
+                assert math.isclose(
+                    math.sqrt(float(np.sum(d.c * (alone - d.beta) ** 2))),
+                    d.radius, rel_tol=1e-12)
+        if warm is not None:
+            np.testing.assert_allclose(warm, root, rtol=1e-10)
+        assert np.array_equal(together[batch.starts[1]:batch.starts[2]],
+                              data[1].beta)
+        assert np.array_equal(together[batch.starts[2]:batch.starts[3]],
+                              v[batch.starts[2]:batch.starts[3]])
 
 
 def test_batch_rejects_mixed_systems():
