@@ -195,7 +195,8 @@ def _projection_layers():
     position[system.spectral_order] = np.arange(system.n_total)
     batch = _Batch([_collapse(problem, *_weighted_data(problem), position)],
                    system.n_total)
-    yield ("project_ellipsoid", lambda v: _project_ellipsoid(v, batch),
+    yield ("project_ellipsoid",
+           lambda v: _project_ellipsoid(v, batch, np.zeros(1)),
            np.zeros(batch.c.size))
     calls = []
 

@@ -10,11 +10,12 @@ Basis pursuit denoise is solved by Douglas-Rachford splitting on the
 Hadamard spectrum z = U s of the wavelet coefficients s, the splitting
 behind C-SALSA (Afonso, Bioucas-Dias & Figueiredo 2011).  The system
 matrix U = Phi^T Psi is orthogonal, so both halves of the split are exact
-and cheap: the l1 prox is soft-thresholding between U^T and U, and once
-repeated indices are collapsed the data ball is an axis-aligned ellipsoid
-on the sampled indices, projected onto with a scalar Newton solve.  The
-stopping rule is a relative duality gap, so a converged report certifies
-near-optimality of the returned point.
+and cheap: the l1 prox of t is t - g with g = U clip(U^T t, -gamma, gamma)
+(the Moreau decomposition of soft-thresholding; Combettes & Wajs 2005),
+and once repeated indices are collapsed the data ball is an axis-aligned
+ellipsoid on the sampled indices, projected onto with a scalar Newton
+solve.  The stopping rule is a relative duality gap, so a converged
+report certifies near-optimality of the returned point.
 
 The iteration runs in the system's two level orders: coefficients in
 ``SystemKind.level_order`` and spectra in ``SystemKind.spectral_order``,
@@ -22,11 +23,11 @@ between which U is block-diagonal and symmetric, one flat Walsh-Hadamard
 transform per Hadamard block of each level.  The sample is mapped to
 spectral positions once, U and U^T are ``SystemKind.level_op``, and only a
 stopped row's spectrum is put back in flat order before its synthesis.
-The update is over-relaxed, t + lambda (z - y) with lambda = _RELAX
-(Eckstein & Bertsekas 1992).  Off the sample the projection is the
-identity, so there z = 2y - t and the next t is y + (1 - lambda)(t - y),
-formed in place: an iteration projects only the sampled entries, and
-forms z in full only when the stopping rule is checked.
+The update is over-relaxed, t + lambda (z - y) with y = t - g the prox
+and lambda = _RELAX (Eckstein & Bertsekas 1992).  Off the sample the
+projection is the identity, so there z = 2y - t = t - 2g and the next t
+is t - lambda g, formed in place: an iteration projects only the sampled
+entries, and forms z in full only when the stopping rule is checked.
 
 ``solve_bpdn_batch`` runs problems that share one system as a single
 iteration over a (B, N) array, so each numpy call serves every row;
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,8 +100,10 @@ class RecoveryProblem:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {value}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        value = self.max_iterations
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise ValueError(f"max_iterations must be an integer of at least "
+                             f"1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ class RecoveryReport:
     stop_reason: str = "max_iterations"
 
 
-def _project_ellipsoid(v, batch, lam=None):
+def _project_ellipsoid(v, batch, lam):
     """Row by row, the Euclidean projection of v onto
     {z : sum c (z - beta)^2 <= radius^2}.
 
@@ -131,14 +135,14 @@ def _project_ellipsoid(v, batch, lam=None):
     1/q - 1/radius, which is concave and increasing in lam.  A step from
     the left of the root stays at or left of it, so from lam = 0 Newton
     climbs monotonically to the root; a step from the right lands at or
-    left of it, and is clamped at 0, so any start >= 0 is safe.  ``lam``,
-    when given, holds each row's multiplier from the previous projection
-    (the root moves little between iterations), starts the solve and is
-    overwritten with the new multipliers, 0 for rows that are not outside;
-    without it every row starts at 0.  A row stops when |q - radius| is
-    within a relative _NEWTON_RTOL.  A row's c takes few values (one for
-    mds, a few dozen for vds) and its entries are sorted by c, so the sums
-    run over its groups of equal c: q(lam)^2 = sum_g S_g / (1 + lam c_g)^2
+    left of it, and is clamped at 0, so any start >= 0 is safe.  ``lam``
+    holds each row's multiplier from the previous projection (the root
+    moves little between iterations; zeros for a cold start), starts the
+    solve and is overwritten with the new multipliers, 0 for rows that are
+    not outside.  A row stops when |q - radius| is within a relative
+    _NEWTON_RTOL.  A row's c takes few values (one for mds, a few dozen
+    for vds) and its entries are sorted by c, so the sums run over its
+    groups of equal c: q(lam)^2 = sum_g S_g / (1 + lam c_g)^2
     with S_g = c_g sum_{i in g} d_i^2, one segment sum per group and then
     O(groups) work per Newton step.  Each row keeps its own groups,
     multiplier and stopping test, so a row's result does not depend on the
@@ -149,10 +153,7 @@ def _project_ellipsoid(v, batch, lam=None):
     sums = group_c * np.add.reduceat(d * d, batch.group_starts)
     exact = radius == 0.0
     outside = ~exact & ~(np.sqrt(batch.group_sums(sums)) <= radius)
-    if lam is None:
-        lam = np.zeros(radius.size)
-    else:
-        np.copyto(lam, 0.0, where=~outside)
+    np.copyto(lam, 0.0, where=~outside)
     active = outside.copy()
     tol = _NEWTON_RTOL * radius
     step = np.empty(radius.size)
@@ -283,15 +284,16 @@ def solve_bpdn(problem):
     sqrt(scatter) exceeds eps by more than tol_feas * max(1, ||b||) the
     ball is empty and InfeasibleError is raised.
 
-    Iteration.  y = U soft(U^T t, gamma) is the prox of the l1 term (U is
-    orthogonal); z is the projection of 2y - t onto the ellipsoid (z = beta
-    on Omega when eps_eff = 0, otherwise one scalar Newton solve for the
+    Iteration.  With g = U clip(U^T t, -gamma, gamma), y = t - g is the
+    prox of the l1 term, U soft(U^T t, gamma) (U is orthogonal); z is the
+    projection of 2y - t = y - g onto the ellipsoid (z = beta on Omega
+    when eps_eff = 0, otherwise one scalar Newton solve for the
     multiplier, started from the previous iteration's); then
     t += 1.5 (z - y), over-relaxed Douglas-Rachford, which off Omega is
-    y - 0.5 (t - y).  The step is gamma = 0.2 ||b|| / sqrt(|Omega|), which
-    makes the iterates scale-equivariant in b.
+    t - 1.5 g.  The step is gamma = 0.2 ||b|| / sqrt(|Omega|), which makes
+    the iterates scale-equivariant in b.
 
-    Certificate.  Every few iterations p = (t - y) / gamma, restricted to
+    Certificate.  Every few iterations p = g / gamma, restricted to
     Omega and scaled down until ||U^T p||_inf <= 1, is dual feasible, and
     no point of the data ball has an l1 norm below its dual value
     <p, beta> - eps_eff ||C^{-1/2} p||.  tol_gap bounds the relative
@@ -343,53 +345,47 @@ def solve_bpdn_batch(problems):
     if not live:
         return reports
 
-    # t, y and s are kept buffers for the whole solve: t and y hold spectra
+    # t, g and s are kept buffers for the whole solve: t and g hold spectra
     # in spectral order, s coefficients in level order; every step writes
     # into them
     batch = _Batch(data, n)
     t = np.zeros((len(live), n))
-    y, s = np.empty_like(t), np.empty_like(t)
+    g, s = np.empty_like(t), np.empty_like(t)
     t_on = np.zeros(batch.flat.size)
     lam = np.zeros(len(live))
     it = 0
     while True:
         it += 1
-        # y = U soft(U^T t, gamma); soft(v, g) = v - clip(v, -g, g) has the
-        # values of sign(v) max(|v| - g, 0) in two passes
+        # g = U clip(U^T t, -gamma, gamma), so that the l1 prox is t - g
         system.level_op(t, adjoint=True, out=s)
         gamma = batch.gamma[:, None]
-        np.clip(s, -gamma, gamma, out=y)
-        np.subtract(s, y, out=s)
-        system.level_op(s, out=y)
-        # off omega the projection is the identity, so z = 2y - t there:
+        np.clip(s, -gamma, gamma, out=s)
+        system.level_op(s, out=g)
+        # off omega the projection is the identity, so z = t - 2g there:
         # only the sampled entries are projected (t_on holds those of t),
         # with each row's multiplier kept in lam, and z is formed in full
         # only when it is checked
-        y_on = y.reshape(-1)[batch.flat]
-        z_on = _project_ellipsoid(2.0 * y_on - t_on, batch, lam)
+        g_on = g.reshape(-1)[batch.flat]
+        y_on = t_on - g_on
+        z_on = _project_ellipsoid(y_on - g_on, batch, lam)
         check = it % _CHECK_EVERY == 0 or it == batch.first_stop
         if check:
-            # z goes into s while t is still whole
-            z = s
-            np.multiply(y, 2.0, out=z)
-            np.subtract(z, t, out=z)
+            z = np.subtract(t, np.multiply(g, 2.0, out=s), out=s)
             z.reshape(-1)[batch.flat] = z_on
-        # the next t, y + (1 - _RELAX) (t - y) off omega, goes into y; t is
-        # scratch from here on
-        np.subtract(t, y, out=t)
-        np.multiply(t, 1.0 - _RELAX, out=t)
-        np.add(y, t, out=y)
+        # the next t, t - _RELAX g off omega; g is scratch from here on
+        np.multiply(g, _RELAX, out=g)
+        np.subtract(t, g, out=t)
         stopped = []
         if check:
             at_max = it == batch.max_iterations
             due = at_max | (it % _CHECK_EVERY == 0)
-            system.level_op(z, adjoint=True, out=t)
-            objective = np.abs(t, out=t).sum(axis=1)
-            p_on = (t_on - y_on) / batch.spread(batch.gamma)
-            t.fill(0.0)
-            t.reshape(-1)[batch.flat] = p_on
-            system.level_op(t, adjoint=True, out=t)
-            p_on /= batch.spread(np.maximum(1.0, np.abs(t, out=t).max(axis=1)))
+            system.level_op(z, adjoint=True, out=g)
+            objective = np.abs(g, out=g).sum(axis=1)
+            p_on = g_on / batch.spread(batch.gamma)
+            g.fill(0.0)
+            g.reshape(-1)[batch.flat] = p_on
+            system.level_op(g, adjoint=True, out=g)
+            p_on /= batch.spread(np.maximum(1.0, np.abs(g, out=g).max(axis=1)))
             dual = (batch.row_sums(p_on * batch.beta) - batch.radius
                     * np.sqrt(batch.row_sums(np.square(p_on / batch.root_c))))
             gap_ok = objective - dual <= batch.tol_gap * objective
@@ -402,7 +398,6 @@ def solve_bpdn_batch(problems):
                     with np.errstate(divide="ignore", invalid="ignore"):
                         gap = float((objective[k] - dual[k]) / objective[k])
                     stopped.append((k, residual, converged, gap))
-        t, y = y, t
         t_on += _RELAX * (z_on - y_on)
         t.reshape(-1)[batch.flat] = t_on
         if stopped:
@@ -418,10 +413,10 @@ def solve_bpdn_batch(problems):
             live = [i for i, kept in zip(live, keep) if kept]
             if not live:
                 break
-            # move the kept rows of t to the front; y and s are scratch
+            # move the kept rows of t to the front; g and s are scratch
             rows = np.flatnonzero(keep)
             t[:rows.size] = t[rows]
-            t, y, s = (buf[:rows.size] for buf in (t, y, s))
+            t, g, s = (buf[:rows.size] for buf in (t, g, s))
             lam = lam[rows]
             batch = _Batch([d for d, kept in zip(batch.data, keep) if kept], n)
             t_on = t.reshape(-1)[batch.flat]
@@ -441,6 +436,8 @@ def me_reconstruct(system, sample, y):
     if y.size == 0:
         raise ValueError("cannot reconstruct from zero measurements")
     _check_indices(system, sample)
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
     pos = sample.omega - 1
     sums = np.bincount(pos, weights=y, minlength=system.n_total)
     counts = np.bincount(pos, minlength=system.n_total)

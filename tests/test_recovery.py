@@ -7,8 +7,9 @@ from scipy.optimize import linprog, minimize
 from hadhaar.cli import EXIT_CODES, main
 from hadhaar.coherence import SystemKind, system_matrix
 from hadhaar.indexing import build_levels
-from hadhaar.recovery import (RecoveryProblem, RecoveryReport, _Batch,
-                              _collapse, _project_ellipsoid, _weighted_data,
+from hadhaar.recovery import (_RELAX, _STEP_SCALE, RecoveryProblem,
+                              RecoveryReport, _Batch, _collapse,
+                              _project_ellipsoid, _weighted_data,
                               me_reconstruct, solve_bpdn, solve_bpdn_batch)
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
                               rng_stream, uds_pmf, vds_pmf)
@@ -328,16 +329,16 @@ def test_grouped_projection_matches_bisection():
     # root (there the last row's first step lands below 0, so it needs the
     # clamp); the noiseless and the inside row start at a multiplier that
     # is not theirs
-    for start in (None, 0.0, 1.0, 10.0, 1e4):
-        lam = (None if start is None
-               else np.array([start * root[0], 5.0, 5.0, start * root[3]]))
-        warm = None if lam is None else lam.copy()
+    starts = [np.zeros(4)] + [np.array([start * root[0], 5.0, 5.0,
+                                        start * root[3]])
+                              for start in (0.0, 1.0, 10.0, 1e4)]
+    for lam in starts:
+        warm = lam.copy()
         together = _project_ellipsoid(v, batch, warm)
         for k, d in enumerate(data):
             rows = slice(batch.starts[k], batch.starts[k] + batch.sizes[k])
             alone = _project_ellipsoid(v[rows], _Batch([d], n),
-                                       None if lam is None
-                                       else lam[k:k + 1].copy())
+                                       lam[k:k + 1].copy())
             assert alone.tobytes() == together[rows].tobytes()
             want = _bisected_projection(v[rows], d.beta, d.c, d.radius)
             np.testing.assert_allclose(alone, want, rtol=1e-12,
@@ -347,12 +348,68 @@ def test_grouped_projection_matches_bisection():
                 assert math.isclose(
                     math.sqrt(float(np.sum(d.c * (alone - d.beta) ** 2))),
                     d.radius, rel_tol=1e-12)
-        if warm is not None:
-            np.testing.assert_allclose(warm, root, rtol=1e-10)
+        np.testing.assert_allclose(warm, root, rtol=1e-10)
         assert np.array_equal(together[batch.starts[1]:batch.starts[2]],
                               data[1].beta)
         assert np.array_equal(together[batch.starts[2]:batch.starts[3]],
                               v[batch.starts[2]:batch.starts[3]])
+
+
+def _dense_douglas_rachford(problem, iterations):
+    """Phi z after ``iterations`` of plain over-relaxed Douglas-Rachford
+    from t = 0: soft-thresholding between the dense U^T and U, and the
+    bisected projection onto the collapsed data ball."""
+    system, sample = problem.system, problem.sample
+    u = system_matrix(system)
+    n, m = system.n_total, sample.n_measurements
+    w = sample.weights / math.sqrt(m) if sample.weighted else np.ones(m)
+    b = w * problem.y
+    rows = sample.omega - 1
+    omega = np.unique(rows)
+    c = np.bincount(rows, weights=w * w, minlength=n)[omega]
+    beta = np.bincount(rows, weights=w * b, minlength=n)[omega] / c
+    scatter = float(np.sum((b - w * beta[np.searchsorted(omega, rows)]) ** 2))
+    radius = math.sqrt(max(problem.epsilon ** 2 - scatter, 0.0))
+    gamma = _STEP_SCALE * float(np.linalg.norm(b)) / math.sqrt(omega.size)
+    t = np.zeros(n)
+    for _ in range(iterations):
+        v = u.T @ t
+        y = u @ (np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0))
+        z = 2.0 * y - t
+        z[omega] = _bisected_projection(z[omega], beta, c, radius)
+        t = t + _RELAX * (z - y)
+    return system.signal(z)
+
+
+@pytest.mark.parametrize("tag,r", [("had_dhw_1d", 5), ("had2_idhw", 2)])
+def test_iterates_match_dense_douglas_rachford(tag, r):
+    # the returned point after a fixed number of iterations pins the whole
+    # iterate sequence, not only where a converged solve ends
+    system = SystemKind(tag, r)
+    part = system.partition()
+    n = system.n_total
+    m = n // 2
+    x = rng_stream(21, r).standard_normal(n)
+    vds = draw_sample(vds_pmf(system), m, 22)
+    assert np.unique(vds.omega).size < m       # repeated indices present
+    mds = draw_sample(mds_allocate(part.sizes, m, part), m, 22)
+    for sample in (vds, mds):
+        for snr in (20.0, math.inf):
+            noise = make_noise(NoiseSpec(snr), x, m,
+                               weights=sample.weights if sample.weighted
+                               else None, rng=rng_stream(23, 0))
+            eps = noise.weighted_norm if sample.weighted else noise.norm
+            y = measure(system, sample, x) + noise.vector
+            for iterations in (1, 3, 37):
+                problem = RecoveryProblem(system, sample, y, eps,
+                                          tol_gap=1e-300,
+                                          max_iterations=iterations)
+                report = solve_bpdn(problem)
+                # a gap that rounds to 0 or below certifies even 1e-300
+                assert report.iterations == iterations or report.converged
+                want = _dense_douglas_rachford(problem, report.iterations)
+                assert (np.linalg.norm(report.x_hat - want)
+                        <= 1e-12 * np.linalg.norm(want))
 
 
 def test_batch_rejects_mixed_systems():
@@ -406,8 +463,9 @@ def test_problem_validation():
         RecoveryProblem(system, sample, y, epsilon=-1.0)
     with pytest.raises(ValueError):
         RecoveryProblem(system, sample, y, tol_feas=0.0)
-    with pytest.raises(ValueError):
-        RecoveryProblem(system, sample, y, max_iterations=0)
+    for bad in (0, 2.5, np.inf, True):
+        with pytest.raises(ValueError, match="max_iterations"):
+            RecoveryProblem(system, sample, y, max_iterations=bad)
     with pytest.raises(ValueError):
         RecoveryProblem(system, sample, np.array([1.0, np.nan, 0.0, 0.0]))
     empty = SampleSet(np.array([], dtype=np.int64), np.array([]), "uds", "0")
@@ -471,3 +529,6 @@ def test_me_validation():
     empty = SampleSet(np.array([], dtype=np.int64), np.array([]), "uds", "0")
     with pytest.raises(ValueError):
         me_reconstruct(system, empty, np.array([]))
+    wide = SampleSet(np.array([1, 2, 3, 4]), np.ones(4), "uds", "0")
+    with pytest.raises(ValueError, match="measurements must be finite"):
+        me_reconstruct(system, wide, np.array([1.0, np.nan, 0.0, 0.0]))
