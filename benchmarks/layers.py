@@ -65,7 +65,7 @@ from hadhaar.cli import _save_sample_csv  # noqa: E402
 from hadhaar import recovery  # noqa: E402
 from hadhaar.coherence import SystemKind  # noqa: E402
 from hadhaar.recovery import (RecoveryProblem, _Batch,  # noqa: E402
-                              _collapse, _project_ellipsoid, _weighted_data,
+                              _collapse, _project_ellipsoid,
                               solve_bpdn, solve_bpdn_batch)
 from hadhaar.sampling import (draw_sample, mds_allocate, measure,  # noqa: E402
                               measure_adjoint, rng_stream, uds_pmf, vds_pmf)
@@ -193,8 +193,7 @@ def _projection_layers():
     system = problem.system
     position = np.empty(system.n_total, dtype=np.int64)
     position[system.spectral_order] = np.arange(system.n_total)
-    batch = _Batch([_collapse(problem, *_weighted_data(problem), position)],
-                   system.n_total)
+    batch = _Batch([_collapse(problem, position)], system.n_total)
     yield ("project_ellipsoid",
            lambda v: _project_ellipsoid(v, batch, np.zeros(1)),
            np.zeros(batch.c.size))

@@ -84,26 +84,34 @@ class RecoveryProblem:
     max_iterations: int = 20000
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64)
-        object.__setattr__(self, "y", y)
-        if y.ndim != 1 or y.size != self.sample.n_measurements:
-            raise ValueError("measurement vector length must match the sample")
-        if y.size == 0:
-            raise ValueError("cannot reconstruct from zero measurements")
-        _check_indices(self.system, self.sample)
-        if not np.isfinite(y).all():
-            raise ValueError("measurements must be finite")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+        object.__setattr__(self, "y",
+                           _measurements(self.system, self.sample, self.y))
+        if isinstance(self.epsilon, bool) or not (
+                math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError("epsilon must be finite and nonnegative")
         for name in ("tol_feas", "tol_gap"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {value}")
         value = self.max_iterations
         if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
             raise ValueError(f"max_iterations must be an integer of at least "
                              f"1, got {value!r}")
+
+
+def _measurements(system, sample, y):
+    """``y`` as float64, checked as the measurements of ``system`` at
+    ``sample``: one finite value per index of a nonempty sample."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (sample.n_measurements,):
+        raise ValueError("measurement vector length must match the sample")
+    if y.size == 0:
+        raise ValueError("cannot reconstruct from zero measurements")
+    _check_indices(system, sample)
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
+    return y
 
 
 @dataclass(frozen=True)
@@ -178,29 +186,25 @@ def _project_ellipsoid(v, batch, lam):
     return z
 
 
-def _weighted_data(problem):
-    """Weights w, weighted data b = w * y and ||b||."""
-    m = problem.sample.n_measurements
-    w = (problem.sample.weights / math.sqrt(m) if problem.sample.weighted
-         else np.ones(m))
+def _collapse(problem, position):
+    """What the iteration needs of the problem: weights ``w``, ``b`` =
+    w * y and ``b_norm`` = ||b||, ``rows`` (the spectral-order position of
+    each measurement), ``omega`` (the positions of the distinct sampled
+    indices), ``c`` and ``beta`` on omega (the collapsed data ball), the
+    distinct values ``group_c`` of c with the number of entries
+    ``group_sizes`` of each, ``radius`` (eps_eff) and ``gamma`` (the
+    step).  omega is sorted by c, then by position, so each group is one
+    run of ascending positions.  ``position`` maps a 0-based flat index to
+    its spectral-order position.  An empty ball raises InfeasibleError,
+    never one with ||b|| <= eps, as sqrt(scatter) <= ||b||."""
+    sample = problem.sample
+    n, m = problem.system.n_total, sample.n_measurements
+    w = sample.weights / math.sqrt(m) if sample.weighted else np.ones(m)
     b = w * problem.y
-    return w, b, _norm(b)
-
-
-def _collapse(problem, w, b, b_norm, position):
-    """The problem's collapsed data ball, with what the iteration needs of
-    the problem: ``rows`` (the spectral-order position of each
-    measurement), ``omega`` (the positions of the distinct sampled
-    indices), ``c`` and ``beta`` on omega, the distinct values ``group_c``
-    of c with the number of entries ``group_sizes`` of each, ``radius``
-    (eps_eff) and ``gamma`` (the step).  omega is sorted by c, then by
-    position, so each group is one run of ascending positions.
-    ``position`` maps a 0-based flat index to its spectral-order position.
-    Raises InfeasibleError when the ball is empty."""
-    n = problem.system.n_total
+    b_norm = _norm(b)
     eps = float(problem.epsilon)
     feas_slack = problem.tol_feas * max(1.0, b_norm)
-    rows = problem.sample.omega - 1
+    rows = sample.omega - 1
     c_all = np.bincount(rows, weights=w * w, minlength=n)
     omega = np.flatnonzero(c_all > 0.0)
     beta_all = np.zeros(n)
@@ -215,7 +219,7 @@ def _collapse(problem, w, b, b_norm, position):
         c_all[omega], return_inverse=True, return_counts=True)
     omega = omega[np.lexsort((position[omega], group))]
     return SimpleNamespace(
-        w=w, b=b, rows=position[rows], omega=position[omega],
+        w=w, b=b, b_norm=b_norm, rows=position[rows], omega=position[omega],
         c=c_all[omega], beta=beta_all[omega], group_c=group_c,
         group_sizes=group_sizes, eps=eps,
         radius=math.sqrt(max(eps * eps - scatter, 0.0)),
@@ -315,12 +319,12 @@ def solve_bpdn_batch(problems):
     """:func:`solve_bpdn` for each of ``problems``, as one iteration over a
     (B, N) batch; returns the reports in order.
 
-    The problems must share one system.  They are checked in order, each
-    for ||b|| <= eps before its data ball (an empty one raises
-    InfeasibleError).  Every step of an iteration works row by row: each
-    row has its own step, data ball and Newton multiplier, is checked on
-    its own schedule and leaves the batch when it stops, so each report is
-    bit for bit the one the problem gets alone.
+    The problems must share one system.  Their data balls are collapsed in
+    order, and the first empty one raises InfeasibleError (a ball with
+    ||b|| <= eps is never empty).  Every step of an iteration works row by
+    row: each row has its own step, data ball and Newton multiplier, is
+    checked on its own schedule and leaves the batch when it stops, so
+    each report is bit for bit the one the problem gets alone.
     """
     problems = list(problems)
     if not problems:
@@ -332,16 +336,12 @@ def solve_bpdn_batch(problems):
     order = system.spectral_order
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
-    reports = [None] * len(problems)
-    live, data = [], []
-    for i, problem in enumerate(problems):
-        w, b, b_norm = _weighted_data(problem)
-        if b_norm <= problem.epsilon:
-            reports[i] = RecoveryReport(system.signal(np.zeros(n)), 0, b_norm,
-                                        0.0, True, 0.0, "zero_data")
-        else:
-            live.append(i)
-            data.append(_collapse(problem, w, b, b_norm, position))
+    data = [_collapse(problem, position) for problem in problems]
+    reports = [RecoveryReport(system.signal(np.zeros(n)), 0, d.b_norm, 0.0,
+                              True, 0.0, "zero_data")
+               if d.b_norm <= d.eps else None for d in data]
+    live = [i for i, report in enumerate(reports) if report is None]
+    data = [data[i] for i in live]
     if not live:
         return reports
 
@@ -430,14 +430,7 @@ def me_reconstruct(system, sample, y):
     result is the right pseudo-inverse of the deduplicated row-orthonormal
     measurement operator applied to y.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (sample.n_measurements,):
-        raise ValueError("measurement vector length must match the sample")
-    if y.size == 0:
-        raise ValueError("cannot reconstruct from zero measurements")
-    _check_indices(system, sample)
-    if not np.isfinite(y).all():
-        raise ValueError("measurements must be finite")
+    y = _measurements(system, sample, y)
     pos = sample.omega - 1
     sums = np.bincount(pos, weights=y, minlength=system.n_total)
     counts = np.bincount(pos, minlength=system.n_total)

@@ -197,7 +197,13 @@ def noise_sigma(snr_db, x, n_meas):
     """Component deviation so that 20 log10(||x|| / (sigma sqrt(n_meas))) = snr."""
     if math.isinf(snr_db):
         return 0.0
-    return _norm(x) / (math.sqrt(n_meas) * 10.0 ** (snr_db / 20.0))
+    try:
+        ratio = 10.0 ** (snr_db / 20.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"snr_db {snr_db:g} is out of range")
+    return _norm(x) / (math.sqrt(n_meas) * ratio)
 
 
 def make_noise(spec, x, n_meas, weights=None, rng=None):

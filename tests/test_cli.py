@@ -109,6 +109,19 @@ def test_config_value_types_rejected(tmp_path, capsys, section, key, value,
     assert err.startswith("error:validation:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("snr_db", [6200.0, 1e308, -7000.0, -1e308])
+def test_extreme_snr_rejected(tmp_path, capsys, snr_db):
+    # 10^(snr_db / 20) overflows, or underflows to 0, in the noise level
+    doc = json.loads(config_to_json(_small_config(snr_db=snr_db)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path), "--out",
+                 str(tmp_path / "run")]) == EXIT_CODES["validation"]
+    err = capsys.readouterr().err
+    assert err == f"error:validation: snr_db {snr_db:g} is out of range\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("[]")

@@ -9,11 +9,12 @@ from hadhaar.coherence import SystemKind, system_matrix
 from hadhaar.indexing import build_levels
 from hadhaar.recovery import (_RELAX, _STEP_SCALE, RecoveryProblem,
                               RecoveryReport, _Batch, _collapse,
-                              _project_ellipsoid, _weighted_data,
-                              me_reconstruct, solve_bpdn, solve_bpdn_batch)
+                              _project_ellipsoid, me_reconstruct, solve_bpdn,
+                              solve_bpdn_batch)
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
                               rng_stream, uds_pmf, vds_pmf)
-from hadhaar.signals import NoiseSpec, make_noise, save_signal_csv
+from hadhaar.signals import (NoiseSpec, gaussian_bump, make_noise,
+                             save_signal_csv, shepp_logan)
 from hadhaar.transforms import dense_basis, haar_transform, vec
 
 
@@ -312,8 +313,7 @@ def test_grouped_projection_matches_bisection():
         sample = SampleSet(omega, rng.choice([0.5, 1.0, 2.0, 4.0], size=m),
                            strategy, seed="0")
         problem = RecoveryProblem(system, sample, base[omega - 1], eps)
-        data.append(_collapse(problem, *_weighted_data(problem),
-                              np.arange(n)))
+        data.append(_collapse(problem, np.arange(n)))
     batch = _Batch(data, n)
     assert batch.group_c.size < batch.c.size
     assert list(batch.radius[1:3]) == [0.0, pytest.approx(10.0)]
@@ -412,6 +412,45 @@ def test_iterates_match_dense_douglas_rachford(tag, r):
                         <= 1e-12 * np.linalg.norm(want))
 
 
+@pytest.mark.parametrize("tag,r", [("had_dhw_1d", 9), ("had2_idhw", 5),
+                                   ("had2_adhw", 4)])
+def test_scaled_and_permuted_data_give_the_same_solve(tag, r):
+    # metamorphic checks of the weighted collapse and the step
+    # gamma = 0.2 ||b|| / sqrt(|Omega|): scaling y and eps by a power of two
+    # scales every iterate exactly, and reordering the measurements (with
+    # their weights) only reorders the duplicate sums; both hold iterate by
+    # iterate, so a capped solve checks them as well as a converged one
+    system = SystemKind(tag, r)
+    part = system.partition()
+    n = system.n_total
+    m = n // 4
+    x = (shepp_logan(system.side) if system.is_2d
+         else gaussian_bump(n, 64.0, 200.0))
+    perm = rng_stream(31, r).permutation(m)
+    for sample in (draw_sample(vds_pmf(system), m, 32),
+                   draw_sample(mds_allocate(part.sizes, m, part), m, 32)):
+        shuffled = SampleSet(sample.omega[perm], sample.weights[perm],
+                             sample.strategy, sample.seed)
+        for snr in (20.0, math.inf):
+            noise = make_noise(NoiseSpec(snr), x, m,
+                               weights=sample.weights if sample.weighted
+                               else None, rng=rng_stream(33, 0))
+            eps = noise.weighted_norm if sample.weighted else noise.norm
+            y = measure(system, sample, x) + noise.vector
+            base, scaled, permuted = solve_bpdn_batch([
+                RecoveryProblem(system, sample, y, eps, max_iterations=300),
+                RecoveryProblem(system, sample, 8.0 * y, 8.0 * eps,
+                                max_iterations=300),
+                RecoveryProblem(system, shuffled, y[perm], eps,
+                                max_iterations=300)])
+            assert base.iterations > 0
+            assert scaled.iterations == base.iterations
+            assert np.array_equal(scaled.x_hat, 8.0 * base.x_hat)
+            assert permuted.iterations == base.iterations
+            assert (np.linalg.norm(permuted.x_hat - base.x_hat)
+                    <= 1e-13 * np.linalg.norm(base.x_hat))
+
+
 def test_batch_rejects_mixed_systems():
     one = _batch_problems("had_dhw_1d", 3)[0]
     other = _batch_problems("had2_adhw", 2)[0]
@@ -463,6 +502,11 @@ def test_problem_validation():
         RecoveryProblem(system, sample, y, epsilon=-1.0)
     with pytest.raises(ValueError):
         RecoveryProblem(system, sample, y, tol_feas=0.0)
+    # a bool is not a tolerance, though it compares as 0 or 1
+    for name in ("epsilon", "tol_feas", "tol_gap"):
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=name):
+                RecoveryProblem(system, sample, y, **{name: bad})
     for bad in (0, 2.5, np.inf, True):
         with pytest.raises(ValueError, match="max_iterations"):
             RecoveryProblem(system, sample, y, max_iterations=bad)
