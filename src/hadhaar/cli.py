@@ -179,12 +179,9 @@ def cmd_recover(args):
         _write(args.out, "me.csv", _write_array_csv,
                np.asarray(me_reconstruct(system, sample, y)))
     # non-convergence is reported in the metadata, not via the exit code
-    _write(args.out, "recovery_meta.json", _write_json, {
-        "iterations": report.iterations,
-        "feasibility_residual": report.feasibility_residual,
-        "objective": report.objective, "converged": report.converged,
-        "relative_gap": report.relative_gap,
-        "stop_reason": report.stop_reason})
+    _write(args.out, "recovery_meta.json", _write_json,
+           {f.name: getattr(report, f.name)
+            for f in dataclasses.fields(report) if f.name != "x_hat"})
     return 0
 
 

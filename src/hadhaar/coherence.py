@@ -226,27 +226,22 @@ class SystemKind:
 
     @functools.cached_property
     def _level_plan(self):
-        """The level operator's work: the dense head, U on the longest
-        prefix of whole levels within _HEAD_MAX entries (read-only); the
-        spans of the later levels whose blocks have one entry, where U is
-        the identity, merged where they touch; and for each other level its
-        span and factor steps (factor, blocks times the digits before it,
-        factor size, digits after it).  A block of 2^k entries takes
-        factors of at most 2^_LEVEL_FACTOR_MAX, smallest first, with its
-        scale 2^(-k/2) folded into the first."""
-        blocks, copies, plan = [], [], []
+        """The level operator's work: spans (lo, hi, steps) that tile level
+        order in order, each step (factor, blocks times the digits before
+        it, factor size, digits after it).  The first span is the head, U
+        on the longest prefix of whole levels within _HEAD_MAX entries as
+        one dense read-only factor; each later level is a span of its own.
+        A block of 2^k entries takes factors of at most
+        2^_LEVEL_FACTOR_MAX, smallest first, with its scale 2^(-k/2) folded
+        into the first; a one-entry block takes the 1 x 1 factor."""
+        blocks, plan = [], []
         for offset, count, shape in self.level_table:
             k = math.prod(shape).bit_length() - 1
             hi = offset + (count << k)
             if hi <= _HEAD_MAX:
                 blocks += [_sylvester_factor(k, _pow2_half(-k))] * count
                 continue
-            if k == 0:
-                if copies and copies[-1][1] == offset:
-                    offset = copies.pop()[0]
-                copies.append((offset, hi))
-                continue
-            digits = sorted(_digit_split(k, _LEVEL_FACTOR_MAX))
+            digits = sorted(_digit_split(k, _LEVEL_FACTOR_MAX)) or [0]
             sizes = [1 << f for f in digits]
             plan.append((offset, hi, [
                 (_sylvester_factor(f, _pow2_half(-k) if d == 0 else 1.0),
@@ -259,7 +254,7 @@ class SystemKind:
             head[at:at + len(block), at:at + len(block)] = block
             at += len(block)
         head.flags.writeable = False
-        return head, copies, plan
+        return [(0, size, [(head, 1, size, 1)])] + plan
 
     def _level_work(self, rows):
         """Two scratch arrays of ``rows`` rows for the largest level span,
@@ -268,22 +263,22 @@ class SystemKind:
         share a system therefore must not run at once."""
         work = self.__dict__.get("_work")
         if work is None or work.shape[1] < rows:
-            span = max([0] + [hi - lo for lo, hi, _ in self._level_plan[2]])
+            span = max(hi - lo for lo, hi, _ in self._level_plan)
             work = np.empty((2, rows, span))
             self.__dict__["_work"] = work
         return work[:, :rows]
 
-    def level_op(self, v, adjoint=False, out=None):
-        """U v for coefficients v in level order, giving the spectrum in
-        spectral order; with ``adjoint``, U^T v for a spectrum v in spectral
-        order, giving coefficients in level order.  Both apply the
-        symmetric U above: the head levels (all of U when N <= _HEAD_MAX)
-        take one dense product per row, later one-entry blocks are copied,
-        and each other level takes a flat Walsh-Hadamard transform of every
-        block of every row at once, in factor steps through kept buffers,
-        the last straight into ``out`` (which may be v) when given.  v is
-        flat, optionally after a batch axis; each row of a batch comes out
-        bit for bit as it would alone."""
+    def level_op(self, v, *, out=None):
+        """U v between level order and spectral order, either way: U is
+        symmetric between the two orders, so it maps coefficients in level
+        order to their spectrum in spectral order, and as U^T = U a
+        spectrum in spectral order back to coefficients in level order.
+        Each span of the plan takes its factor steps for every block of
+        every row at once: the head one dense product per row, each later
+        level a flat Walsh-Hadamard transform of each block through kept
+        buffers, the last step straight into ``out`` (which may be v) when
+        given.  v is flat, optionally after a batch axis; each row of a
+        batch comes out bit for bit as it would alone."""
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.n_total:
             raise ValueError(f"{self.tag} with r = {self.r} expects "
@@ -295,15 +290,8 @@ class SystemKind:
         src_rows = v.reshape(-1, self.n_total)
         out_rows = out.reshape(-1, self.n_total)
         rows = src_rows.shape[0]
-        head, copies, plan = self._level_plan
-        size = len(head)
-        # a stacked vector-matrix product per row: a (B, size) gemm would sum
-        # in another order than a lone row's product
-        np.matmul(src_rows[:, None, :size], head, out=out_rows[:, None, :size])
-        for lo, hi in copies:
-            out_rows[:, lo:hi] = src_rows[:, lo:hi]
         work = self._level_work(rows)
-        for lo, hi, steps in plan:
+        for lo, hi, steps in self._level_plan:
             src = src_rows[:, lo:hi]
             for d, (p, pre, a, rest) in enumerate(steps):
                 dst = (out_rows[:, lo:hi] if d == len(steps) - 1

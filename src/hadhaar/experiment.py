@@ -23,6 +23,7 @@ from .sampling import (RNG_ALGORITHM, STRATEGIES, draw_sample, mds_allocate,
 from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _norm,
                       _write_csv, _write_json, effective_sparsity,
                       gaussian_bump, generate, make_noise, sre_from_ratios)
+from .transforms import _MAX_LOG2_N
 
 SPARSITY_SOURCES = ("worst_case_pregenerated", "oracle_from_signal")
 
@@ -104,6 +105,11 @@ class ExperimentConfig:
             raise ValueError("ratios must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        # a ratio's trials are solved as one (trials, N) batch
+        if self.trials * sys_kind.n_total > 1 << _MAX_LOG2_N:
+            raise ValueError(f"trials times N must be at most "
+                             f"2^{_MAX_LOG2_N}, got {self.trials} x "
+                             f"{sys_kind.n_total}")
         if not (math.isinf(self.snr_db) or math.isfinite(self.snr_db)):
             raise ValueError("snr_db must be finite or infinite")
         if not 0.0 < self.rho <= 1.0:

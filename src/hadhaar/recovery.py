@@ -21,8 +21,9 @@ The iteration runs in the system's two level orders: coefficients in
 ``SystemKind.level_order`` and spectra in ``SystemKind.spectral_order``,
 between which U is block-diagonal and symmetric, one flat Walsh-Hadamard
 transform per Hadamard block of each level.  The sample is mapped to
-spectral positions once, U and U^T are ``SystemKind.level_op``, and only a
-stopped row's spectrum is put back in flat order before its synthesis.
+spectral positions once, U and U^T = U are both ``SystemKind.level_op``,
+and only a stopped row's spectrum is put back in flat order before its
+synthesis.
 The update is over-relaxed, t + lambda (z - y) with y = t - g the prox
 and lambda = _RELAX (Eckstein & Bertsekas 1992).  Off the sample the
 projection is the identity, so there z = 2y - t = t - 2g and the next t
@@ -357,7 +358,7 @@ def solve_bpdn_batch(problems):
     while True:
         it += 1
         # g = U clip(U^T t, -gamma, gamma), so that the l1 prox is t - g
-        system.level_op(t, adjoint=True, out=s)
+        system.level_op(t, out=s)
         gamma = batch.gamma[:, None]
         np.clip(s, -gamma, gamma, out=s)
         system.level_op(s, out=g)
@@ -379,12 +380,12 @@ def solve_bpdn_batch(problems):
         if check:
             at_max = it == batch.max_iterations
             due = at_max | (it % _CHECK_EVERY == 0)
-            system.level_op(z, adjoint=True, out=g)
+            system.level_op(z, out=g)
             objective = np.abs(g, out=g).sum(axis=1)
             p_on = g_on / batch.spread(batch.gamma)
             g.fill(0.0)
             g.reshape(-1)[batch.flat] = p_on
-            system.level_op(g, adjoint=True, out=g)
+            system.level_op(g, out=g)
             p_on /= batch.spread(np.maximum(1.0, np.abs(g, out=g).max(axis=1)))
             dual = (batch.row_sums(p_on * batch.beta) - batch.radius
                     * np.sqrt(batch.row_sums(np.square(p_on / batch.root_c))))

@@ -165,41 +165,27 @@ def mds_allocate(k, m_total, partition):
     if m_total < 0 or m_total > partition.n_total:
         raise ValueError("measurement budget must lie in [0, n_total]")
 
-    m = np.zeros_like(sizes)
-    remaining = m_total
-    active = list(range(len(sizes)))
-    while remaining > 0:
-        pos = [t for t in active if k[t] > 0]
-        if not pos:
+    # freeze the levels whose quota exceeds their capacity until none does;
+    # the products stay within int64 (at most N^2 <= 2^56)
+    full = np.zeros(sizes.shape, dtype=bool)
+    while True:
+        live = (k > 0) & ~full
+        rest = m_total - int(sizes[full].sum())
+        k_act = int(k[live].sum())
+        over = live & (rest * k > sizes * k_act)
+        if not over.any():
             break
-        k_act = int(k[pos].sum())
-        over = [t for t in pos if remaining * int(k[t]) > int(sizes[t]) * k_act]
-        if over:
-            for t in over:
-                m[t] = sizes[t]
-                remaining -= int(sizes[t])
-                active.remove(t)
-            continue
-        floors = {t: (remaining * int(k[t])) // k_act for t in pos}
-        numer = {t: (remaining * int(k[t])) % k_act for t in pos}
-        extra = remaining - sum(floors.values())
-        for t in pos:
-            m[t] = floors[t]
-        for t in sorted(pos, key=lambda t: (-numer[t], t)):
-            if extra == 0:
-                break
-            if m[t] < sizes[t]:
-                m[t] += 1
-                extra -= 1
-        remaining = 0
-    if remaining > 0:
-        for t in sorted(active):
-            take = min(int(sizes[t]) - int(m[t]), remaining)
-            m[t] += take
-            remaining -= take
-            if remaining == 0:
-                break
-    if remaining > 0 or int(m.sum()) != m_total:
+        full |= over
+    m = np.where(full, sizes, 0)
+    if k_act:
+        floors, numer = np.divmod(rest * k[live], k_act)
+        m[live] = floors
+        ranked = np.flatnonzero(live)[np.argsort(-numer, kind="stable")]
+        m[ranked[:rest - int(floors.sum())]] += 1
+        rest = 0
+    spill = np.where(k == 0, sizes, 0)
+    m += np.clip(rest - np.cumsum(spill) + spill, 0, spill)
+    if int(m.sum()) != m_total:
         raise InfeasibleError("allocation infeasible for the requested budget")
     return SamplingPlan("mds", partition.n_total, m=m, partition=partition)
 

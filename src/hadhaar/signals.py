@@ -201,9 +201,15 @@ def noise_sigma(snr_db, x, n_meas):
         ratio = 10.0 ** (snr_db / 20.0)
     except OverflowError:
         ratio = math.inf
-    if not 0.0 < ratio < math.inf:
-        raise ValueError(f"snr_db {snr_db:g} is out of range")
-    return _norm(x) / (math.sqrt(n_meas) * ratio)
+    if 0.0 < ratio < math.inf:
+        sigma = _norm(x) / (math.sqrt(n_meas) * ratio)
+        # The noise's norm and the solver's norms of the weighted data are
+        # square roots of sums of squares, which overflow past 2^512, so
+        # the noise's expected norm sigma sqrt(n_meas) stays 2^32 below
+        # that, room for the draw's tail and the vds weights.
+        if sigma * math.sqrt(n_meas) <= 2.0 ** 480:
+            return sigma
+    raise ValueError(f"snr_db {snr_db:g} is out of range")
 
 
 def make_noise(spec, x, n_meas, weights=None, rng=None):

@@ -92,6 +92,7 @@ def test_config_unknown_keys_rejected():
     (None, "ratios", ["0.5"], "'ratios' must be a list of numbers"),
     (None, "rho", 1.5, r"rho must lie in \(0, 1\]"),
     (None, "snr_db", math.nan, "snr_db must be finite or infinite"),
+    (None, "trials", 2 ** 62, r"trials times N must be at most 2\^28"),
     ("mds", "sparsity_source", "x", "sparsity_source must be one of"),
     ("mds", "pregenerated", 0, "pregenerated count must be at least 1"),
     ("signal", "kind", "x", "signal kind must be one of"),
@@ -109,9 +110,11 @@ def test_config_value_types_rejected(tmp_path, capsys, section, key, value,
     assert err.startswith("error:validation:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("snr_db", [6200.0, 1e308, -7000.0, -1e308])
+@pytest.mark.parametrize("snr_db", [6200.0, 1e308, -6000.0, -6300.0,
+                                    -6460.0, -7000.0, -1e308])
 def test_extreme_snr_rejected(tmp_path, capsys, snr_db):
-    # 10^(snr_db / 20) overflows, or underflows to 0, in the noise level
+    # 10^(snr_db / 20) overflows, or underflows to 0, in the noise level, or
+    # the noise is too large for its norm to be finite
     doc = json.loads(config_to_json(_small_config(snr_db=snr_db)))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -120,6 +123,15 @@ def test_extreme_snr_rejected(tmp_path, capsys, snr_db):
     err = capsys.readouterr().err
     assert err == f"error:validation: snr_db {snr_db:g} is out of range\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_trials_times_n_is_capped():
+    # a ratio's trials are solved as one (trials, N) batch, so trials x N
+    # has the cap that N has; building the config runs nothing
+    assert _small_config(trials=2 ** 23).trials == 2 ** 23   # N = 32
+    for trials in (2 ** 23 + 1, 2 ** 62):
+        with pytest.raises(ValueError, match="^trials times N"):
+            _small_config(trials=trials)
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

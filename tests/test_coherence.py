@@ -296,22 +296,21 @@ def test_system_methods_apply_u_and_its_adjoint(case):
 
 
 def _assert_level_op(system, column, s, q, x, u=None):
-    """level_op against U between the two orders: the dense matrix ``u``
-    with rows in spectral order and columns in level order, or, without
-    it, the flat-order compositions, which are exact on unit vectors."""
+    """level_op against U between the two orders, both ways, as U is
+    symmetric: the dense matrix ``u`` with rows in spectral order and
+    columns in level order, or, without it, the flat-order compositions,
+    which are exact on unit vectors."""
     order, spectral = system.level_order, system.spectral_order
     for perm in (order, spectral):
         assert not perm.flags.writeable
         assert np.array_equal(np.sort(perm), np.arange(system.n_total))
     # the flat-order compositions, permuted
     compositions = (
-        (False, order, spectral,
-         lambda v: system.spectrum(system.synthesis(v))),
-        (True, spectral, order,
-         lambda v: system.coefficients(system.signal(v))))
+        (order, spectral, lambda v: system.spectrum(system.synthesis(v))),
+        (spectral, order, lambda v: system.coefficients(system.signal(v))))
 
     def composed(adjoint, v):
-        _, into, back, compose = compositions[adjoint]
+        into, back, compose = compositions[adjoint]
         flat = np.empty(system.n_total)
         flat[into] = v
         return compose(flat)[back]
@@ -321,25 +320,24 @@ def _assert_level_op(system, column, s, q, x, u=None):
     for adjoint in (False, True):
         want = (composed(adjoint, unit) if u is None
                 else u[column] if adjoint else u[:, column])
-        np.testing.assert_allclose(system.level_op(unit, adjoint=adjoint),
-                                   want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(system.level_op(unit), want, rtol=0,
+                                   atol=1e-15)
     # the compositions round differently: close, not bit for bit
     for adjoint in (False, True):
-        np.testing.assert_allclose(system.level_op(s, adjoint=adjoint),
-                                   composed(adjoint, s), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(system.level_op(s), composed(adjoint, s),
+                                   rtol=0, atol=1e-12)
     # symmetric between the two orders: <U s, q> = <s, U q>
     assert math.isclose(float(system.level_op(s) @ q),
                         float(s @ system.level_op(q)),
                         rel_tol=1e-12, abs_tol=1e-12)
     # out= may be the input; each row of a batch is bit for bit its own
     batch = np.stack([s, q, x])
-    for adjoint in (False, True):
-        rows = system.level_op(batch, adjoint=adjoint)
-        for row, alone in zip(rows, batch):
-            assert row.tobytes() == system.level_op(alone, adjoint).tobytes()
-        inplace = batch.copy()
-        assert system.level_op(inplace, adjoint, out=inplace) is inplace
-        assert inplace.tobytes() == rows.tobytes()
+    rows = system.level_op(batch)
+    for row, alone in zip(rows, batch):
+        assert row.tobytes() == system.level_op(alone).tobytes()
+    inplace = batch.copy()
+    assert system.level_op(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == rows.tobytes()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -376,21 +374,38 @@ def test_level_op_factor_steps(tag, r, dense):
 @pytest.mark.parametrize("tag", SYSTEM_TAGS)
 @pytest.mark.parametrize("r", range(1, 6))
 def test_level_op_head_spans_whole_levels(tag, r):
-    # the dense head is U on the longest prefix of whole levels within
-    # _HEAD_MAX entries, all of U when N <= _HEAD_MAX, and the factor steps
-    # and copies take the levels after it
+    # the dense head, the first span, is U on the longest prefix of whole
+    # levels within _HEAD_MAX entries, all of U when N <= _HEAD_MAX
     system = SystemKind(tag, r)
-    head, copies, plan = system._level_plan
+    (lo, hi, [(head, pre, a, rest)]), *_ = system._level_plan
     ends = [offset + count * math.prod(shape)
             for offset, count, shape in system.level_table]
     size = max(end for end in ends if end <= _HEAD_MAX)
+    assert (lo, hi, pre, a, rest) == (0, size, 1, size, 1)
     assert head.shape == (size, size) and not head.flags.writeable
-    if system.n_total <= _HEAD_MAX:
-        assert size == system.n_total and not copies and not plan
-    else:
-        assert min(lo for lo, *_ in copies + plan) == size
+    assert system.n_total > _HEAD_MAX or size == system.n_total
     assert np.array_equal(head, head.T)
     np.testing.assert_allclose(head @ head, np.eye(size), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("tag", SYSTEM_TAGS)
+@pytest.mark.parametrize("r", range(1, 9))
+def test_level_plan_tiles_level_order(tag, r):
+    # the spans tile [0, N) in order, the head first, and every factor step
+    # of a span covers its whole length
+    system = SystemKind(tag, r)
+    plan = system._level_plan
+    ends = [0] + [offset + count * math.prod(shape)
+                  for offset, count, shape in system.level_table]
+    head_end = max(end for end in ends if end <= _HEAD_MAX)
+    assert [lo for lo, *_ in plan] == [0] + [hi for _, hi, _ in plan[:-1]]
+    assert plan[-1][1] == system.n_total
+    assert plan[0][1] == head_end and len(plan[0][2]) == 1
+    # each later span is one whole level
+    assert [hi for _, hi, _ in plan[1:]] == [e for e in ends if e > head_end]
+    for lo, hi, steps in plan:
+        for p, pre, a, rest in steps:
+            assert p.shape == (a, a) and pre * a * rest == hi - lo
 
 
 def test_level_op_rejects_other_layouts():
