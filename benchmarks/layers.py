@@ -19,7 +19,9 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
   flat-order compositions ``spectrum(synthesis(v))`` and
   ``coefficients(signal(v))``, and ``level_op`` on a batch of 20 for idhw
   at r in {7, 8} and for 1-D at r = 9 (the strategy-ordering experiment's
-  batch), timed per call;
+  batch), timed per call; beside them ``level_op_bound``, the calls of
+  ``bind_level_op`` bound once and run per call as the solver runs them,
+  at 1-D r = 9 with B = 1 and 20 and at idhw r = 8 with B = 1;
 * the data-ball projection ``_project_ellipsoid`` on the vds problem below:
   cold, at the solver's first iterate (v = 0 on the sample, Newton from
   0), and warm, at the iterate of the solver's 50th iteration started from
@@ -73,7 +75,7 @@ from hadhaar.signals import (NoiseSpec, _read_csv,  # noqa: E402
                              effective_sparsity, gaussian_bump,
                              load_signal_csv, make_noise, save_image_csv,
                              save_signal_csv, shepp_logan)
-from hadhaar.transforms import fwht, haar_transform  # noqa: E402
+from hadhaar.transforms import _matmuls, fwht, haar_transform  # noqa: E402
 
 CASES = (("had_dhw_1d", (9, 12, 16)), ("had2_idhw", (6, 8, 9)))
 WINDOWS = 5
@@ -156,7 +158,9 @@ def _solver_problems():
 def _level_op_layers():
     """(system, layer name, batch, function, input) for U v: idhw at r = 7,
     8 and 9, 1-D at r = 9 and adhw at r = 7, with a batch of 20 for idhw
-    at r = 7 and 8 and for 1-D."""
+    at r = 7 and 8 and for 1-D; and its bound calls at 1-D r = 9 and idhw
+    r = 8, B = 1, and at 1-D r = 9, B = 20."""
+    bound = (("had_dhw_1d", 9, 1), ("had_dhw_1d", 9, 20), ("had2_idhw", 8, 1))
     for tag, r, batched in (("had2_idhw", 7, True), ("had2_idhw", 8, True),
                             ("had2_idhw", 9, False), ("had_dhw_1d", 9, True),
                             ("had2_adhw", 7, False)):
@@ -164,8 +168,13 @@ def _level_op_layers():
         rows = np.random.default_rng(r).standard_normal((20, system.n_total))
         for v in [rows[0]] + ([rows] if batched else []):
             out = np.empty_like(v)
-            yield (system, "level_op", len(v) if v.ndim == 2 else 1,
+            batch = len(v) if v.ndim == 2 else 1
+            yield (system, "level_op", batch,
                    lambda u, s=system, o=out: s.level_op(u, out=o), v)
+            if (tag, r, batch) in bound:
+                yield (system, "level_op_bound", batch, _matmuls,
+                       system.bind_level_op(v.reshape(batch, -1),
+                                            out.reshape(batch, -1)))
         yield (system, "spectrum_synthesis", 1,
                lambda u, s=system: s.spectrum(s.synthesis(u)), rows[0])
         yield (system, "coefficients_signal", 1,

@@ -26,10 +26,11 @@ import numpy as np
 from .indexing import build_levels
 from .transforms import (
     BasisKind,
-    _apply_factor,
     _basis_parts,
     _digit_split,
+    _factor_calls,
     _half_exponents,
+    _matmuls,
     _pow2_half,
     _pow2_half_array,
     _require_size,
@@ -268,17 +269,41 @@ class SystemKind:
             self.__dict__["_work"] = work
         return work[:, :rows]
 
+    def bind_level_op(self, v, out):
+        """U v into ``out``, bound: the level operator's work on the (rows,
+        N) arrays v and out (which may be v) as a list of (x1, x2, dst)
+        calls ``np.matmul(x1, x2, out=dst)``, to run in order with
+        ``transforms._matmuls``.  Each span of the plan takes its factor
+        steps for every block of every row at once: the head one dense
+        product per row, each later level a flat Walsh-Hadamard transform
+        of each block through the kept work buffers, the last step
+        straight into ``out``.  The calls hold their views of v, of the
+        work buffers and of out, split into gemm-sized chunks, so a loop
+        that applies U to the same arrays many times binds once.  A later
+        call that grows the work buffers leaves a binding's own buffers in
+        place; bindings that share a system still must not run at once."""
+        rows = v.shape[0]
+        work = self._level_work(rows)
+        calls = []
+        for lo, hi, steps in self._level_plan:
+            src = v[:, lo:hi]
+            for d, (p, pre, a, rest) in enumerate(steps):
+                dst = (out[:, lo:hi] if d == len(steps) - 1
+                       else work[d % 2, :, :hi - lo])
+                calls += _factor_calls(p, src.reshape(rows, pre, a, rest),
+                                       dst.reshape(rows, pre, a, rest))
+                src = dst
+        return calls
+
     def level_op(self, v, *, out=None):
         """U v between level order and spectral order, either way: U is
         symmetric between the two orders, so it maps coefficients in level
         order to their spectrum in spectral order, and as U^T = U a
         spectrum in spectral order back to coefficients in level order.
-        Each span of the plan takes its factor steps for every block of
-        every row at once: the head one dense product per row, each later
-        level a flat Walsh-Hadamard transform of each block through kept
-        buffers, the last step straight into ``out`` (which may be v) when
-        given.  v is flat, optionally after a batch axis; each row of a
-        batch comes out bit for bit as it would alone."""
+        v is flat, optionally after a batch axis; ``out`` (which may be v)
+        receives the result when given.  This binds the operator to v and
+        out (:meth:`bind_level_op`) and runs it once; each row of a batch
+        comes out bit for bit as it would alone."""
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.n_total:
             raise ValueError(f"{self.tag} with r = {self.r} expects "
@@ -287,18 +312,8 @@ class SystemKind:
                              f"{v.shape}")
         if out is None:
             out = np.empty(v.shape)
-        src_rows = v.reshape(-1, self.n_total)
-        out_rows = out.reshape(-1, self.n_total)
-        rows = src_rows.shape[0]
-        work = self._level_work(rows)
-        for lo, hi, steps in self._level_plan:
-            src = src_rows[:, lo:hi]
-            for d, (p, pre, a, rest) in enumerate(steps):
-                dst = (out_rows[:, lo:hi] if d == len(steps) - 1
-                       else work[d % 2, :, :hi - lo])
-                _apply_factor(p, src.reshape(rows, pre, a, rest),
-                              dst.reshape(rows, pre, a, rest))
-                src = dst
+        _matmuls(self.bind_level_op(v.reshape(-1, self.n_total),
+                                    out.reshape(-1, self.n_total)))
         return out
 
 

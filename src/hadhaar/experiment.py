@@ -119,6 +119,12 @@ class ExperimentConfig:
         if self.mds.pregenerated < 1:
             raise ValueError("pregenerated count must be at least 1")
         spec = self.signal
+        # mds makes this many signals of N entries when the centre is random
+        entries = self.mds.pregenerated * sys_kind.n_total
+        if spec.center == "random" and entries > 1 << _MAX_LOG2_N:
+            raise ValueError(f"mds.pregenerated times N must be at most "
+                             f"2^{_MAX_LOG2_N}, got {self.mds.pregenerated} "
+                             f"x {sys_kind.n_total}")
         if sys_kind.is_2d != (spec.kind == "shepp_logan"):
             raise ValueError("signal kind does not match the system dimensionality")
         if spec.kind == "gaussian_bump" and 2 * spec.sigma > sys_kind.n_total:
@@ -229,15 +235,19 @@ def _ratio(x_norm, error):
     return math.inf if error == 0.0 else x_norm / error
 
 
-def _make_signal(spec, size, rng):
+def _make_signal(spec, size, rng, count=None):
     """The signal ``spec`` describes at ``size``; a random bump centre is
-    drawn from ``rng`` with one uniform draw."""
+    drawn from ``rng`` with one uniform draw.  With ``count``, random-centre
+    bumps come as a (count, size) batch whose centres are ``count`` such
+    draws, made at once."""
     if spec.kind != "gaussian_bump":
         return generate(spec.kind, size)
     center = spec.center
     if center == "random":
-        center = spec.sigma + (size - 2.0 * spec.sigma) * rng.random()
-    return gaussian_bump(size, spec.sigma, float(center))
+        center = spec.sigma + (size - 2.0 * spec.sigma) * rng.random(count)
+    else:
+        center = float(center)
+    return gaussian_bump(size, spec.sigma, center)
 
 
 def _trial_signal(config, system, rng):
@@ -247,17 +257,29 @@ def _trial_signal(config, system, rng):
     return x
 
 
+# pregenerated signals per batch: 16 of 512 entries, 64 KiB per array
+_PREGEN_ENTRIES = 1 << 13
+
+
 def _worst_case_k(config, system, partition):
     """Per-level maximum of the effective sparsities of the pregenerated
-    signals; a signal without a random centre is the same every time, so
-    it is generated once."""
+    signals.  A signal without a random centre is the same every time, so
+    it is generated once; random-centre bumps are made in batches of at
+    most _PREGEN_ENTRIES entries (one signal at least), whose centres are
+    the draws the signals would take one at a time."""
     rng = rng_stream(config.seed, _ROLE_PREGEN)
-    count = config.mds.pregenerated if config.signal.center == "random" else 1
+    if config.signal.center == "random":
+        count = config.mds.pregenerated
+        step = max(1, _PREGEN_ENTRIES // system.n_total)
+        batches = (_make_signal(config.signal, system.side, rng,
+                                min(step, count - start))
+                   for start in range(0, count, step))
+    else:
+        batches = [_trial_signal(config, system, rng)[None]]
     worst = np.zeros(partition.n_levels, dtype=np.int64)
-    for _ in range(count):
-        x = _trial_signal(config, system, rng)
+    for x in batches:
         es = effective_sparsity(system.coefficients(x), config.rho, partition)
-        worst = np.maximum(worst, es.per_level)
+        worst = np.maximum(worst, es.per_level.max(axis=0))
     return worst
 
 

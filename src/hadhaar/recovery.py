@@ -47,6 +47,7 @@ import numpy as np
 
 from .sampling import InfeasibleError, SampleSet, _check_indices
 from .signals import _norm
+from .transforms import _matmuls
 
 __all__ = ["RecoveryProblem", "RecoveryReport", "me_reconstruct", "solve_bpdn",
            "solve_bpdn_batch"]
@@ -348,20 +349,21 @@ def solve_bpdn_batch(problems):
 
     # t, g and s are kept buffers for the whole solve: t and g hold spectra
     # in spectral order, s coefficients in level order; every step writes
-    # into them
+    # into them, and U is bound to the pairs it maps between (z is s)
     batch = _Batch(data, n)
     t = np.zeros((len(live), n))
     g, s = np.empty_like(t), np.empty_like(t)
+    t_to_s, s_to_g, g_to_g = _bind(system, t, g, s)
     t_on = np.zeros(batch.flat.size)
     lam = np.zeros(len(live))
     it = 0
     while True:
         it += 1
         # g = U clip(U^T t, -gamma, gamma), so that the l1 prox is t - g
-        system.level_op(t, out=s)
+        _matmuls(t_to_s)
         gamma = batch.gamma[:, None]
         np.clip(s, -gamma, gamma, out=s)
-        system.level_op(s, out=g)
+        _matmuls(s_to_g)
         # off omega the projection is the identity, so z = t - 2g there:
         # only the sampled entries are projected (t_on holds those of t),
         # with each row's multiplier kept in lam, and z is formed in full
@@ -380,12 +382,12 @@ def solve_bpdn_batch(problems):
         if check:
             at_max = it == batch.max_iterations
             due = at_max | (it % _CHECK_EVERY == 0)
-            system.level_op(z, out=g)
+            _matmuls(s_to_g)
             objective = np.abs(g, out=g).sum(axis=1)
             p_on = g_on / batch.spread(batch.gamma)
             g.fill(0.0)
             g.reshape(-1)[batch.flat] = p_on
-            system.level_op(g, out=g)
+            _matmuls(g_to_g)
             p_on /= batch.spread(np.maximum(1.0, np.abs(g, out=g).max(axis=1)))
             dual = (batch.row_sums(p_on * batch.beta) - batch.radius
                     * np.sqrt(batch.row_sums(np.square(p_on / batch.root_c))))
@@ -418,10 +420,17 @@ def solve_bpdn_batch(problems):
             rows = np.flatnonzero(keep)
             t[:rows.size] = t[rows]
             t, g, s = (buf[:rows.size] for buf in (t, g, s))
+            t_to_s, s_to_g, g_to_g = _bind(system, t, g, s)
             lam = lam[rows]
             batch = _Batch([d for d, kept in zip(batch.data, keep) if kept], n)
             t_on = t.reshape(-1)[batch.flat]
     return reports
+
+
+def _bind(system, t, g, s):
+    """U bound to the solve's buffer pairs t -> s, s -> g and g -> g."""
+    return [system.bind_level_op(v, out)
+            for v, out in ((t, s), (s, g), (g, g))]
 
 
 def me_reconstruct(system, sample, y):

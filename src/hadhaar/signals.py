@@ -56,14 +56,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def gaussian_bump(n, sigma, center):
-    """Discretised Gaussian density with peak at the 1-based index ``center``."""
+    """Discretised Gaussian density with peak at the 1-based index
+    ``center``; an array of centres gives one bump per centre along a new
+    last axis, each the bump of its centre alone."""
     n = 2 ** _require_pow2(n, "size")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    if not (math.isfinite(center) and 1 <= center <= n):
+    centers = np.asarray(center, dtype=np.float64)
+    if not np.all(np.isfinite(centers) & (centers >= 1) & (centers <= n)):
         raise ValueError(f"center must lie in [1, {n}], got {center}")
     i = np.arange(1, n + 1, dtype=np.float64)
-    return np.exp(-((i - center) ** 2) / (2.0 * sigma ** 2)) / (sigma * math.sqrt(2.0 * math.pi))
+    return (np.exp(-((i - centers[..., None]) ** 2) / (2.0 * sigma ** 2))
+            / (sigma * math.sqrt(2.0 * math.pi)))
 
 
 # Donoho-Johnstone piecewise test signals: breakpoints and weights.
@@ -266,28 +270,40 @@ class EffectiveSparsity:
 def effective_sparsity(s, rho, partition):
     """Smallest K with ||H_K(s)|| >= rho ||s||, plus per-level counts.
 
-    Evaluated through tail energies (the energy of the dropped entries) so
-    that the rho = 1 boundary is exact for exactly sparse vectors.
+    ``s`` is one coefficient vector or a (B, N) batch of them.  For a batch,
+    ``total`` and ``per_level`` gain a leading batch axis, and each row
+    gets the counts it gets alone.  Evaluated through tail energies (the
+    energy of the dropped entries) so that the rho = 1 boundary is exact
+    for exactly sparse vectors.
     """
     if not isinstance(partition, LevelPartition):
         raise ValueError("partition must be a LevelPartition")
     s = np.asarray(s, dtype=np.float64)
-    if s.shape != (partition.n_total,):
+    n, levels = partition.n_total, partition.n_levels
+    if s.ndim not in (1, 2) or s.shape[-1] != n:
         raise ValueError("coefficient length must match the partition")
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
-    total_energy = float(np.sum(s ** 2))
-    if total_energy == 0.0:
+    rows = s.reshape(-1, n)
+    total_energy = np.sum(rows ** 2, axis=1)
+    if not total_energy.all():
         raise ValueError("the zero vector has no effective sparsity")
-    order = np.lexsort((np.arange(s.size), -np.abs(s)))
-    sq = s[order] ** 2
-    tails = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
+    # largest magnitude first, ties to the lower index
+    order = np.argsort(-np.abs(rows), axis=1, kind="stable")
+    sq = np.take_along_axis(rows, order, axis=1) ** 2
+    # tails[:, k] is the energy dropped when the first k + 1 are kept
+    tails = np.zeros(rows.shape)
+    tails[:, :-1] = np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
     allowed = (1.0 - rho * rho) * total_energy
-    k_total = 1 + int(np.argmax(tails[1:] <= allowed))
-    support = order[:k_total]
-    level_of = partition.level_of_index()
-    per_level = np.bincount(level_of[support], minlength=partition.n_levels)
-    return EffectiveSparsity(float(rho), k_total, per_level.astype(np.int64))
+    k_total = 1 + np.argmax(tails <= allowed[:, None], axis=1)
+    kept = np.arange(n) < k_total[:, None]
+    cells = (levels * np.arange(len(rows))[:, None]
+             + partition.level_of_index()[order])[kept]
+    per_level = np.bincount(cells, minlength=levels * len(rows)).reshape(
+        len(rows), levels).astype(np.int64)
+    if s.ndim == 1:
+        return EffectiveSparsity(float(rho), int(k_total[0]), per_level[0])
+    return EffectiveSparsity(float(rho), k_total, per_level)
 
 
 def best_term_l1_error(u, k):
@@ -474,9 +490,11 @@ def _parse_error(path, header, exc):
 def _position_order(path, index, shape):
     """The rows sorted by their 1-based positions in ``index``, which maps
     each axis's name to one integer array: row ``order[p]`` holds flat
-    position p of ``shape``.  Every position must occur once; a duplicate,
-    else a missing one, is named, smallest first.  The check sorts the
-    positions, so neither its time nor its memory grows with the largest."""
+    position p of ``shape``.  Rows already in order, as every file this
+    package writes has them, give ``slice(None)``.  Every position must
+    occur once; a duplicate, else a missing one, is named, smallest first.
+    The check sorts the positions, so neither its time nor its memory grows
+    with the largest."""
     for (name, ix), n in zip(index.items(), shape):
         bad = (ix < 1) | (ix > n)
         if bad.any():
@@ -487,6 +505,8 @@ def _position_order(path, index, shape):
     flat = 0
     for ix, n in zip(index.values(), shape):
         flat = flat * n + (ix - 1)
+    if flat.size == math.prod(shape) and (flat[1:] > flat[:-1]).all():
+        return slice(None)
     order = np.argsort(flat)
     flat = flat[order]
     dup = np.flatnonzero(flat[1:] == flat[:-1])
@@ -512,7 +532,8 @@ def load_signal_csv(path):
     values = index.pop("value")
     shape = ((values.size,) if len(index) == 1
              else tuple(int(ix.max()) for ix in index.values()))
-    return values[_position_order(path, index, shape)].reshape(shape)
+    order = _position_order(path, index, shape)
+    return np.ascontiguousarray(values[order]).reshape(shape)
 
 
 def save_pgm(path, img):

@@ -210,33 +210,38 @@ def _paley_plan(shape):
             tuple(sizes[d] for d in perm))
 
 
-def _apply_factor(p, src, dst):
-    """dst = p applied along axis 2 of the (lead, pre, a, rest) arrays src,
-    dst, in gemms of at most _GEMM_CAP multiply-adds; p is symmetric.  The
-    lead axis may step over rows of a larger array.  Each of the ``lead``
-    inputs gives the same bits as it would alone: a lone vector (pre = rest
-    = 1) is a vector-matrix product, which BLAS sums in another order than
-    a gemm row, so it stays one in a batch.  One gemm is made unsliced, as
-    slicing took a fifth of a small level's time in ``level_op``."""
+def _factor_calls(p, src, dst):
+    """p applied along axis 2 of the (lead, pre, a, rest) arrays src, dst,
+    as a list of (x1, x2, out) for ``np.matmul(x1, x2, out=out)``, gemms
+    of at most _GEMM_CAP multiply-adds (run them with :func:`_matmuls`);
+    p is symmetric.  The lead axis may step over rows of a larger array.
+    Each of the ``lead`` inputs gives the same bits as it would alone: a
+    lone vector (pre = rest = 1) is a vector-matrix product, which BLAS
+    sums in another order than a gemm row, so it stays one in a batch.  A
+    call that fits one gemm takes src and dst unsliced: slicing them took
+    a fifth of a small level's time in ``level_op``."""
     lead, pre, a, rest = src.shape
     step = max(1, _GEMM_CAP // (a * a))
     if rest > 1:
         if rest <= step:
-            np.matmul(p, src, out=dst)
-            return
-        for s in range(0, rest, step):
-            np.matmul(p, src[..., s:s + step], out=dst[..., s:s + step])
-        return
+            return [(p, src, dst)]
+        return [(p, src[..., s:s + step], dst[..., s:s + step])
+                for s in range(0, rest, step)]
     src, dst = src[..., 0], dst[..., 0]
     if pre > 1 and src.flags.c_contiguous and dst.flags.c_contiguous:
         # rows times p, in one gemm over every input
         src = src.reshape(1, lead * pre, a)
         dst = dst.reshape(1, lead * pre, a)
     if src.shape[1] <= step:
-        np.matmul(src, p, out=dst)
-        return
-    for s in range(0, src.shape[1], step):
-        np.matmul(src[:, s:s + step], p, out=dst[:, s:s + step])
+        return [(src, p, dst)]
+    return [(src[:, s:s + step], p, dst[:, s:s + step])
+            for s in range(0, src.shape[1], step)]
+
+
+def _matmuls(calls):
+    """Run the (x1, x2, out) calls ``np.matmul(x1, x2, out=out)`` in order."""
+    for x1, x2, out in calls:
+        np.matmul(x1, x2, out=out)
 
 
 def _paley(x, scale, batch):
@@ -253,7 +258,7 @@ def _paley(x, scale, batch):
     for d, (p, pre, a) in enumerate(steps):
         dst = work if (len(steps) - 1 - d) % 2 == 0 else out
         view = (lead, pre, a, -1)
-        _apply_factor(p, src.reshape(view), dst.reshape(view))
+        _matmuls(_factor_calls(p, src.reshape(view), dst.reshape(view)))
         src = dst
     np.multiply(src.reshape((lead,) + sizes).transpose(perm), scale,
                 out=out.reshape((lead,) + out_sizes))

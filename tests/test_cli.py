@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,13 +14,15 @@ from hypothesis import strategies as st
 
 from hadhaar.cli import EXIT_CODES, _load_sample, main
 from hadhaar.coherence import SYSTEM_TAGS, SystemKind, local_coherence
-from hadhaar.experiment import (ExperimentConfig, MdsSpec, SignalSpec,
-                                SolverSpec, config_from_json, config_to_json,
-                                run_experiment, write_summary_csv,
-                                write_trials_csv)
-from hadhaar.sampling import (draw_sample, mds_allocate, measure, uds_pmf,
-                              vds_pmf)
-from hadhaar.signals import generate, load_signal_csv, save_signal_csv
+from hadhaar.experiment import (_ROLE_PREGEN, ExperimentConfig, MdsSpec,
+                                SignalSpec, SolverSpec, _make_signal,
+                                _worst_case_k, config_from_json,
+                                config_to_json, run_experiment,
+                                write_summary_csv, write_trials_csv)
+from hadhaar.sampling import (draw_sample, mds_allocate, measure, rng_stream,
+                              uds_pmf, vds_pmf)
+from hadhaar.signals import (effective_sparsity, generate, load_signal_csv,
+                             save_signal_csv)
 from hadhaar.transforms import haar_transform
 
 
@@ -134,6 +138,30 @@ def test_trials_times_n_is_capped():
             _small_config(trials=trials)
 
 
+def test_pregenerated_times_n_is_capped(tmp_path, capsys):
+    # mds makes ``pregenerated`` signals of N entries when the centre is
+    # random, so pregenerated x N has the cap that N has; building the
+    # config runs nothing (N = 32)
+    doc = json.loads(config_to_json(_small_config(strategy="mds")))
+    doc["mds"]["pregenerated"] = 2 ** 23
+    assert config_from_json(json.dumps(doc)).mds.pregenerated == 2 ** 23
+    for count in (2 ** 23 + 1, 2 ** 62):
+        doc["mds"]["pregenerated"] = count
+        with pytest.raises(ValueError, match=r"^mds.pregenerated times N "
+                                             r"must be at most 2\^28"):
+            config_from_json(json.dumps(doc))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path), "--out",
+                 str(tmp_path / "run")]) == EXIT_CODES["validation"]
+    assert capsys.readouterr().err == (
+        f"error:validation: mds.pregenerated times N must be at most 2^28, "
+        f"got {2 ** 62} x 32\n")
+    # a fixed centre makes one signal, whatever the count
+    doc["signal"]["center"] = 10.0
+    assert config_from_json(json.dumps(doc)).mds.pregenerated == 2 ** 62
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("[]")
@@ -193,6 +221,45 @@ def test_experiment_mds_paths():
         report = run_experiment(config)
         assert len(report.records) == 2
         assert all(rec.m == 16 for rec in report.records)
+
+
+def _worst_case_k_one_at_a_time(config, system, partition):
+    # the pregeneration one signal at a time, each centre one draw
+    rng = rng_stream(config.seed, _ROLE_PREGEN)
+    count = config.mds.pregenerated if config.signal.center == "random" else 1
+    worst = np.zeros(partition.n_levels, dtype=np.int64)
+    for _ in range(count):
+        x = _make_signal(config.signal, system.side, rng)
+        worst = np.maximum(worst, effective_sparsity(
+            system.coefficients(x), config.rho, partition).per_level)
+    return worst
+
+
+@pytest.mark.parametrize("system,r,signal,count", [
+    # 7 batches at N = 512, the last of 4 signals; one batch at N = 32
+    ("had_dhw_1d", 9, SignalSpec("gaussian_bump", 64.0, "random"), 100),
+    ("had_dhw_1d", 5, SignalSpec("gaussian_bump", 3.0, "random"), 37),
+    ("had_dhw_1d", 4, SignalSpec("gaussian_bump", 2.0, 7.5), 5),
+    ("had_dhw_1d", 6, SignalSpec("doppler"), 5),
+    ("had2_idhw", 4, SignalSpec("shepp_logan"), 5),
+])
+def test_worst_case_k_matches_one_signal_at_a_time(system, r, signal, count):
+    config = _small_config(system=system, r=r, strategy="mds", signal=signal,
+                           mds=MdsSpec(pregenerated=count))
+    kind = SystemKind(system, r)
+    partition = kind.partition()
+    assert np.array_equal(_worst_case_k(config, kind, partition),
+                          _worst_case_k_one_at_a_time(config, kind,
+                                                      partition))
+
+
+def test_random_bump_batches_are_the_single_draws():
+    spec = SignalSpec("gaussian_bump", 64.0, "random")
+    one, batched = rng_stream(9, _ROLE_PREGEN), rng_stream(9, _ROLE_PREGEN)
+    alone = [_make_signal(spec, 512, one) for _ in range(8)]
+    batch = np.vstack([_make_signal(spec, 512, batched, count)
+                       for count in (3, 5)])
+    assert batch.tobytes() == np.stack(alone).tobytes()
 
 
 def test_trials_csv_format(tmp_path):
@@ -702,3 +769,65 @@ def test_experiment_weighted_epsilon_matches_weights():
     rec = report.records[0]
     assert rec.epsilon > 0.0 and rec.noise_sigma > 0.0
     assert rec.cs_error >= 0.0 and rec.me_error >= 0.0
+
+
+# Config fuzzing: each example changes one key of a valid config (deletes
+# it, gives it another type or pushes a number out of range) and runs it
+# through the CLI, which must exit 0, 2, 3 or 4 with at most one line on
+# stderr.  r stays at most 5 and trials at most 3 in every example that
+# passes validation.
+_FUZZ_BASE = {
+    "system": "had_dhw_1d", "r": 5, "ratios": [0.25, 0.5], "snr_db": 20.0,
+    "trials": 2, "seed": 3, "rho": 0.995, "output_dir": ".",
+    "schema_version": 1,
+    "signal": {"kind": "gaussian_bump", "sigma": 3.0, "center": "random"},
+    "mds": {"sparsity_source": "worst_case_pregenerated", "pregenerated": 5},
+    "solver": {"tol_feas": 1e-6, "tol_gap": 1e-6, "max_iterations": 2000}}
+_OUT_OF_RANGE = {
+    "r": [0, -1, 29, 2 ** 62], "trials": [0, -1, 2 ** 62],
+    "ratios": [[0.0], [-0.5], [1.5], [], [1e308], [math.nan]],
+    "snr_db": [7000.0, -7000.0, 1e308, -1e308, math.nan],
+    "seed": [-1, -2 ** 62], "rho": [0.0, -0.5, 1.5, math.nan, math.inf],
+    "schema_version": [0, 2], "signal.sigma": [0.0, -1.0, 0.5, 1e308,
+                                               math.inf, math.nan],
+    "signal.center": [0.0, -1.0, 33.0, 1e308, math.nan, math.inf],
+    "mds.pregenerated": [0, -1, 2 ** 62],
+    "solver.tol_feas": [0.0, -1.0, math.inf, math.nan],
+    "solver.tol_gap": [0.0, -1.0, math.inf, math.nan],
+    "solver.max_iterations": [0, -1, -2 ** 62]}
+_OTHER_TYPES = [None, True, "x", [1], {"a": 1}, 1.5, 3]
+
+
+@st.composite
+def _mutated_config(draw):
+    doc = json.loads(json.dumps(_FUZZ_BASE))
+    doc["strategy"] = draw(st.sampled_from(["uds", "vds", "mds"]))
+    keys = sorted(set(doc) | {f"{section}.{key}" for section in
+                              ("signal", "mds", "solver")
+                              for key in doc[section]})
+    key = draw(st.sampled_from(keys))
+    ops = ["delete", "type"] + (["range"] if key in _OUT_OF_RANGE else [])
+    op = draw(st.sampled_from(ops))
+    *section, name = key.split(".")
+    target = doc[section[0]] if section else doc
+    if op == "delete":
+        del target[name]
+    else:
+        target[name] = draw(st.sampled_from(
+            _OTHER_TYPES if op == "type" else _OUT_OF_RANGE[key]))
+    return doc
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_mutated_config())
+def test_mutated_configs_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["experiment", "--config", path, "--out",
+                         os.path.join(tmp, "run")])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

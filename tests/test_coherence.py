@@ -10,6 +10,7 @@ from hadhaar.coherence import (_HEAD_MAX, SYSTEM_TAGS, CoherenceProfile,
                                multilevel_coherence, relative_sparsity,
                                structure_check, system_matrix)
 from hadhaar.indexing import build_levels, pair_to_index
+from hadhaar.transforms import _matmuls
 
 ALL_SYSTEMS = [("had_dhw_1d", 6), ("had2_idhw", 3), ("had2_adhw", 3)]
 
@@ -406,6 +407,34 @@ def test_level_plan_tiles_level_order(tag, r):
     for lo, hi, steps in plan:
         for p, pre, a, rest in steps:
             assert p.shape == (a, a) and pre * a * rest == hi - lo
+
+
+@pytest.mark.parametrize("tag", SYSTEM_TAGS)
+@pytest.mark.parametrize("r", range(1, 9))
+def test_bound_level_op_keeps_its_views(tag, r):
+    # a binding runs any number of times with level_op's bits, in place
+    # too, and keeps its own work buffers when a larger batch grows the
+    # system's kept ones between binding and running
+    system = SystemKind(tag, r)
+    rng = np.random.default_rng(r)
+    for rows in (1, 3, 20):
+        v = rng.standard_normal((rows, system.n_total))
+        want = system.level_op(v).tobytes()
+        out, inplace = np.empty_like(v), v.copy()
+        calls = system.bind_level_op(v, out)
+        calls_inplace = system.bind_level_op(inplace, inplace)
+        _matmuls(calls)
+        assert out.tobytes() == want
+        work = system.__dict__["_work"]
+        system.level_op(rng.standard_normal((rows + 1, system.n_total)))
+        assert system.__dict__["_work"] is not work
+        out.fill(np.nan)
+        _matmuls(calls)
+        _matmuls(calls_inplace)
+        assert out.tobytes() == want and inplace.tobytes() == want
+        # each row of the batch is bit for bit the row alone
+        for row, alone in zip(out, v):
+            assert row.tobytes() == system.level_op(alone).tobytes()
 
 
 def test_level_op_rejects_other_layouts():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hadhaar.indexing import build_levels
-from hadhaar.signals import (_BLOCK_ROWS, NoiseSpec, _norm, best_term_l1_error,
+from hadhaar.signals import (_BLOCK_ROWS, NoiseSpec, _norm, _position_order,
+                             best_term_l1_error,
                              effective_sparsity, gaussian_bump, generate,
                              hard_threshold, load_signal_csv, make_noise,
                              noise_sigma, save_image_csv, save_pgm,
@@ -44,6 +45,16 @@ def test_gaussian_bump_validation():
         with pytest.raises(ValueError, match=r"center must lie in \[1, 64\]"):
             gaussian_bump(64, 2.0, center)
     assert gaussian_bump(64, 2.0, 1.0)[0] == gaussian_bump(64, 2.0, 64.0)[-1]
+
+
+def test_gaussian_bump_batch_is_its_bumps():
+    centers = 64.0 + 384.0 * np.random.default_rng(3).random(7)
+    batch = gaussian_bump(512, 64.0, centers)
+    assert batch.shape == (7, 512)
+    for row, center in zip(batch, centers):
+        assert row.tobytes() == gaussian_bump(512, 64.0, float(center)).tobytes()
+    with pytest.raises(ValueError, match=r"center must lie in \[1, 64\]"):
+        gaussian_bump(64, 2.0, np.array([3.0, 64.5]))
 
 
 def test_piecewise_generators():
@@ -179,6 +190,34 @@ def test_effective_sparsity_validation():
         effective_sparsity(np.ones(8), 0.9, part)
 
 
+@pytest.mark.parametrize("kind,r", [("dyadic1d", 3), ("dyadic1d", 9),
+                                    ("iso2d", 3), ("aniso2d", 2)])
+def test_effective_sparsity_batch_is_its_rows(kind, r):
+    # ties (rounded and repeated magnitudes, both signs), exact zeros and
+    # rho = 1 come out as each row alone
+    part = build_levels(kind, r)
+    rng = np.random.default_rng(r)
+    rows = rng.standard_normal((12, part.n_total)) * np.exp(
+        3.0 * rng.standard_normal((12, part.n_total)))
+    rows[:4] = np.round(rows[:4])
+    rows[4:8, rng.random(part.n_total) < 0.5] = 0.0
+    rows[8] = rng.choice([-1.0, 1.0], part.n_total)
+    rows[9] = 0.0
+    rows[9, -1] = 2.0
+    rows[rows.any(axis=1) == 0] = 1.0
+    for rho in (0.5, 0.995, 1.0):
+        batch = effective_sparsity(rows, rho, part)
+        assert batch.per_level.shape == (12, part.n_levels)
+        for k, row in enumerate(rows):
+            alone = effective_sparsity(row, rho, part)
+            assert alone.total == batch.total[k]
+            assert np.array_equal(alone.per_level, batch.per_level[k])
+            assert alone.per_level.sum() == alone.total
+    with pytest.raises(ValueError, match="zero vector"):
+        effective_sparsity(np.vstack([rows[:2], np.zeros(part.n_total)]),
+                           0.9, part)
+
+
 def test_best_term_l1_error():
     u = np.array([3.0, 1.0, -2.0])
     assert best_term_l1_error(u, 1) == 3.0
@@ -267,6 +306,25 @@ def test_load_csv_accepts_any_row_order(tmp_path):
     assert load_signal_csv(path).tolist() == [-2.0, 1.5]
     path.write_text("row,col,value\n2,1,3\n1,2,2\n1,1,1\n2,2,4\n")
     assert load_signal_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_load_csv_in_order_keeps_the_rows(tmp_path):
+    # rows in position order, as the writers leave them, are taken as they
+    # are; the same rows shuffled are sorted to the same arrays
+    img = np.random.default_rng(5).standard_normal((4, 8))
+    path = tmp_path / "img.csv"
+    save_image_csv(path, img)
+    row, col = np.divmod(np.arange(img.size), 8)
+    index = {"row": row + 1, "col": col + 1}
+    assert _position_order(path, index, img.shape) == slice(None)
+    back = load_signal_csv(path)
+    assert back.flags.c_contiguous and back.tobytes() == img.tobytes()
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+    assert load_signal_csv(path).tobytes() == img.tobytes()
+    reverse = {name: ix[::-1] for name, ix in index.items()}
+    assert np.array_equal(_position_order(path, reverse, img.shape),
+                          np.arange(img.size)[::-1])
 
 
 def test_load_csv_skips_blank_lines(tmp_path):
