@@ -21,9 +21,11 @@ The iteration runs in the system's two level orders: coefficients in
 ``SystemKind.level_order`` and spectra in ``SystemKind.spectral_order``,
 between which U is block-diagonal and symmetric, one flat Walsh-Hadamard
 transform per Hadamard block of each level.  The sample is mapped to
-spectral positions once, U and U^T = U are both ``SystemKind.level_op``,
-and only a stopped row's spectrum is put back in flat order before its
-synthesis.
+spectral positions once, and U and U^T = U are both the level operator,
+bound with ``SystemKind.bind_level_op`` to the solve's buffers once per
+batch shape (again after rows leave), so an iteration runs bare matrix
+products.  Only a stopped row's spectrum is put back in flat order before
+its synthesis.
 The update is over-relaxed, t + lambda (z - y) with y = t - g the prox
 and lambda = _RELAX (Eckstein & Bertsekas 1992).  Off the sample the
 projection is the identity, so there z = 2y - t = t - 2g and the next t
