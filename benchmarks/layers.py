@@ -19,7 +19,8 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
   flat-order compositions ``spectrum(synthesis(v))`` and
   ``coefficients(signal(v))``, and ``level_op`` on a batch of 20 for idhw
   at r in {7, 8} and for 1-D at r = 9 (the strategy-ordering experiment's
-  batch), timed per call; beside them ``level_op_bound``, the calls of
+  batch), timed per call, each call binding afresh and so making its own
+  work buffers; beside them ``level_op_bound``, the calls of
   ``bind_level_op`` bound once and run per call as the solver runs them,
   at 1-D r = 9 with B = 1 and 20 and at idhw r = 8 with B = 1;
 * the data-ball projection ``_project_ellipsoid`` on the vds problem below:
@@ -172,9 +173,9 @@ def _level_op_layers():
             yield (system, "level_op", batch,
                    lambda u, s=system, o=out: s.level_op(u, out=o), v)
             if (tag, r, batch) in bound:
-                yield (system, "level_op_bound", batch, _matmuls,
-                       system.bind_level_op(v.reshape(batch, -1),
-                                            out.reshape(batch, -1)))
+                calls, = system.bind_level_op((v.reshape(batch, -1),
+                                               out.reshape(batch, -1)))
+                yield system, "level_op_bound", batch, _matmuls, calls
         yield (system, "spectrum_synthesis", 1,
                lambda u, s=system: s.spectrum(s.synthesis(u)), rows[0])
         yield (system, "coefficients_signal", 1,

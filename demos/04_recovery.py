@@ -37,7 +37,8 @@ print("  converged in      :", report.iterations, "iterations")
 print("  minimal-energy rel:", float(np.linalg.norm(me_hat - x)) / norm)
 
 # --- with measurement noise ---------------------------------------------------
-noise = make_noise(NoiseSpec(20.0, seed=1), x, 128, weights=sample.weights)
+noise = make_noise(NoiseSpec(20.0), x, 128, weights=sample.weights,
+                   rng=rng_stream(1))
 y_noisy = y + noise.vector
 report = solve_bpdn(RecoveryProblem(system, sample, y_noisy,
                                     epsilon=noise.weighted_norm))

@@ -257,43 +257,34 @@ class SystemKind:
         head.flags.writeable = False
         return [(0, size, [(head, 1, size, 1)])] + plan
 
-    def _level_work(self, rows):
-        """Two scratch arrays of ``rows`` rows for the largest level span,
-        kept for the system's life and grown only when a larger batch comes
-        (in the instance dict, as the dataclass is frozen).  Calls that
-        share a system therefore must not run at once."""
-        work = self.__dict__.get("_work")
-        if work is None or work.shape[1] < rows:
-            span = max(hi - lo for lo, hi, _ in self._level_plan)
-            work = np.empty((2, rows, span))
-            self.__dict__["_work"] = work
-        return work[:, :rows]
-
-    def bind_level_op(self, v, out):
-        """U v into ``out``, bound: the level operator's work on the (rows,
-        N) arrays v and out (which may be v) as a list of (x1, x2, dst)
-        calls ``np.matmul(x1, x2, out=dst)``, to run in order with
-        ``transforms._matmuls``.  Each span of the plan takes its factor
-        steps for every block of every row at once: the head one dense
-        product per row, each later level a flat Walsh-Hadamard transform
-        of each block through the kept work buffers, the last step
-        straight into ``out``.  The calls hold their views of v, of the
-        work buffers and of out, split into gemm-sized chunks, so a loop
-        that applies U to the same arrays many times binds once.  A later
-        call that grows the work buffers leaves a binding's own buffers in
-        place; bindings that share a system still must not run at once."""
-        rows = v.shape[0]
-        work = self._level_work(rows)
-        calls = []
-        for lo, hi, steps in self._level_plan:
-            src = v[:, lo:hi]
-            for d, (p, pre, a, rest) in enumerate(steps):
-                dst = (out[:, lo:hi] if d == len(steps) - 1
-                       else work[d % 2, :, :hi - lo])
-                calls += _factor_calls(p, src.reshape(rows, pre, a, rest),
-                                       dst.reshape(rows, pre, a, rest))
-                src = dst
-        return calls
+    def bind_level_op(self, *pairs):
+        """U v into ``out`` for each (v, out) of ``pairs``, bound: per pair,
+        the level operator's work on the (rows, N) arrays v and out (which
+        may be v) as a list of (x1, x2, dst) calls ``np.matmul(x1, x2,
+        out=dst)``, to run in order with ``transforms._matmuls``.  Each span
+        of the plan takes its factor steps for every block of every row at
+        once: the head one dense product per row, each later level a flat
+        Walsh-Hadamard transform of each block through two work buffers,
+        the last step straight into ``out``.  The calls hold their views of
+        v, of the work buffers and of out, split into gemm-sized chunks, so
+        a loop that applies U to the same arrays many times binds once.
+        The pairs bound together share one pair of work buffers, made here
+        for their largest row count, and share it with no other binding."""
+        span = max(hi - lo for lo, hi, _ in self._level_plan)
+        work = np.empty((2, max(v.shape[0] for v, _ in pairs), span))
+        bound = []
+        for v, out in pairs:
+            rows, calls = v.shape[0], []
+            for lo, hi, steps in self._level_plan:
+                src = v[:, lo:hi]
+                for d, (p, pre, a, rest) in enumerate(steps):
+                    dst = (out[:, lo:hi] if d == len(steps) - 1
+                           else work[d % 2, :rows, :hi - lo])
+                    calls += _factor_calls(p, src.reshape(rows, pre, a, rest),
+                                           dst.reshape(rows, pre, a, rest))
+                    src = dst
+            bound.append(calls)
+        return bound
 
     def level_op(self, v, *, out=None):
         """U v between level order and spectral order, either way: U is
@@ -312,8 +303,9 @@ class SystemKind:
                              f"{v.shape}")
         if out is None:
             out = np.empty(v.shape)
-        _matmuls(self.bind_level_op(v.reshape(-1, self.n_total),
-                                    out.reshape(-1, self.n_total)))
+        calls, = self.bind_level_op((v.reshape(-1, self.n_total),
+                                     out.reshape(-1, self.n_total)))
+        _matmuls(calls)
         return out
 
 

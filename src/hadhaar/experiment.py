@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .coherence import SystemKind
 from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn_batch
-from .sampling import (RNG_ALGORITHM, STRATEGIES, draw_sample, mds_allocate,
-                       measure, rng_stream, uds_pmf, vds_pmf)
+from .sampling import (RNG_ALGORITHM, STRATEGIES, _seed_sequence, draw_sample,
+                       mds_allocate, measure, rng_stream, uds_pmf, vds_pmf)
 from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _norm,
                       _write_csv, _write_json, effective_sparsity,
                       gaussian_bump, generate, make_noise, sre_from_ratios)
@@ -105,6 +105,7 @@ class ExperimentConfig:
             raise ValueError("ratios must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        _seed_sequence(self.seed)           # rejects all but an int >= 0
         # a ratio's trials are solved as one (trials, N) batch
         if self.trials * sys_kind.n_total > 1 << _MAX_LOG2_N:
             raise ValueError(f"trials times N must be at most "
@@ -295,8 +296,7 @@ def _build_trial(config, system, partition, plan, ri, m_total, ti):
                                partition).per_level
         plan = mds_allocate(k, m_total, partition)
     sample = draw_sample(plan, m_total,
-                         np.random.SeedSequence(entropy=config.seed,
-                                                spawn_key=(_ROLE_SAMPLE, ri, ti)))
+                         _seed_sequence(config.seed, _ROLE_SAMPLE, ri, ti))
     noise = make_noise(NoiseSpec(config.snr_db), x, m_total,
                        weights=sample.weights if sample.weighted else None,
                        rng=rng_stream(config.seed, _ROLE_NOISE, ri, ti))

@@ -24,8 +24,9 @@ transform per Hadamard block of each level.  The sample is mapped to
 spectral positions once, and U and U^T = U are both the level operator,
 bound with ``SystemKind.bind_level_op`` to the solve's buffers once per
 batch shape (again after rows leave), so an iteration runs bare matrix
-products.  Only a stopped row's spectrum is put back in flat order before
-its synthesis.
+products.  The binding makes the solve's own work buffers, so solves that
+share a system may run at once.  Only a stopped row's spectrum is put
+back in flat order before its synthesis.
 The update is over-relaxed, t + lambda (z - y) with y = t - g the prox
 and lambda = _RELAX (Eckstein & Bertsekas 1992).  Off the sample the
 projection is the identity, so there z = 2y - t = t - 2g and the next t
@@ -355,7 +356,7 @@ def solve_bpdn_batch(problems):
     batch = _Batch(data, n)
     t = np.zeros((len(live), n))
     g, s = np.empty_like(t), np.empty_like(t)
-    t_to_s, s_to_g, g_to_g = _bind(system, t, g, s)
+    t_to_s, s_to_g, g_to_g = system.bind_level_op((t, s), (s, g), (g, g))
     t_on = np.zeros(batch.flat.size)
     lam = np.zeros(len(live))
     it = 0
@@ -422,17 +423,12 @@ def solve_bpdn_batch(problems):
             rows = np.flatnonzero(keep)
             t[:rows.size] = t[rows]
             t, g, s = (buf[:rows.size] for buf in (t, g, s))
-            t_to_s, s_to_g, g_to_g = _bind(system, t, g, s)
+            t_to_s, s_to_g, g_to_g = system.bind_level_op((t, s), (s, g),
+                                                          (g, g))
             lam = lam[rows]
             batch = _Batch([d for d, kept in zip(batch.data, keep) if kept], n)
             t_on = t.reshape(-1)[batch.flat]
     return reports
-
-
-def _bind(system, t, g, s):
-    """U bound to the solve's buffer pairs t -> s, s -> g and g -> g."""
-    return [system.bind_level_op(v, out)
-            for v, out in ((t, s), (s, g), (g, g))]
 
 
 def me_reconstruct(system, sample, y):

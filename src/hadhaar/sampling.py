@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import array
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -44,17 +45,20 @@ class InfeasibleError(ValueError):
     """A measurement budget or data ball that no solution can meet."""
 
 
+def _seed_sequence(seed, *key):
+    """The seed sequence of the sub-stream ``key`` of a master seed, a
+    non-negative integer; a SeedSequence with no key is its own stream."""
+    if isinstance(seed, np.random.SeedSequence) and not key:
+        return seed
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.SeedSequence(entropy=int(seed),
+                                  spawn_key=tuple(int(k) for k in key))
+
+
 def rng_stream(seed, *key):
     """Philox generator for the sub-stream ``key`` of a master seed."""
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _as_seed_sequence(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(entropy=int(seed))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, *key)))
 
 
 @dataclass(frozen=True)
@@ -218,7 +222,7 @@ def draw_sample(plan, m_total, seed, replace=True):
     m_total = int(m_total)
     if m_total < 1:
         raise ValueError("at least one measurement is required")
-    ss = _as_seed_sequence(seed)
+    ss = _seed_sequence(seed)
     rng = np.random.Generator(np.random.Philox(ss))
     if plan.strategy in ("uds", "vds"):
         cdf = np.cumsum(plan.pmf)

@@ -171,10 +171,9 @@ def generate(kind, size, **params):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Target SNR in dB (inf for noiseless) and the stream seed."""
+    """Target SNR in dB (inf for noiseless)."""
 
     snr_db: float
-    seed: object = 0
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,9 @@ def noise_sigma(snr_db, x, n_meas):
     raise ValueError(f"snr_db {snr_db:g} is out of range")
 
 
-def make_noise(spec, x, n_meas, weights=None, rng=None):
-    """Gaussian measurement noise for the target SNR.
+def make_noise(spec, x, n_meas, weights=None, *, rng):
+    """Gaussian measurement noise for the target SNR, drawn from the
+    generator ``rng``.
 
     Reports the plain norm ||n|| and, when preconditioning weights are
     supplied, the weighted norm ||D n|| / sqrt(M) used as the oracle noise
@@ -227,10 +227,6 @@ def make_noise(spec, x, n_meas, weights=None, rng=None):
     if n_meas < 1:
         raise ValueError("noise length must be positive")
     sigma = noise_sigma(spec.snr_db, x, n_meas)
-    if rng is None:
-        ss = spec.seed if isinstance(spec.seed, np.random.SeedSequence) \
-            else np.random.SeedSequence(entropy=int(spec.seed))
-        rng = np.random.Generator(np.random.Philox(ss))
     vector = sigma * rng.standard_normal(n_meas) if sigma > 0 else np.zeros(n_meas)
     weighted = None
     if weights is not None:

@@ -1,0 +1,37 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from hadhaar.transforms import _matmuls
+
+_LAYERS = Path(__file__).resolve().parent.parent / "benchmarks" / "layers.py"
+
+
+def _layers_module():
+    spec = importlib.util.spec_from_file_location("layers_bench", _LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_bench_builds_its_level_op_and_projection_inputs():
+    # the layer bench reaches into the level operator's binding and the
+    # solver's batch, so its inputs are built here, and each layer runs
+    # once, with no timing
+    layers = _layers_module()
+    names = set()
+    for system, name, batch, fn, arg in layers._level_op_layers():
+        got = fn(arg)
+        names.add(name)
+        if name == "level_op_bound":
+            assert fn is _matmuls and batch in (1, 20)
+        else:
+            assert np.all(np.isfinite(got))
+    assert names == {"level_op", "level_op_bound", "spectrum_synthesis",
+                     "coefficients_signal"}
+    projections = list(layers._projection_layers())
+    assert [name for name, _, _ in projections] == [
+        "project_ellipsoid", "project_ellipsoid_warm"]
+    for _, fn, arg in projections:
+        assert np.all(np.isfinite(fn(arg)))

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -667,6 +668,26 @@ def test_cmd_experiment_rejects_zero_signal(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command,seed", [
+    (["experiment", "--seed", "-5"], -5), (["experiment"], -1),
+    (["sample", "--strategy", "uds", "--system", "had_dhw_1d", "--r", "3",
+      "--M", "4", "--seed", "-3"], -3),
+    (["signal", "--kind", "blocks", "--size", "8", "--seed", "-1"], -1),
+], ids=["experiment-flag", "experiment-config", "sample", "signal"])
+def test_negative_seed_is_named(tmp_path, capsys, command, seed):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config_to_json(_small_config(seed=4)).replace(
+        '"seed": 4', f'"seed": {seed}'))
+    if command[0] == "experiment":
+        command = command + ["--config", str(config_path)]
+    assert main(command + ["--out", str(tmp_path / "out")]) \
+        == EXIT_CODES["validation"]
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error:validation: seed must be a "
+                                 f"non-negative integer, got {seed}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sigma,center,expect", [
     ("nan", "10", "finite sigma > 0"),
     ("inf", "10", "finite sigma > 0"),
@@ -829,5 +850,79 @@ def test_mutated_configs_exit_cleanly(doc):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["experiment", "--config", path, "--out",
                          os.path.join(tmp, "run")])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
+# Byte-mutated ``recover`` inputs: one of sample.csv, sample_meta.json and
+# measurements.csv has bytes replaced, inserted or deleted, or is cut
+# short, and the CLI must exit 0, 2, 3 or 4 with at most one line on
+# stderr.  The systems stay at r <= 4 and the solver at 50 iterations.
+_RECOVER_FILES = ("sample.csv", "sample_meta.json", "measurements.csv")
+_RECOVER_BASES = (("had_dhw_1d", 4, "vds"), ("had2_idhw", 2, "mds"),
+                  ("had2_adhw", 2, "uds"))
+_FUZZ_BYTES = b"0123456789,.-+eE\n\r \"{}[]:nNaIf\x00\xe9"
+
+
+@functools.cache
+def _recover_base(tag, r, strategy):
+    """The bytes of the three input files of a small ``recover`` run."""
+    system = SystemKind(tag, r)
+    m = system.n_total // 2
+    k = ",".join(["1"] * system.partition().n_levels)
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sample", "--strategy", strategy, "--system", tag,
+                         "--r", str(r), "--M", str(m), "--seed", "5",
+                         "--k", k, "--out", tmp]) == 0
+        sample = _load_sample(os.path.join(tmp, "sample.csv"), system)
+        x = rng_stream(5, 0).standard_normal(system.n_total)
+        save_signal_csv(os.path.join(tmp, "measurements.csv"),
+                        measure(system, sample, x))
+        files = []
+        for name in _RECOVER_FILES:
+            with open(os.path.join(tmp, name), "rb") as fh:
+                files.append(fh.read())
+    return files
+
+
+@st.composite
+def _mutated_recover_inputs(draw):
+    base = draw(st.sampled_from(_RECOVER_BASES))
+    files = list(_recover_base(*base))
+    which = draw(st.integers(0, len(files) - 1))
+    data = files[which]
+    at = draw(st.integers(0, len(data)))
+    chunk = bytes(draw(st.lists(st.sampled_from(_FUZZ_BYTES), min_size=1,
+                                max_size=4)))
+    op = draw(st.sampled_from(["replace", "insert", "delete", "cut"]))
+    if op == "replace":
+        data = data[:at] + chunk + data[at + len(chunk):]
+    elif op == "insert":
+        data = data[:at] + chunk + data[at:]
+    elif op == "delete":
+        data = data[:at] + data[at + draw(st.integers(1, 8)):]
+    else:
+        data = data[:at]
+    files[which] = data
+    return base, files, draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_mutated_recover_inputs())
+def test_mutated_recover_inputs_exit_cleanly(case):
+    (tag, r, _), files, me = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in zip(_RECOVER_FILES, files):
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["recover", "--system", tag, "--r", str(r),
+                         "--sample", os.path.join(tmp, "sample.csv"),
+                         "--measurements",
+                         os.path.join(tmp, "measurements.csv"),
+                         "--max-iterations", "50", "--out",
+                         os.path.join(tmp, "rec")] + (["--me"] if me else []))
     assert code in (0, 2, 3, 4), err.getvalue()
     assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -413,21 +413,18 @@ def test_level_plan_tiles_level_order(tag, r):
 @pytest.mark.parametrize("r", range(1, 9))
 def test_bound_level_op_keeps_its_views(tag, r):
     # a binding runs any number of times with level_op's bits, in place
-    # too, and keeps its own work buffers when a larger batch grows the
-    # system's kept ones between binding and running
+    # too, and pairs bound together, which share their work buffers, give
+    # the bits each pair gives bound alone
     system = SystemKind(tag, r)
     rng = np.random.default_rng(r)
     for rows in (1, 3, 20):
         v = rng.standard_normal((rows, system.n_total))
         want = system.level_op(v).tobytes()
         out, inplace = np.empty_like(v), v.copy()
-        calls = system.bind_level_op(v, out)
-        calls_inplace = system.bind_level_op(inplace, inplace)
+        calls, = system.bind_level_op((v, out))
+        calls_inplace, = system.bind_level_op((inplace, inplace))
         _matmuls(calls)
         assert out.tobytes() == want
-        work = system.__dict__["_work"]
-        system.level_op(rng.standard_normal((rows + 1, system.n_total)))
-        assert system.__dict__["_work"] is not work
         out.fill(np.nan)
         _matmuls(calls)
         _matmuls(calls_inplace)
@@ -435,6 +432,17 @@ def test_bound_level_op_keeps_its_views(tag, r):
         # each row of the batch is bit for bit the row alone
         for row, alone in zip(out, v):
             assert row.tobytes() == system.level_op(alone).tobytes()
+        # a chain bound as the solver binds it, after a pair of fewer rows
+        first, s, g = np.empty_like(v[:1]), np.empty_like(v), np.empty_like(v)
+        pairs = ((v[:1], first), (v, s), (s, g), (g, g))
+        for calls in system.bind_level_op(*pairs):
+            _matmuls(calls)
+        together = [a.tobytes() for a in (first, s, g)]
+        for pair in pairs:
+            calls, = system.bind_level_op(pair)
+            _matmuls(calls)
+        assert [a.tobytes() for a in (first, s, g)] == together
+        assert together[:2] == [want[:first.nbytes], want]
 
 
 def test_level_op_rejects_other_layouts():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -132,7 +134,8 @@ def _check_noisy_weighted_duplicates(system):
         sample = draw_sample(uds_pmf(system), m, 40 + seed)
         assert np.unique(sample.omega).size < m      # repeated indices present
         x = rng_stream(41 + seed, 0).standard_normal(n)
-        noise = make_noise(NoiseSpec(20.0, seed=seed), x, m, weights=sample.weights)
+        noise = make_noise(NoiseSpec(20.0), x, m, weights=sample.weights,
+                           rng=rng_stream(seed))
         y = measure(system, sample, x) + noise.vector
         problem = RecoveryProblem(system, sample, y, epsilon=noise.weighted_norm)
         report = solve_bpdn(problem)
@@ -188,7 +191,7 @@ def test_noisy_recovery_error_within_budget():
     sample = _full_sample(part)
     x = rng_stream(4, 0).standard_normal(64)
     y_clean = measure(system, sample, x)
-    noise = make_noise(NoiseSpec(20.0, seed=3), x, 64)
+    noise = make_noise(NoiseSpec(20.0), x, 64, rng=rng_stream(3))
     report = solve_bpdn(RecoveryProblem(system, sample, y_clean + noise.vector,
                                         epsilon=noise.norm))
     assert report.converged
@@ -271,6 +274,56 @@ def test_batch_rows_bit_equal_alone(tag, r):
     assert batch[-1].stop_reason == "max_iterations"
     assert batch[-1].iterations == 3
     assert reasons == {"converged", "max_iterations", "zero_data"}
+
+
+def test_threads_sharing_a_system_give_sequential_bits():
+    # every binding of U makes its own work buffers, so level_op calls and
+    # solves that share one SystemKind may run at once: two threads of each
+    # give the bits they give one after another
+    system = SystemKind("had2_idhw", 6)
+    rng = rng_stream(19, 0)
+    x = shepp_logan(system.side)
+    m = system.n_total // 4
+    problems = []
+    for k in range(10):
+        sample = draw_sample(vds_pmf(system), m, 190 + k)
+        noise = make_noise(NoiseSpec(20.0), x, m, weights=sample.weights,
+                           rng=rng)
+        problems.append(RecoveryProblem(
+            system, sample, measure(system, sample, x) + noise.vector,
+            noise.weighted_norm, max_iterations=100))
+    inputs = [rng.standard_normal((4, system.n_total)) for _ in range(150)]
+
+    def apply_u():
+        return [system.level_op(v).tobytes() for v in inputs]
+
+    def solve():
+        return [(report.x_hat.tobytes(), report.iterations)
+                for report in map(solve_bpdn, problems)]
+
+    jobs = (apply_u, apply_u, solve, solve)
+    want = [job() for job in jobs]
+    got = [None] * len(jobs)
+    start = threading.Barrier(len(jobs), timeout=60)
+
+    def run(i):
+        start.wait()
+        got[i] = jobs[i]()
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [sum(a != b for a, b in zip(g, w)) for g, w in zip(got, want)] \
+        == [0] * len(jobs)
 
 
 def _bisected_projection(v, beta, c, radius):

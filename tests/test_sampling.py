@@ -238,6 +238,25 @@ def test_rng_stream_split():
     assert not np.array_equal(a, b)
 
 
+def test_seed_is_a_non_negative_integer():
+    # a master seed without a key is the seed sequence's entropy, and a
+    # SeedSequence draws as itself
+    plan = uds_pmf("had_dhw_1d", r=3)
+    want = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=5))).random(4)
+    assert np.array_equal(rng_stream(np.int64(5)).random(4), want)
+    ss = np.random.SeedSequence(entropy=5, spawn_key=(2,))
+    sample = draw_sample(plan, 4, ss)
+    assert sample.seed == "5[2]"
+    assert np.array_equal(sample.omega, draw_sample(plan, 4, ss).omega)
+    for seed in (-1, True, 1.0, "1", None):
+        for draw in (lambda: rng_stream(seed), lambda: rng_stream(seed, 0),
+                     lambda: draw_sample(plan, 4, seed)):
+            with pytest.raises(ValueError,
+                               match="seed must be a non-negative integer"):
+                draw()
+
+
 # ---------------------------------------------------------------------------
 # measurement operator
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hadhaar.indexing import build_levels
+from hadhaar.sampling import rng_stream
 from hadhaar.signals import (_BLOCK_ROWS, NoiseSpec, _norm, _position_order,
                              best_term_l1_error,
                              effective_sparsity, gaussian_bump, generate,
@@ -102,7 +103,7 @@ def test_noise_sigma_formula():
 
 def test_make_noise_snr():
     x = generate("gaussian_bump", 512, sigma=24.0, center=200)
-    draw = make_noise(NoiseSpec(20.0, seed=5), x, 4096)
+    draw = make_noise(NoiseSpec(20.0), x, 4096, rng=rng_stream(5))
     assert draw.vector.shape == (4096,)
     assert draw.sigma == noise_sigma(20.0, x, 4096)
     snr = 20.0 * math.log10(float(np.linalg.norm(x)) / draw.norm)
@@ -111,17 +112,18 @@ def test_make_noise_snr():
 
 def test_make_noise_noiseless_and_weighted():
     x = np.ones(8)
-    draw = make_noise(NoiseSpec(math.inf), x, 5)
+    draw = make_noise(NoiseSpec(math.inf), x, 5, rng=rng_stream(0))
     assert np.array_equal(draw.vector, np.zeros(5))
     assert draw.sigma == 0.0 and draw.norm == 0.0 and draw.weighted_norm is None
     w = np.arange(1.0, 6.0)
-    draw = make_noise(NoiseSpec(10.0, seed=2), x, 5, weights=w)
+    draw = make_noise(NoiseSpec(10.0), x, 5, weights=w, rng=rng_stream(2))
     manual = float(np.linalg.norm(w * draw.vector)) / math.sqrt(5.0)
     assert draw.weighted_norm == manual
     with pytest.raises(ValueError):
-        make_noise(NoiseSpec(10.0), x, 5, weights=np.ones(4))
+        make_noise(NoiseSpec(10.0), x, 5, weights=np.ones(4),
+                   rng=rng_stream(0))
     with pytest.raises(ValueError):
-        make_noise(NoiseSpec(10.0), x, 0)
+        make_noise(NoiseSpec(10.0), x, 0, rng=rng_stream(0))
 
 
 @pytest.mark.parametrize("shape", [(1,), (9_999,), (10_001,), (256, 256)])
@@ -134,7 +136,8 @@ def test_norm_matches_linalg_norm(shape):
 def test_noise_norms_match_their_vectors():
     x = generate("gaussian_bump", 512, sigma=24.0, center=200)
     w = np.random.default_rng(3).uniform(0.5, 2.0, 16_384)
-    draw = make_noise(NoiseSpec(20.0, seed=4), x, w.size, weights=w)
+    draw = make_noise(NoiseSpec(20.0), x, w.size, weights=w,
+                      rng=rng_stream(4))
     assert draw.norm == pytest.approx(float(np.linalg.norm(draw.vector)),
                                       rel=1e-15)
     assert draw.weighted_norm == pytest.approx(
@@ -144,8 +147,8 @@ def test_noise_norms_match_their_vectors():
 
 def test_make_noise_deterministic():
     x = np.ones(8)
-    a = make_noise(NoiseSpec(15.0, seed=9), x, 32)
-    b = make_noise(NoiseSpec(15.0, seed=9), x, 32)
+    a = make_noise(NoiseSpec(15.0), x, 32, rng=rng_stream(9))
+    b = make_noise(NoiseSpec(15.0), x, 32, rng=rng_stream(9))
     assert np.array_equal(a.vector, b.vector)
 
 
