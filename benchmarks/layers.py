@@ -24,9 +24,11 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
   ``bind_level_op`` bound once and run per call as the solver runs them,
   at 1-D r = 9 with B = 1 and 20 and at idhw r = 8 with B = 1;
 * the data-ball projection ``_project_ellipsoid`` on the vds problem below:
-  cold, at the solver's first iterate (v = 0 on the sample, Newton from
-  0), and warm, at the iterate of the solver's 50th iteration started from
-  the multipliers of its 49th, as the solver runs it (both recorded by
+  cold and exact, at the solver's first iterate (v = 0 on the sample,
+  Newton from 0); warm and exact, at the iterate of the solver's 50th
+  iteration (a check) started from the multipliers of its 49th, as the
+  solver runs it; and the one Newton step from the same start that the
+  solver takes between checks (the iterate and multipliers recorded by
   wrapping the projection during one solve);
 * the solver at 1-D r = 9 on 20 vds problems shaped like the
   strategy-ordering experiment's (Gaussian bump, sigma = 64, random
@@ -166,7 +168,8 @@ def _level_op_layers():
                             ("had2_idhw", 9, False), ("had_dhw_1d", 9, True),
                             ("had2_adhw", 7, False)):
         system = SystemKind(tag, r)
-        rows = np.random.default_rng(r).standard_normal((20, system.n_total))
+        rows = np.random.default_rng(r).standard_normal(
+            (20 if batched else 1, system.n_total))
         for v in [rows[0]] + ([rows] if batched else []):
             out = np.empty_like(v)
             batch = len(v) if v.ndim == 2 else 1
@@ -196,22 +199,24 @@ def _camera_problem():
 
 def _projection_layers():
     """(layer name, function, input) for the data-ball projection of the
-    camera-shaped vds problem: cold at the solver's first iterate, where
-    v = 0 on the sample, and warm at its 50th, from the multipliers of its
-    49th."""
+    camera-shaped vds problem: exact and cold at the solver's first
+    iterate, where v = 0 on the sample; exact and warm at its 50th, from
+    the multipliers of its 49th; and one Newton step from the same
+    start."""
     problem = _camera_problem()
     system = problem.system
     position = np.empty(system.n_total, dtype=np.int64)
     position[system.spectral_order] = np.arange(system.n_total)
     batch = _Batch([_collapse(problem, position)], system.n_total)
+    exact, step = np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
     yield ("project_ellipsoid",
-           lambda v: _project_ellipsoid(v, batch, np.zeros(1)),
+           lambda v: _project_ellipsoid(v, batch, np.zeros(1), exact),
            np.zeros(batch.c.size))
     calls = []
 
-    def record(v, solve_batch, lam):
+    def record(v, solve_batch, lam, due):
         calls.append((v.copy(), lam.copy()))
-        return _project_ellipsoid(v, solve_batch, lam)
+        return _project_ellipsoid(v, solve_batch, lam, due)
 
     recovery._project_ellipsoid = record
     try:
@@ -220,7 +225,9 @@ def _projection_layers():
         recovery._project_ellipsoid = _project_ellipsoid
     v, lam = calls[49]
     yield ("project_ellipsoid_warm",
-           lambda u: _project_ellipsoid(u, batch, lam.copy()), v)
+           lambda u: _project_ellipsoid(u, batch, lam.copy(), exact), v)
+    yield ("project_ellipsoid_step",
+           lambda u: _project_ellipsoid(u, batch, lam.copy(), step), v)
 
 
 def _solver_row(dim, r, batch, problems, solve):

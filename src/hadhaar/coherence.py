@@ -461,8 +461,10 @@ def relative_sparsity(system, k, mode="bound", trials=64, seed=0, r=None):
         return k.astype(np.float64)
     if mode != "search":
         raise ValueError("mode must be 'bound' or 'search'")
+    # sampling imports this module, so its seed check is imported here
+    from .sampling import rng_stream
+    rng = rng_stream(seed)
     u = system_matrix(system)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     out = np.zeros(part.n_levels)
     for t, rows in enumerate(part.levels):
         block = u[rows - 1, :]

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import __version__
 from .coherence import SystemKind
-from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn_batch
+from .recovery import RecoveryProblem, _me_batch, solve_bpdn_batch
 from .sampling import (RNG_ALGORITHM, STRATEGIES, _seed_sequence, draw_sample,
-                       mds_allocate, measure, rng_stream, uds_pmf, vds_pmf)
-from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _norm,
+                       mds_allocate, rng_stream, uds_pmf, vds_pmf)
+from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _norms,
                       _write_csv, _write_json, effective_sparsity,
                       gaussian_bump, generate, make_noise, sre_from_ratios)
 from .transforms import _MAX_LOG2_N
@@ -243,17 +243,32 @@ def _make_signal(spec, size, rng, count=None):
     draws, made at once."""
     if spec.kind != "gaussian_bump":
         return generate(spec.kind, size)
-    center = spec.center
-    if center == "random":
-        center = spec.sigma + (size - 2.0 * spec.sigma) * rng.random(count)
+    if spec.center == "random":
+        return _bumps(spec, size, rng.random(count))
+    return gaussian_bump(size, spec.sigma, float(spec.center))
+
+
+def _bumps(spec, size, u):
+    """The bumps of ``spec`` centred at sigma + (size - 2 sigma) u, one per
+    uniform draw u in [0, 1) (``u`` a float or an array)."""
+    return gaussian_bump(size, spec.sigma,
+                         spec.sigma + (size - 2.0 * spec.sigma) * u)
+
+
+def _signals(config, system, keys):
+    """One signal per stream key of ``keys``, as one batch made by one
+    generator call: a random bump centre is one uniform draw from the
+    stream ``rng_stream(config.seed, *key)`` of its row, and any other
+    signal is made once and repeated.  Raises ValueError if a signal is
+    identically zero."""
+    spec = config.signal
+    if spec.center == "random":
+        x = _bumps(spec, system.side, np.array(
+            [rng_stream(config.seed, *key).random() for key in keys]))
     else:
-        center = float(center)
-    return gaussian_bump(size, spec.sigma, center)
-
-
-def _trial_signal(config, system, rng):
-    x = _make_signal(config.signal, system.side, rng)
-    if not np.any(x):
+        x = np.repeat(_make_signal(spec, system.side, None)[None], len(keys),
+                      axis=0)
+    if not x.reshape(len(x), -1).any(axis=1).all():
         raise ValueError("reference signal must be nonzero")
     return x
 
@@ -268,15 +283,15 @@ def _worst_case_k(config, system, partition):
     it is generated once; random-centre bumps are made in batches of at
     most _PREGEN_ENTRIES entries (one signal at least), whose centres are
     the draws the signals would take one at a time."""
-    rng = rng_stream(config.seed, _ROLE_PREGEN)
     if config.signal.center == "random":
+        rng = rng_stream(config.seed, _ROLE_PREGEN)
         count = config.mds.pregenerated
         step = max(1, _PREGEN_ENTRIES // system.n_total)
         batches = (_make_signal(config.signal, system.side, rng,
                                 min(step, count - start))
                    for start in range(0, count, step))
     else:
-        batches = [_trial_signal(config, system, rng)[None]]
+        batches = [_signals(config, system, [(_ROLE_PREGEN,)])]
     worst = np.zeros(partition.n_levels, dtype=np.int64)
     for x in batches:
         es = effective_sparsity(system.coefficients(x), config.rho, partition)
@@ -284,26 +299,35 @@ def _worst_case_k(config, system, partition):
     return worst
 
 
-def _build_trial(config, system, partition, plan, ri, m_total, ti):
-    """One (ratio, trial) cell's signal ``x``, ``sample``, noisy
-    measurements ``y``, data-ball radius ``epsilon`` and ``noise_sigma``;
-    ``plan`` is None when mds sizes the plan from this trial's signal
-    (oracle_from_signal)."""
-    x = _trial_signal(config, system,
-                      rng_stream(config.seed, _ROLE_SIGNAL, ri, ti))
+def _build_trials(config, system, partition, plan, ri, m_total):
+    """A ratio's cells, built as one batch: their signals ``x``, one row
+    per trial, and per trial its ``sample``, noisy measurements ``y``,
+    data-ball radius ``epsilon`` and ``noise_sigma``.  ``plan`` is None
+    when mds sizes each trial's plan from its own signal
+    (oracle_from_signal).  The signals, their effective sparsities and
+    their spectra are each one batched call; a cell draws its centre,
+    sample and noise from its own (ratio, trial) streams, and each row of a
+    batched call is the row computed alone, so every cell is bit for bit
+    the cell built alone."""
+    trials = range(config.trials)
+    x = _signals(config, system, [(_ROLE_SIGNAL, ri, ti) for ti in trials])
+    plans = [plan] * config.trials
     if plan is None:
         k = effective_sparsity(system.coefficients(x), config.rho,
                                partition).per_level
-        plan = mds_allocate(k, m_total, partition)
-    sample = draw_sample(plan, m_total,
-                         _seed_sequence(config.seed, _ROLE_SAMPLE, ri, ti))
-    noise = make_noise(NoiseSpec(config.snr_db), x, m_total,
-                       weights=sample.weights if sample.weighted else None,
-                       rng=rng_stream(config.seed, _ROLE_NOISE, ri, ti))
-    y = measure(system, sample, x) + noise.vector
-    epsilon = noise.weighted_norm if sample.weighted else noise.norm
-    return SimpleNamespace(x=x, sample=sample, y=y, epsilon=float(epsilon),
-                           noise_sigma=noise.sigma)
+        plans = [mds_allocate(k_t, m_total, partition) for k_t in k]
+    cells = []
+    for ti, plan, x_t, spectrum in zip(trials, plans, x, system.spectrum(x)):
+        sample = draw_sample(plan, m_total,
+                             _seed_sequence(config.seed, _ROLE_SAMPLE, ri, ti))
+        noise = make_noise(NoiseSpec(config.snr_db), x_t, m_total,
+                           weights=sample.weights if sample.weighted else None,
+                           rng=rng_stream(config.seed, _ROLE_NOISE, ri, ti))
+        epsilon = noise.weighted_norm if sample.weighted else noise.norm
+        cells.append(SimpleNamespace(
+            sample=sample, y=spectrum[sample.omega - 1] + noise.vector,
+            epsilon=float(epsilon), noise_sigma=noise.sigma))
+    return x, cells
 
 
 def run_experiment(config):
@@ -313,9 +337,10 @@ def run_experiment(config):
     seed and its own (ratio, trial) coordinates, so a cell's result does
     not depend on the other cells.  Sampling plans depend on the config
     alone and are built once: the uds/vds plan per experiment and the
-    worst-case mds allocation per ratio.  The trials of a ratio are built
-    in order, solved as one batch by ``solve_bpdn_batch`` and recorded in
-    order.  Raises ValueError if a trial's signal is identically zero.
+    worst-case mds allocation per ratio.  The cells of a ratio are built
+    as one batch, solved as one batch by ``solve_bpdn_batch``, given their
+    minimal-energy images as one batch, and recorded in order.  Raises
+    ValueError if a trial's signal is identically zero.
     """
     system = SystemKind(config.system, config.r)
     partition = system.partition()
@@ -330,22 +355,23 @@ def run_experiment(config):
         m_total = max(1, int(round(ratio * system.n_total)))
         if worst_k is not None:
             plan = mds_allocate(worst_k, m_total, partition)
-        trials = [_build_trial(config, system, partition, plan, ri, m_total, ti)
-                  for ti in range(config.trials)]
+        x, cells = _build_trials(config, system, partition, plan, ri, m_total)
         reports = solve_bpdn_batch([
-            RecoveryProblem(system, trial.sample, trial.y, trial.epsilon,
+            RecoveryProblem(system, cell.sample, cell.y, cell.epsilon,
                             tol_feas=solver.tol_feas, tol_gap=solver.tol_gap,
                             max_iterations=solver.max_iterations)
-            for trial in trials])
-        for ti, (trial, report) in enumerate(zip(trials, reports)):
-            me_hat = me_reconstruct(system, trial.sample, trial.y)
+            for cell in cells])
+        x_norm = _norms(x).tolist()
+        cs_error = _norms(x - np.stack([r.x_hat for r in reports])).tolist()
+        me_hat = _me_batch(system, [cell.sample for cell in cells],
+                           [cell.y for cell in cells])
+        me_error = _norms(x - me_hat).tolist()
+        for ti, (cell, report) in enumerate(zip(cells, reports)):
             records.append(TrialRecord(
                 ratio_index=ri, ratio=ratio, trial=ti + 1, m=m_total,
-                sample_seed=trial.sample.seed,
-                x_norm=_norm(trial.x),
-                cs_error=_norm(trial.x - report.x_hat),
-                me_error=_norm(trial.x - me_hat),
-                epsilon=trial.epsilon, noise_sigma=trial.noise_sigma,
+                sample_seed=cell.sample.seed, x_norm=x_norm[ti],
+                cs_error=cs_error[ti], me_error=me_error[ti],
+                epsilon=cell.epsilon, noise_sigma=cell.noise_sigma,
                 cs_objective=report.objective,
                 cs_iterations=report.iterations,
                 cs_converged=report.converged))

@@ -17,6 +17,16 @@ ellipsoid on the sampled indices, projected onto with a scalar Newton
 solve.  The stopping rule is a relative duality gap, so a converged
 report certifies near-optimality of the returned point.
 
+The projection is solved exactly (to a relative _NEWTON_RTOL) only at the
+iterations where a row's stopping rule reads it, every _CHECK_EVERY
+iterations and at its last; at the others it takes one Newton step from
+the previous multiplier.  Relaxed Douglas-Rachford still converges when
+its resolvents are computed with summable errors (Eckstein & Bertsekas
+1992), and from the warm multiplier Newton converges quadratically (Moré
+& Sorensen 1983), so the error of that step is small.  Every objective,
+dual value, residual and returned point comes from an exact projection,
+so the certificate is unchanged.
+
 The iteration runs in the system's two level orders: coefficients in
 ``SystemKind.level_order`` and spectra in ``SystemKind.spectral_order``,
 between which U is block-diagonal and symmetric, one flat Walsh-Hadamard
@@ -135,9 +145,10 @@ class RecoveryReport:
     stop_reason: str = "max_iterations"
 
 
-def _project_ellipsoid(v, batch, lam):
+def _project_ellipsoid(v, batch, lam, exact):
     """Row by row, the Euclidean projection of v onto
-    {z : sum c (z - beta)^2 <= radius^2}.
+    {z : sum c (z - beta)^2 <= radius^2}: exact for the rows in ``exact``,
+    one Newton step towards it for the others.
 
     v holds the sampled entries of every row of ``batch`` back to back, as
     its ``beta`` and ``c`` do, and each row has its own ``radius``.  A zero
@@ -152,11 +163,14 @@ def _project_ellipsoid(v, batch, lam):
     holds each row's multiplier from the previous projection (the root
     moves little between iterations; zeros for a cold start), starts the
     solve and is overwritten with the new multipliers, 0 for rows that are
-    not outside.  A row stops when |q - radius| is within a relative
-    _NEWTON_RTOL.  A row's c takes few values (one for mds, a few dozen
-    for vds) and its entries are sorted by c, so the sums run over its
-    groups of equal c: q(lam)^2 = sum_g S_g / (1 + lam c_g)^2
-    with S_g = c_g sum_{i in g} d_i^2, one segment sum per group and then
+    not outside.  A row of ``exact`` (a per-row bool array) stops when
+    |q - radius| is within a relative _NEWTON_RTOL; any other row takes at
+    most one step, which from the warm multiplier lands near the root (on
+    it, up to rounding, for a row with one group, where 1/q is linear in
+    lam).  A row's c takes few values (one for mds, a few dozen for vds)
+    and its entries are sorted by c, so the sums run over its groups of
+    equal c: q(lam)^2 = sum_g S_g / (1 + lam c_g)^2 with
+    S_g = c_g sum_{i in g} d_i^2, one segment sum per group and then
     O(groups) work per Newton step.  Each row keeps its own groups,
     multiplier and stopping test, so a row's result does not depend on the
     rows beside it.
@@ -164,30 +178,38 @@ def _project_ellipsoid(v, batch, lam):
     beta, radius, group_c = batch.beta, batch.radius, batch.group_c
     d = v - beta
     sums = group_c * np.add.reduceat(d * d, batch.group_starts)
-    exact = radius == 0.0
-    outside = ~exact & ~(np.sqrt(batch.group_sums(sums)) <= radius)
+    outside = batch.open & ~(np.sqrt(batch.group_sums(sums)) <= radius)
     np.copyto(lam, 0.0, where=~outside)
     active = outside.copy()
-    tol = _NEWTON_RTOL * radius
     step = np.empty(radius.size)
-    for _ in range(_NEWTON_STEPS if np.count_nonzero(active) else 0):
-        shrink = 1.0 / (1.0 + batch.group_spread(lam) * group_c)
+    # whether ``denominator`` holds 1 + lam c at the final multipliers
+    final = False
+    for steps in range(_NEWTON_STEPS if np.count_nonzero(active) else 0):
+        denominator = 1.0 + batch.group_spread(lam) * group_c
+        shrink = 1.0 / denominator
         terms = sums * shrink * shrink
         q = np.sqrt(batch.group_sums(terms))
         excess = q - radius
-        active &= np.abs(excess) > tol
-        if not np.count_nonzero(active):
+        active &= np.abs(excess) > batch.newton_tol
+        final = not np.count_nonzero(active)
+        if final:
             break
         slope = batch.group_sums(terms * group_c * shrink)
         # a row that is not active may have radius * slope = 0
         np.divide(excess * q * q, radius * slope, out=step, where=active)
         np.add(lam, step, out=lam, where=active)
         np.maximum(lam, 0.0, out=lam)
-    denominator = 1.0 + batch.group_spread(lam) * group_c
+        if steps == 0:
+            # the rows outside ``exact`` stop after this one step
+            active &= exact
+            if not np.count_nonzero(active):
+                break
+    if not final:
+        denominator = 1.0 + batch.group_spread(lam) * group_c
     z = beta + d / denominator.repeat(batch.group_sizes)
     if not outside.all():
-        np.copyto(z, v, where=batch.spread(~exact & ~outside))
-        np.copyto(z, beta, where=batch.spread(exact))
+        np.copyto(z, v, where=batch.spread(batch.open & ~outside))
+        np.copyto(z, beta, where=batch.spread(~batch.open))
     return z
 
 
@@ -220,13 +242,15 @@ def _collapse(problem, position):
         raise InfeasibleError(
             f"data ball is infeasible: repeated measurements scatter by "
             f"{math.sqrt(scatter):.6g} > epsilon = {eps:.6g}")
-    group_c, group, group_sizes = np.unique(
-        c_all[omega], return_inverse=True, return_counts=True)
-    omega = omega[np.lexsort((position[omega], group))]
+    omega = omega[np.lexsort((position[omega], c_all[omega]))]
+    c = c_all[omega]
+    # the groups' bounds: 0, each run boundary of c and |omega|
+    bounds = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1],
+                                            [True])))
     return SimpleNamespace(
         w=w, b=b, b_norm=b_norm, rows=position[rows], omega=position[omega],
-        c=c_all[omega], beta=beta_all[omega], group_c=group_c,
-        group_sizes=group_sizes, eps=eps,
+        c=c, beta=beta_all[omega], group_c=c[bounds[:-1]],
+        group_sizes=bounds[1:] - bounds[:-1], eps=eps,
         radius=math.sqrt(max(eps * eps - scatter, 0.0)),
         gamma=_STEP_SCALE * b_norm / math.sqrt(omega.size),
         feas_slack=feas_slack, tol_gap=problem.tol_gap,
@@ -237,7 +261,10 @@ class _Batch:
     """The live rows of a batch: per-row scalars as arrays, the sampled
     entries of all rows back to back (``flat`` indexes a (B, N) array's
     ravel), and the rows' groups of equal c back to back, each a run of
-    ``group_sizes`` entries from ``group_starts``."""
+    ``group_sizes`` entries from ``group_starts``.  ``open`` marks the rows
+    with a nonzero radius, ``newton_tol`` is their projection's stopping
+    tolerance, and ``lower`` and ``upper`` are the (B, 1) clip bounds
+    -gamma and gamma."""
 
     def __init__(self, data, n):
         self.data = data
@@ -254,7 +281,10 @@ class _Batch:
         self.row_group_starts = np.cumsum(self.row_groups) - self.row_groups
         for name in ("radius", "gamma", "tol_gap", "max_iterations"):
             setattr(self, name, np.array([getattr(d, name) for d in data]))
-        self.first_stop = int(self.max_iterations.min())
+        self.open = self.radius != 0.0
+        self.newton_tol = _NEWTON_RTOL * self.radius
+        self.upper = self.gamma[:, None]
+        self.lower = -self.upper
 
     def spread(self, per_row):
         """A per-row array repeated over each row's sampled entries."""
@@ -296,8 +326,10 @@ def solve_bpdn(problem):
     Iteration.  With g = U clip(U^T t, -gamma, gamma), y = t - g is the
     prox of the l1 term, U soft(U^T t, gamma) (U is orthogonal); z is the
     projection of 2y - t = y - g onto the ellipsoid (z = beta on Omega
-    when eps_eff = 0, otherwise one scalar Newton solve for the
-    multiplier, started from the previous iteration's); then
+    when eps_eff = 0, otherwise a scalar Newton solve for the multiplier,
+    started from the previous iteration's: run to a relative 1e-12 at the
+    iterations where the stopping rule is checked, one step at the
+    others); then
     t += 1.5 (z - y), over-relaxed Douglas-Rachford, which off Omega is
     t - 1.5 g.  The step is gamma = 0.2 ||b|| / sqrt(|Omega|), which makes
     the iterates scale-equivariant in b.
@@ -309,10 +341,11 @@ def solve_bpdn(problem):
     duality gap (objective - dual value) / objective.
 
     The returned point is the projected iterate z in the signal domain,
-    and objective and feasibility_residual (the uncollapsed ||G s - b||)
-    are evaluated at it.  converged = True certifies that the residual
-    exceeds eps by at most tol_feas * max(1, ||b||) and that the objective
-    is within a relative tol_gap of the dual value, hence of the optimum.
+    exactly projected, and objective and feasibility_residual (the
+    uncollapsed ||G s - b||) are evaluated at it.  converged = True
+    certifies that the residual exceeds eps by at most
+    tol_feas * max(1, ||b||) and that the objective is within a relative
+    tol_gap of the dual value, hence of the optimum.
     Otherwise the point from the last of max_iterations iterations is
     returned with converged = False.  This is :func:`solve_bpdn_batch` on
     a batch of one.
@@ -328,8 +361,9 @@ def solve_bpdn_batch(problems):
     order, and the first empty one raises InfeasibleError (a ball with
     ||b|| <= eps is never empty).  Every step of an iteration works row by
     row: each row has its own step, data ball and Newton multiplier, is
-    checked on its own schedule and leaves the batch when it stops, so
-    each report is bit for bit the one the problem gets alone.
+    checked, and projected exactly, on its own schedule and leaves the
+    batch when it stops, so each report is bit for bit the one the problem
+    gets alone.
     """
     problems = list(problems)
     if not problems:
@@ -364,17 +398,19 @@ def solve_bpdn_batch(problems):
         it += 1
         # g = U clip(U^T t, -gamma, gamma), so that the l1 prox is t - g
         _matmuls(t_to_s)
-        gamma = batch.gamma[:, None]
-        np.clip(s, -gamma, gamma, out=s)
+        np.maximum(s, batch.lower, out=s)
+        np.minimum(s, batch.upper, out=s)
         _matmuls(s_to_g)
         # off omega the projection is the identity, so z = t - 2g there:
         # only the sampled entries are projected (t_on holds those of t),
-        # with each row's multiplier kept in lam, and z is formed in full
-        # only when it is checked
+        # with each row's multiplier kept in lam, exactly for the rows due
+        # to be checked, and z is formed in full only when it is checked
         g_on = g.reshape(-1)[batch.flat]
         y_on = t_on - g_on
-        z_on = _project_ellipsoid(y_on - g_on, batch, lam)
-        check = it % _CHECK_EVERY == 0 or it == batch.first_stop
+        at_max = it == batch.max_iterations
+        due = at_max | (it % _CHECK_EVERY == 0)
+        z_on = _project_ellipsoid(y_on - g_on, batch, lam, due)
+        check = np.count_nonzero(due)
         if check:
             z = np.subtract(t, np.multiply(g, 2.0, out=s), out=s)
             z.reshape(-1)[batch.flat] = z_on
@@ -383,8 +419,6 @@ def solve_bpdn_batch(problems):
         np.subtract(t, g, out=t)
         stopped = []
         if check:
-            at_max = it == batch.max_iterations
-            due = at_max | (it % _CHECK_EVERY == 0)
             _matmuls(s_to_g)
             objective = np.abs(g, out=g).sum(axis=1)
             p_on = g_on / batch.spread(batch.gamma)
@@ -436,11 +470,23 @@ def me_reconstruct(system, sample, y):
 
     Repeated indices are collapsed by averaging their measurements; the
     result is the right pseudo-inverse of the deduplicated row-orthonormal
-    measurement operator applied to y.
+    measurement operator applied to y.  This is :func:`_me_batch` on a
+    batch of one.
     """
-    y = _measurements(system, sample, y)
-    pos = sample.omega - 1
-    sums = np.bincount(pos, weights=y, minlength=system.n_total)
-    counts = np.bincount(pos, minlength=system.n_total)
+    return _me_batch(system, [sample], [y])[0]
+
+
+def _me_batch(system, samples, ys):
+    """:func:`me_reconstruct` of each (sample, y) pair of ``samples`` and
+    ``ys``, as one batch of signals: one weighted count of all the pairs'
+    indices, offset by N per row, and one batched synthesis, each row bit
+    for bit the pair's alone."""
+    n = system.n_total
+    ys = [_measurements(system, sample, y) for sample, y in zip(samples, ys)]
+    pos = np.concatenate([k * n + sample.omega - 1
+                          for k, sample in enumerate(samples)])
+    size = len(ys) * n
+    sums = np.bincount(pos, weights=np.concatenate(ys), minlength=size)
+    counts = np.bincount(pos, minlength=size)
     avg = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return system.signal(avg)
+    return system.signal(avg.reshape(len(ys), n))

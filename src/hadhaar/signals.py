@@ -196,6 +196,18 @@ def _norm(x):
                          for i in range(0, x.size, _NORM_BLOCK)))
 
 
+def _norms(x):
+    """:func:`_norm` of each row of x (its entries after the first axis),
+    bit for bit: the rows' sums of squares are taken over the same blocks
+    and added in the same order, one numpy call per block for all rows."""
+    x = np.asarray(x, dtype=np.float64)
+    x = x.reshape(len(x), -1)
+    total = np.zeros(len(x))
+    for i in range(0, x.shape[1], _NORM_BLOCK):
+        total += np.sum(np.square(x[:, i:i + _NORM_BLOCK]), axis=1)
+    return np.sqrt(total)
+
+
 def noise_sigma(snr_db, x, n_meas):
     """Component deviation so that 20 log10(||x|| / (sigma sqrt(n_meas))) = snr."""
     if math.isinf(snr_db):
@@ -492,15 +504,20 @@ def _position_order(path, index, shape):
     The check sorts the positions, so neither its time nor its memory grows
     with the largest."""
     for (name, ix), n in zip(index.items(), shape):
-        bad = (ix < 1) | (ix > n)
-        if bad.any():
+        if ix.min() < 1 or ix.max() > n:
+            bad = (ix < 1) | (ix > n)
             raise ValueError(f"{path}: {name} {ix[bad][0]} outside [1, {n}]")
     if math.prod(shape) >= 1 << 63:
         raise ValueError(f"{path}: {' x '.join(map(str, shape))} positions "
                          f"overflow int64")
-    flat = 0
-    for ix, n in zip(index.values(), shape):
-        flat = flat * n + (ix - 1)
+    # the flat positions, formed in place in one array, so that besides the
+    # parsed columns the check holds one index-sized array at a time
+    first, *rest = index.values()
+    flat = first - 1
+    for ix, n in zip(rest, shape[1:]):
+        flat *= n
+        flat += ix
+        flat -= 1
     if flat.size == math.prod(shape) and (flat[1:] > flat[:-1]).all():
         return slice(None)
     order = np.argsort(flat)

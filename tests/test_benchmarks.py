@@ -32,6 +32,7 @@ def test_layer_bench_builds_its_level_op_and_projection_inputs():
                      "coefficients_signal"}
     projections = list(layers._projection_layers())
     assert [name for name, _, _ in projections] == [
-        "project_ellipsoid", "project_ellipsoid_warm"]
+        "project_ellipsoid", "project_ellipsoid_warm",
+        "project_ellipsoid_step"]
     for _, fn, arg in projections:
         assert np.all(np.isfinite(fn(arg)))

@@ -15,15 +15,16 @@ from hypothesis import strategies as st
 
 from hadhaar.cli import EXIT_CODES, _load_sample, main
 from hadhaar.coherence import SYSTEM_TAGS, SystemKind, local_coherence
-from hadhaar.experiment import (_ROLE_PREGEN, ExperimentConfig, MdsSpec,
-                                SignalSpec, SolverSpec, _make_signal,
-                                _worst_case_k, config_from_json,
+from hadhaar.experiment import (_ROLE_NOISE, _ROLE_PREGEN, _ROLE_SAMPLE,
+                                _ROLE_SIGNAL, ExperimentConfig, MdsSpec,
+                                SignalSpec, SolverSpec, _build_trials,
+                                _make_signal, _worst_case_k, config_from_json,
                                 config_to_json, run_experiment,
                                 write_summary_csv, write_trials_csv)
-from hadhaar.sampling import (draw_sample, mds_allocate, measure, rng_stream,
-                              uds_pmf, vds_pmf)
-from hadhaar.signals import (effective_sparsity, generate, load_signal_csv,
-                             save_signal_csv)
+from hadhaar.sampling import (_seed_sequence, draw_sample, mds_allocate,
+                              measure, rng_stream, uds_pmf, vds_pmf)
+from hadhaar.signals import (NoiseSpec, effective_sparsity, generate,
+                             load_signal_csv, make_noise, save_signal_csv)
 from hadhaar.transforms import haar_transform
 
 
@@ -261,6 +262,58 @@ def test_random_bump_batches_are_the_single_draws():
     batch = np.vstack([_make_signal(spec, 512, batched, count)
                        for count in (3, 5)])
     assert batch.tobytes() == np.stack(alone).tobytes()
+
+
+def _cell_alone(config, system, partition, plan, ri, m_total, ti):
+    # one (ratio, trial) cell built on its own, one call per step
+    x = _make_signal(config.signal, system.side,
+                     rng_stream(config.seed, _ROLE_SIGNAL, ri, ti))
+    if plan is None:
+        k = effective_sparsity(system.coefficients(x), config.rho,
+                               partition).per_level
+        plan = mds_allocate(k, m_total, partition)
+    sample = draw_sample(plan, m_total,
+                         _seed_sequence(config.seed, _ROLE_SAMPLE, ri, ti))
+    noise = make_noise(NoiseSpec(config.snr_db), x, m_total,
+                       weights=sample.weights if sample.weighted else None,
+                       rng=rng_stream(config.seed, _ROLE_NOISE, ri, ti))
+    epsilon = noise.weighted_norm if sample.weighted else noise.norm
+    return (x, sample, measure(system, sample, x) + noise.vector, epsilon,
+            noise.sigma)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"strategy": "uds", "signal": SignalSpec("gaussian_bump", 3.0, 10.5)},
+    {"system": "had2_idhw", "r": 3, "signal": SignalSpec("shepp_logan")},
+    {"strategy": "mds", "mds": MdsSpec("oracle_from_signal")},
+])
+def test_batched_cells_are_the_cells_built_alone(overrides):
+    # a random-centre bump, a fixed-centre bump, a 2-D phantom and mds
+    # plans sized from each trial's own signal
+    config = _small_config(**{"snr_db": 20.0, "trials": 4,
+                              "ratios": (0.25, 0.5), **overrides})
+    system = SystemKind(config.system, config.r)
+    partition = system.partition()
+    plan = (None if config.strategy == "mds" else
+            (uds_pmf if config.strategy == "uds" else vds_pmf)(system))
+    for ri, ratio in enumerate(config.ratios):
+        m_total = round(ratio * system.n_total)
+        x, cells = _build_trials(config, system, partition, plan, ri,
+                                 m_total)
+        assert len(x) == len(cells) == config.trials
+        for ti, cell in enumerate(cells):
+            want = _cell_alone(config, system, partition, plan, ri, m_total,
+                               ti)
+            got = (x[ti], cell.sample, cell.y, cell.epsilon,
+                   cell.noise_sigma)
+            assert got[0].shape == want[0].shape
+            assert got[0].tobytes() == want[0].tobytes()
+            assert (got[1].omega.tobytes(), got[1].weights.tobytes(),
+                    got[1].seed) == (want[1].omega.tobytes(),
+                                     want[1].weights.tobytes(), want[1].seed)
+            assert got[2].tobytes() == want[2].tobytes()
+            assert got[3:] == want[3:]
 
 
 def test_trials_csv_format(tmp_path):

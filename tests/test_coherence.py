@@ -169,6 +169,19 @@ def test_relative_sparsity_validation():
         relative_sparsity("had_dhw_1d", [1, 1, 2, 4], mode="mid", r=3)
 
 
+def test_relative_sparsity_checks_its_seed():
+    # the package's one seed check names the seed; a valid seed keeps the
+    # draws of np.random.SeedSequence(seed)
+    for seed in (-1, True, 1.5, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            relative_sparsity("had_dhw_1d", [1, 1, 1, 1], mode="search",
+                              trials=4, seed=seed, r=3)
+    got, want = (relative_sparsity("had2_adhw", [1, 1, 1, 1, 1, 1, 1, 1, 1],
+                                   mode="search", trials=4, seed=seed, r=2)
+                 for seed in (5, np.random.SeedSequence(5)))
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # block structure
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ from scipy.optimize import linprog, minimize
 from hadhaar.cli import EXIT_CODES, main
 from hadhaar.coherence import SystemKind, system_matrix
 from hadhaar.indexing import build_levels
-from hadhaar.recovery import (_RELAX, _STEP_SCALE, RecoveryProblem,
-                              RecoveryReport, _Batch, _collapse,
+from hadhaar.recovery import (_CHECK_EVERY, _RELAX, _STEP_SCALE,
+                              RecoveryProblem,
+                              RecoveryReport, _Batch, _collapse, _me_batch,
                               _project_ellipsoid, me_reconstruct, solve_bpdn,
                               solve_bpdn_batch)
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
                               rng_stream, uds_pmf, vds_pmf)
-from hadhaar.signals import (NoiseSpec, gaussian_bump, make_noise,
-                             save_signal_csv, shepp_logan)
+from hadhaar.signals import (NoiseSpec, _norm, _norms, gaussian_bump,
+                             make_noise, save_signal_csv, shepp_logan)
 from hadhaar.transforms import dense_basis, haar_transform, vec
 
 
@@ -326,18 +327,13 @@ def test_threads_sharing_a_system_give_sequential_bits():
         == [0] * len(jobs)
 
 
-def _bisected_projection(v, beta, c, radius):
-    """The projection of v onto {z : sum c (z - beta)^2 <= radius^2}, its
-    multiplier found by bisection on the secular equation."""
-    d = v - beta
+def _bisected_multiplier(d, c, radius):
+    """The root of q(lam) = radius, q(lam)^2 = sum c d^2 / (1 + lam c)^2,
+    by bisection, for a d outside the ellipsoid (q(0) > radius > 0)."""
 
     def q(lam):
         return math.sqrt(float(np.sum(c * d * d / (1.0 + lam * c) ** 2)))
 
-    if radius == 0.0:
-        return beta
-    if q(0.0) <= radius:
-        return v
     lo, hi = 0.0, 1.0
     while q(hi) > radius:
         lo, hi = hi, 2.0 * hi
@@ -346,7 +342,18 @@ def _bisected_projection(v, beta, c, radius):
         if mid in (lo, hi):
             break
         lo, hi = (mid, hi) if q(mid) > radius else (lo, mid)
-    return beta + d / (1.0 + 0.5 * (lo + hi) * c)
+    return 0.5 * (lo + hi)
+
+
+def _bisected_projection(v, beta, c, radius):
+    """The projection of v onto {z : sum c (z - beta)^2 <= radius^2}, its
+    multiplier found by bisection on the secular equation."""
+    d = v - beta
+    if radius == 0.0:
+        return beta
+    if math.sqrt(float(np.sum(c * d * d))) <= radius:
+        return v
+    return beta + d / (1.0 + _bisected_multiplier(d, c, radius) * c)
 
 
 def test_grouped_projection_matches_bisection():
@@ -375,8 +382,8 @@ def test_grouped_projection_matches_bisection():
     outside = 1.02 * batch.radius[3] / math.sqrt(
         float(np.sum(batch.c[last] * shift[last] ** 2)))
     v = batch.beta + batch.spread(np.array([1.0, 1.0, 1e-3, outside])) * shift
-    root = np.zeros(4)
-    _project_ellipsoid(v, batch, root)
+    root, exact = np.zeros(4), np.ones(4, dtype=bool)
+    _project_ellipsoid(v, batch, root, exact)
     assert root[0] > 0.0 and root[3] > 0.0 and list(root[1:3]) == [0.0, 0.0]
     # started cold, then warm at 0, at the root, at 10x and at 10^4x the
     # root (there the last row's first step lands below 0, so it needs the
@@ -387,11 +394,11 @@ def test_grouped_projection_matches_bisection():
                               for start in (0.0, 1.0, 10.0, 1e4)]
     for lam in starts:
         warm = lam.copy()
-        together = _project_ellipsoid(v, batch, warm)
+        together = _project_ellipsoid(v, batch, warm, exact)
         for k, d in enumerate(data):
             rows = slice(batch.starts[k], batch.starts[k] + batch.sizes[k])
             alone = _project_ellipsoid(v[rows], _Batch([d], n),
-                                       lam[k:k + 1].copy())
+                                       lam[k:k + 1].copy(), exact[k:k + 1])
             assert alone.tobytes() == together[rows].tobytes()
             want = _bisected_projection(v[rows], d.beta, d.c, d.radius)
             np.testing.assert_allclose(alone, want, rtol=1e-12,
@@ -410,8 +417,11 @@ def test_grouped_projection_matches_bisection():
 
 def _dense_douglas_rachford(problem, iterations):
     """Phi z after ``iterations`` of plain over-relaxed Douglas-Rachford
-    from t = 0: soft-thresholding between the dense U^T and U, and the
-    bisected projection onto the collapsed data ball."""
+    from t = 0 on the solver's schedule: soft-thresholding between the
+    dense U^T and U, and the projection onto the collapsed data ball with
+    the multiplier bisected where the solver checks (every _CHECK_EVERY
+    iterations and at the last) and, at the other iterations, one Newton
+    step on 1/q - 1/radius from the previous multiplier."""
     system, sample = problem.system, problem.sample
     u = system_matrix(system)
     n, m = system.n_total, sample.n_measurements
@@ -425,11 +435,25 @@ def _dense_douglas_rachford(problem, iterations):
     radius = math.sqrt(max(problem.epsilon ** 2 - scatter, 0.0))
     gamma = _STEP_SCALE * float(np.linalg.norm(b)) / math.sqrt(omega.size)
     t = np.zeros(n)
-    for _ in range(iterations):
+    lam = 0.0
+    for it in range(1, iterations + 1):
         v = u.T @ t
         y = u @ (np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0))
         z = 2.0 * y - t
-        z[omega] = _bisected_projection(z[omega], beta, c, radius)
+        d = z[omega] - beta
+        if radius == 0.0:
+            z[omega] = beta
+        elif math.sqrt(float(np.sum(c * d * d))) <= radius:
+            lam = 0.0
+        else:
+            if it % _CHECK_EVERY == 0 or it == iterations:
+                lam = _bisected_multiplier(d, c, radius)
+            else:
+                shrink = 1.0 / (1.0 + lam * c)
+                q = math.sqrt(float(np.sum(c * d * d * shrink ** 2)))
+                slope = float(np.sum(c * c * d * d * shrink ** 3))
+                lam = max(0.0, lam + (q - radius) * q * q / (radius * slope))
+            z[omega] = beta + d / (1.0 + lam * c)
         t = t + _RELAX * (z - y)
     return system.signal(z)
 
@@ -616,6 +640,33 @@ def test_me_full_sampling_inverts():
     back = me_reconstruct(system, sample, measure(system, sample, img))
     np.testing.assert_allclose(back, img, atol=1e-12)
     assert back.shape == (4, 4)
+
+
+@pytest.mark.parametrize("tag,r", [("had_dhw_1d", 5), ("had2_idhw", 8)])
+def test_batched_me_and_norms_match_each_trial(tag, r):
+    # at had2_idhw r = 8 a row's norm sums four blocks of _norm
+    system = SystemKind(tag, r)
+    n = system.n_total
+    m = n // 4
+    rng = np.random.default_rng(r)
+    samples = [draw_sample(vds_pmf(system), m, seed) for seed in range(3)]
+    ys = [rng.standard_normal(m) for _ in samples]
+    images = _me_batch(system, samples, ys)
+    # rows of different scales
+    scale = np.array([1e-3, 1.0, 1e3]).reshape((-1,) + (1,) * (images.ndim - 1))
+    x = scale * rng.standard_normal(images.shape)
+    norms = _norms(x - images)
+    for k, (sample, y) in enumerate(zip(samples, ys)):
+        # the unbatched minimal-energy image: averages at the sampled
+        # indices, then one synthesis of a single spectrum
+        pos = sample.omega - 1
+        counts = np.bincount(pos, minlength=n)
+        avg = np.bincount(pos, weights=y, minlength=n)
+        avg[counts > 0] /= counts[counts > 0]
+        alone = system.signal(avg)
+        assert images[k].tobytes() == alone.tobytes()
+        assert me_reconstruct(system, sample, y).tobytes() == alone.tobytes()
+        assert norms[k] == _norm(x[k] - alone)
 
 
 def test_me_validation():
