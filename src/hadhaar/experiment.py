@@ -17,10 +17,10 @@ import numpy as np
 
 from . import __version__
 from .coherence import SystemKind
-from .recovery import RecoveryProblem, _me_batch, solve_bpdn_batch
+from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn_batch
 from .sampling import (RNG_ALGORITHM, STRATEGIES, _seed_sequence, draw_sample,
                        mds_allocate, rng_stream, uds_pmf, vds_pmf)
-from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _norms,
+from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _norm,
                       _write_csv, _write_json, effective_sparsity,
                       gaussian_bump, generate, make_noise, sre_from_ratios)
 from .transforms import _MAX_LOG2_N
@@ -338,9 +338,8 @@ def run_experiment(config):
     not depend on the other cells.  Sampling plans depend on the config
     alone and are built once: the uds/vds plan per experiment and the
     worst-case mds allocation per ratio.  The cells of a ratio are built
-    as one batch, solved as one batch by ``solve_bpdn_batch``, given their
-    minimal-energy images as one batch, and recorded in order.  Raises
-    ValueError if a trial's signal is identically zero.
+    as one batch, solved as one batch by ``solve_bpdn_batch`` and recorded
+    in order.  Raises ValueError if a trial's signal is identically zero.
     """
     system = SystemKind(config.system, config.r)
     partition = system.partition()
@@ -361,16 +360,14 @@ def run_experiment(config):
                             tol_feas=solver.tol_feas, tol_gap=solver.tol_gap,
                             max_iterations=solver.max_iterations)
             for cell in cells])
-        x_norm = _norms(x).tolist()
-        cs_error = _norms(x - np.stack([r.x_hat for r in reports])).tolist()
-        me_hat = _me_batch(system, [cell.sample for cell in cells],
-                           [cell.y for cell in cells])
-        me_error = _norms(x - me_hat).tolist()
-        for ti, (cell, report) in enumerate(zip(cells, reports)):
+        for ti, (x_t, cell, report) in enumerate(zip(x, cells, reports)):
+            me_hat = me_reconstruct(system, cell.sample, cell.y)
             records.append(TrialRecord(
                 ratio_index=ri, ratio=ratio, trial=ti + 1, m=m_total,
-                sample_seed=cell.sample.seed, x_norm=x_norm[ti],
-                cs_error=cs_error[ti], me_error=me_error[ti],
+                sample_seed=cell.sample.seed,
+                x_norm=_norm(x_t),
+                cs_error=_norm(x_t - report.x_hat),
+                me_error=_norm(x_t - me_hat),
                 epsilon=cell.epsilon, noise_sigma=cell.noise_sigma,
                 cs_objective=report.objective,
                 cs_iterations=report.iterations,

@@ -182,8 +182,6 @@ def _project_ellipsoid(v, batch, lam, exact):
     np.copyto(lam, 0.0, where=~outside)
     active = outside.copy()
     step = np.empty(radius.size)
-    # whether ``denominator`` holds 1 + lam c at the final multipliers
-    final = False
     for steps in range(_NEWTON_STEPS if np.count_nonzero(active) else 0):
         denominator = 1.0 + batch.group_spread(lam) * group_c
         shrink = 1.0 / denominator
@@ -191,8 +189,7 @@ def _project_ellipsoid(v, batch, lam, exact):
         q = np.sqrt(batch.group_sums(terms))
         excess = q - radius
         active &= np.abs(excess) > batch.newton_tol
-        final = not np.count_nonzero(active)
-        if final:
+        if not np.count_nonzero(active):
             break
         slope = batch.group_sums(terms * group_c * shrink)
         # a row that is not active may have radius * slope = 0
@@ -204,8 +201,7 @@ def _project_ellipsoid(v, batch, lam, exact):
             active &= exact
             if not np.count_nonzero(active):
                 break
-    if not final:
-        denominator = 1.0 + batch.group_spread(lam) * group_c
+    denominator = 1.0 + batch.group_spread(lam) * group_c
     z = beta + d / denominator.repeat(batch.group_sizes)
     if not outside.all():
         np.copyto(z, v, where=batch.spread(batch.open & ~outside))
@@ -470,23 +466,11 @@ def me_reconstruct(system, sample, y):
 
     Repeated indices are collapsed by averaging their measurements; the
     result is the right pseudo-inverse of the deduplicated row-orthonormal
-    measurement operator applied to y.  This is :func:`_me_batch` on a
-    batch of one.
+    measurement operator applied to y.
     """
-    return _me_batch(system, [sample], [y])[0]
-
-
-def _me_batch(system, samples, ys):
-    """:func:`me_reconstruct` of each (sample, y) pair of ``samples`` and
-    ``ys``, as one batch of signals: one weighted count of all the pairs'
-    indices, offset by N per row, and one batched synthesis, each row bit
-    for bit the pair's alone."""
-    n = system.n_total
-    ys = [_measurements(system, sample, y) for sample, y in zip(samples, ys)]
-    pos = np.concatenate([k * n + sample.omega - 1
-                          for k, sample in enumerate(samples)])
-    size = len(ys) * n
-    sums = np.bincount(pos, weights=np.concatenate(ys), minlength=size)
-    counts = np.bincount(pos, minlength=size)
+    y = _measurements(system, sample, y)
+    pos = sample.omega - 1
+    sums = np.bincount(pos, weights=y, minlength=system.n_total)
+    counts = np.bincount(pos, minlength=system.n_total)
     avg = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return system.signal(avg.reshape(len(ys), n))
+    return system.signal(avg)

@@ -196,18 +196,6 @@ def _norm(x):
                          for i in range(0, x.size, _NORM_BLOCK)))
 
 
-def _norms(x):
-    """:func:`_norm` of each row of x (its entries after the first axis),
-    bit for bit: the rows' sums of squares are taken over the same blocks
-    and added in the same order, one numpy call per block for all rows."""
-    x = np.asarray(x, dtype=np.float64)
-    x = x.reshape(len(x), -1)
-    total = np.zeros(len(x))
-    for i in range(0, x.shape[1], _NORM_BLOCK):
-        total += np.sum(np.square(x[:, i:i + _NORM_BLOCK]), axis=1)
-    return np.sqrt(total)
-
-
 def noise_sigma(snr_db, x, n_meas):
     """Component deviation so that 20 log10(||x|| / (sigma sqrt(n_meas))) = snr."""
     if math.isinf(snr_db):

@@ -10,14 +10,13 @@ from hadhaar.cli import EXIT_CODES, main
 from hadhaar.coherence import SystemKind, system_matrix
 from hadhaar.indexing import build_levels
 from hadhaar.recovery import (_CHECK_EVERY, _RELAX, _STEP_SCALE,
-                              RecoveryProblem,
-                              RecoveryReport, _Batch, _collapse, _me_batch,
-                              _project_ellipsoid, me_reconstruct, solve_bpdn,
-                              solve_bpdn_batch)
+                              RecoveryProblem, RecoveryReport, _Batch,
+                              _collapse, _project_ellipsoid, me_reconstruct,
+                              solve_bpdn, solve_bpdn_batch)
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
                               rng_stream, uds_pmf, vds_pmf)
-from hadhaar.signals import (NoiseSpec, _norm, _norms, gaussian_bump,
-                             make_noise, save_signal_csv, shepp_logan)
+from hadhaar.signals import (NoiseSpec, gaussian_bump, make_noise,
+                             save_signal_csv, shepp_logan)
 from hadhaar.transforms import dense_basis, haar_transform, vec
 
 
@@ -640,33 +639,6 @@ def test_me_full_sampling_inverts():
     back = me_reconstruct(system, sample, measure(system, sample, img))
     np.testing.assert_allclose(back, img, atol=1e-12)
     assert back.shape == (4, 4)
-
-
-@pytest.mark.parametrize("tag,r", [("had_dhw_1d", 5), ("had2_idhw", 8)])
-def test_batched_me_and_norms_match_each_trial(tag, r):
-    # at had2_idhw r = 8 a row's norm sums four blocks of _norm
-    system = SystemKind(tag, r)
-    n = system.n_total
-    m = n // 4
-    rng = np.random.default_rng(r)
-    samples = [draw_sample(vds_pmf(system), m, seed) for seed in range(3)]
-    ys = [rng.standard_normal(m) for _ in samples]
-    images = _me_batch(system, samples, ys)
-    # rows of different scales
-    scale = np.array([1e-3, 1.0, 1e3]).reshape((-1,) + (1,) * (images.ndim - 1))
-    x = scale * rng.standard_normal(images.shape)
-    norms = _norms(x - images)
-    for k, (sample, y) in enumerate(zip(samples, ys)):
-        # the unbatched minimal-energy image: averages at the sampled
-        # indices, then one synthesis of a single spectrum
-        pos = sample.omega - 1
-        counts = np.bincount(pos, minlength=n)
-        avg = np.bincount(pos, weights=y, minlength=n)
-        avg[counts > 0] /= counts[counts > 0]
-        alone = system.signal(avg)
-        assert images[k].tobytes() == alone.tobytes()
-        assert me_reconstruct(system, sample, y).tobytes() == alone.tobytes()
-        assert norms[k] == _norm(x[k] - alone)
 
 
 def test_me_validation():
