@@ -30,9 +30,10 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
   solver runs it; and the one Newton step from the same start that the
   solver takes between checks (the iterate and multipliers recorded by
   wrapping the projection during one solve);
-* the solver at 1-D r = 9 on 20 vds problems shaped like the
-  strategy-ordering experiment's (Gaussian bump, sigma = 64, random
-  centre, M/N = 0.2, 20 dB): ``solve_bpdn`` on each in turn (B = 1) and
+* the solver at 1-D r = 9 on the 20 problems of the strategy-ordering
+  experiment's vds run at seed 9 (Gaussian bump, sigma = 64, random
+  centre, M/N = 0.2, 20 dB), built by the experiment engine's
+  ``_build_trials``: ``solve_bpdn`` on each in turn (B = 1) and
   ``solve_bpdn_batch`` on all 20 (B = 20), timed per call, with the
   problems' total iterations, the milliseconds per problem and the
   microseconds per row-iteration (a cut in iterations shows in the first
@@ -69,15 +70,16 @@ import numpy as np  # noqa: E402
 from hadhaar.cli import _save_sample_csv  # noqa: E402
 from hadhaar import recovery  # noqa: E402
 from hadhaar.coherence import SystemKind  # noqa: E402
+from hadhaar.experiment import (ExperimentConfig, SignalSpec,  # noqa: E402
+                                _build_trials)
 from hadhaar.recovery import (RecoveryProblem, _Batch,  # noqa: E402
                               _collapse, _project_ellipsoid,
                               solve_bpdn, solve_bpdn_batch)
 from hadhaar.sampling import (draw_sample, mds_allocate, measure,  # noqa: E402
                               measure_adjoint, rng_stream, uds_pmf, vds_pmf)
 from hadhaar.signals import (NoiseSpec, _read_csv,  # noqa: E402
-                             effective_sparsity, gaussian_bump,
-                             load_signal_csv, make_noise, save_image_csv,
-                             save_signal_csv, shepp_logan)
+                             effective_sparsity, load_signal_csv, make_noise,
+                             save_image_csv, save_signal_csv, shepp_logan)
 from hadhaar.transforms import _matmuls, fwht, haar_transform  # noqa: E402
 
 CASES = (("had_dhw_1d", (9, 12, 16)), ("had2_idhw", (6, 8, 9)))
@@ -140,22 +142,15 @@ def _draw_layers():
 
 
 def _solver_problems():
-    """20 vds problems at 1-D r = 9 shaped like the strategy-ordering
-    experiment's."""
-    system = SystemKind("had_dhw_1d", 9)
-    plan = vds_pmf(system)
-    m = round(0.2 * system.n_total)
-    problems = []
-    for trial in range(20):
-        rng = rng_stream(9, trial)
-        x = gaussian_bump(system.side, 64.0, 64.0 + 384.0 * rng.random())
-        sample = draw_sample(plan, m, rng_stream(9, trial, 1).integers(1 << 31))
-        noise = make_noise(NoiseSpec(20.0), x, m, weights=sample.weights,
-                           rng=rng)
-        problems.append(RecoveryProblem(
-            system, sample, measure(system, sample, x) + noise.vector,
-            noise.weighted_norm))
-    return problems
+    """The 20 problems of the strategy-ordering experiment's vds run at seed
+    9, built by the experiment engine."""
+    config = ExperimentConfig(
+        system="had_dhw_1d", r=9, strategy="vds", ratios=(0.2,), snr_db=20.0,
+        trials=20, seed=9,
+        signal=SignalSpec("gaussian_bump", sigma=64.0, center="random"))
+    system = SystemKind(config.system, config.r)
+    return _build_trials(config, system, system.partition(), vds_pmf(system),
+                         0, round(config.ratios[0] * system.n_total))[1]
 
 
 def _level_op_layers():

@@ -189,7 +189,8 @@ def cmd_recover(args):
 
 def cmd_signal(args):
     spec = SignalSpec(args.kind, args.sigma, args.center)
-    x = _make_signal(spec, args.size, rng_stream(args.seed, _ROLE_SIGNAL))
+    x = _make_signal(spec, args.size,
+                     rng_stream(args.seed, _ROLE_SIGNAL).random())
     _write(args.out, "signal.csv", _write_array_csv, x)
     if x.ndim == 2:
         lo, hi = float(x.min()), float(x.max())

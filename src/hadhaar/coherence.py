@@ -382,8 +382,9 @@ def _exact_product(x, y):
 def _level_blocks(system):
     """|U| with rows and columns in level order, and the maximum of each of
     its level blocks."""
+    u = system_matrix(system)       # checks the dense cap first
     order = system.level_order
-    u = system_matrix(system)[np.ix_(order, order)]
+    u = u[np.ix_(order, order)]
     np.abs(u, out=u)
     starts = [offset for offset, _, _ in system.level_table]
     rows = np.maximum.reduceat(u, starts, axis=0)

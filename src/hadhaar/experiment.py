@@ -11,7 +11,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -236,38 +235,26 @@ def _ratio(x_norm, error):
     return math.inf if error == 0.0 else x_norm / error
 
 
-def _make_signal(spec, size, rng, count=None):
-    """The signal ``spec`` describes at ``size``; a random bump centre is
-    drawn from ``rng`` with one uniform draw.  With ``count``, random-centre
-    bumps come as a (count, size) batch whose centres are ``count`` such
-    draws, made at once."""
-    if spec.kind != "gaussian_bump":
-        return generate(spec.kind, size)
+def _make_signal(spec, size, u):
+    """The signal ``spec`` describes at ``size`` for the uniform draw ``u``
+    in [0, 1), or, for an array of draws, one signal per draw as a batch.
+    A random bump is centred at sigma + (size - 2 sigma) u; any other
+    signal does not depend on ``u``."""
     if spec.center == "random":
-        return _bumps(spec, size, rng.random(count))
-    return gaussian_bump(size, spec.sigma, float(spec.center))
-
-
-def _bumps(spec, size, u):
-    """The bumps of ``spec`` centred at sigma + (size - 2 sigma) u, one per
-    uniform draw u in [0, 1) (``u`` a float or an array)."""
-    return gaussian_bump(size, spec.sigma,
-                         spec.sigma + (size - 2.0 * spec.sigma) * u)
-
-
-def _signals(config, system, keys):
-    """One signal per stream key of ``keys``, as one batch made by one
-    generator call: a random bump centre is one uniform draw from the
-    stream ``rng_stream(config.seed, *key)`` of its row, and any other
-    signal is made once and repeated.  Raises ValueError if a signal is
-    identically zero."""
-    spec = config.signal
-    if spec.center == "random":
-        x = _bumps(spec, system.side, np.array(
-            [rng_stream(config.seed, *key).random() for key in keys]))
+        return gaussian_bump(size, spec.sigma,
+                             spec.sigma + (size - 2.0 * spec.sigma) * u)
+    if spec.kind == "gaussian_bump":
+        x = gaussian_bump(size, spec.sigma, float(spec.center))
     else:
-        x = np.repeat(_make_signal(spec, system.side, None)[None], len(keys),
-                      axis=0)
+        x = generate(spec.kind, size)
+    return x if np.ndim(u) == 0 else np.repeat(x[None], len(u), axis=0)
+
+
+def _signals(spec, size, u):
+    """``_make_signal`` for the array of draws ``u``, as one batch made by
+    one generator call.  Raises ValueError if a signal is identically
+    zero."""
+    x = _make_signal(spec, size, u)
     if not x.reshape(len(x), -1).any(axis=1).all():
         raise ValueError("reference signal must be nonzero")
     return x
@@ -283,40 +270,38 @@ def _worst_case_k(config, system, partition):
     it is generated once; random-centre bumps are made in batches of at
     most _PREGEN_ENTRIES entries (one signal at least), whose centres are
     the draws the signals would take one at a time."""
-    if config.signal.center == "random":
-        rng = rng_stream(config.seed, _ROLE_PREGEN)
-        count = config.mds.pregenerated
-        step = max(1, _PREGEN_ENTRIES // system.n_total)
-        batches = (_make_signal(config.signal, system.side, rng,
-                                min(step, count - start))
-                   for start in range(0, count, step))
-    else:
-        batches = [_signals(config, system, [(_ROLE_PREGEN,)])]
+    rng = rng_stream(config.seed, _ROLE_PREGEN)
+    count = config.mds.pregenerated if config.signal.center == "random" else 1
+    step = max(1, _PREGEN_ENTRIES // system.n_total)
     worst = np.zeros(partition.n_levels, dtype=np.int64)
-    for x in batches:
+    for start in range(0, count, step):
+        x = _signals(config.signal, system.side,
+                     rng.random(min(step, count - start)))
         es = effective_sparsity(system.coefficients(x), config.rho, partition)
         worst = np.maximum(worst, es.per_level.max(axis=0))
     return worst
 
 
 def _build_trials(config, system, partition, plan, ri, m_total):
-    """A ratio's cells, built as one batch: their signals ``x``, one row
-    per trial, and per trial its ``sample``, noisy measurements ``y``,
-    data-ball radius ``epsilon`` and ``noise_sigma``.  ``plan`` is None
-    when mds sizes each trial's plan from its own signal
+    """A ratio's trials, built as one batch: their signals ``x``, one row
+    per trial, their ``RecoveryProblem``s and their noise sigmas.
+    ``plan`` is None when mds sizes each trial's plan from its own signal
     (oracle_from_signal).  The signals, their effective sparsities and
-    their spectra are each one batched call; a cell draws its centre,
+    their spectra are each one batched call; a trial draws its centre,
     sample and noise from its own (ratio, trial) streams, and each row of a
-    batched call is the row computed alone, so every cell is bit for bit
-    the cell built alone."""
+    batched call is the row computed alone, so every trial is bit for bit
+    the trial built alone."""
     trials = range(config.trials)
-    x = _signals(config, system, [(_ROLE_SIGNAL, ri, ti) for ti in trials])
+    x = _signals(config.signal, system.side, np.array(
+        [rng_stream(config.seed, _ROLE_SIGNAL, ri, ti).random()
+         for ti in trials]))
     plans = [plan] * config.trials
     if plan is None:
         k = effective_sparsity(system.coefficients(x), config.rho,
                                partition).per_level
         plans = [mds_allocate(k_t, m_total, partition) for k_t in k]
-    cells = []
+    solver = config.solver
+    problems, sigmas = [], []
     for ti, plan, x_t, spectrum in zip(trials, plans, x, system.spectrum(x)):
         sample = draw_sample(plan, m_total,
                              _seed_sequence(config.seed, _ROLE_SAMPLE, ri, ti))
@@ -324,10 +309,12 @@ def _build_trials(config, system, partition, plan, ri, m_total):
                            weights=sample.weights if sample.weighted else None,
                            rng=rng_stream(config.seed, _ROLE_NOISE, ri, ti))
         epsilon = noise.weighted_norm if sample.weighted else noise.norm
-        cells.append(SimpleNamespace(
-            sample=sample, y=spectrum[sample.omega - 1] + noise.vector,
-            epsilon=float(epsilon), noise_sigma=noise.sigma))
-    return x, cells
+        problems.append(RecoveryProblem(
+            system, sample, spectrum[sample.omega - 1] + noise.vector,
+            float(epsilon), tol_feas=solver.tol_feas, tol_gap=solver.tol_gap,
+            max_iterations=solver.max_iterations))
+        sigmas.append(noise.sigma)
+    return x, problems, sigmas
 
 
 def run_experiment(config):
@@ -348,27 +335,24 @@ def run_experiment(config):
         plan = uds_pmf(system) if config.strategy == "uds" else vds_pmf(system)
     elif config.mds.sparsity_source == "worst_case_pregenerated":
         worst_k = _worst_case_k(config, system, partition)
-    solver = config.solver
     records = []
     for ri, ratio in enumerate(config.ratios):
         m_total = max(1, int(round(ratio * system.n_total)))
         if worst_k is not None:
             plan = mds_allocate(worst_k, m_total, partition)
-        x, cells = _build_trials(config, system, partition, plan, ri, m_total)
-        reports = solve_bpdn_batch([
-            RecoveryProblem(system, cell.sample, cell.y, cell.epsilon,
-                            tol_feas=solver.tol_feas, tol_gap=solver.tol_gap,
-                            max_iterations=solver.max_iterations)
-            for cell in cells])
-        for ti, (x_t, cell, report) in enumerate(zip(x, cells, reports)):
-            me_hat = me_reconstruct(system, cell.sample, cell.y)
+        x, problems, sigmas = _build_trials(config, system, partition, plan,
+                                            ri, m_total)
+        reports = solve_bpdn_batch(problems)
+        for ti, (x_t, problem, sigma, report) in enumerate(
+                zip(x, problems, sigmas, reports)):
+            me_hat = me_reconstruct(system, problem.sample, problem.y)
             records.append(TrialRecord(
                 ratio_index=ri, ratio=ratio, trial=ti + 1, m=m_total,
-                sample_seed=cell.sample.seed,
+                sample_seed=problem.sample.seed,
                 x_norm=_norm(x_t),
                 cs_error=_norm(x_t - report.x_hat),
                 me_error=_norm(x_t - me_hat),
-                epsilon=cell.epsilon, noise_sigma=cell.noise_sigma,
+                epsilon=problem.epsilon, noise_sigma=sigma,
                 cs_objective=report.objective,
                 cs_iterations=report.iterations,
                 cs_converged=report.converged))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -60,8 +61,12 @@ def gaussian_bump(n, sigma, center):
     ``center``; an array of centres gives one bump per centre along a new
     last axis, each the bump of its centre alone."""
     n = 2 ** _require_pow2(n, "size")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    # the formula divides squared distances below n^2 by 2 sigma^2
+    big = sys.float_info.max
+    if not (sigma > 0 and n * n / big < 2.0 * sigma * sigma < big):
+        raise ValueError(f"sigma must be finite and positive, with 2 sigma^2 "
+                         f"and N^2 / (2 sigma^2) finite at N = {n}, "
+                         f"got {sigma}")
     centers = np.asarray(center, dtype=np.float64)
     if not np.all(np.isfinite(centers) & (centers >= 1) & (centers <= n)):
         raise ValueError(f"center must lie in [1, {n}], got {center}")

@@ -36,3 +36,16 @@ def test_layer_bench_builds_its_level_op_and_projection_inputs():
         "project_ellipsoid_step"]
     for _, fn, arg in projections:
         assert np.all(np.isfinite(fn(arg)))
+
+
+def test_layer_bench_builds_its_solver_problems():
+    # the 1-D solver rows run on the engine's own problems, so a change to
+    # how the engine builds a ratio's trials shows here
+    problems = _layers_module()._solver_problems()
+    assert len(problems) == 20
+    system = problems[0].system
+    assert (system.tag, system.r) == ("had_dhw_1d", 9)
+    for problem in problems:
+        assert problem.system is system
+        assert problem.sample.n_measurements == 102
+        assert problem.sample.weighted and problem.epsilon > 0

@@ -6,7 +6,10 @@ import math
 import os
 import re
 import resource
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +26,9 @@ from hadhaar.experiment import (_ROLE_NOISE, _ROLE_PREGEN, _ROLE_SAMPLE,
                                 write_summary_csv, write_trials_csv)
 from hadhaar.sampling import (_seed_sequence, draw_sample, mds_allocate,
                               measure, rng_stream, uds_pmf, vds_pmf)
-from hadhaar.signals import (NoiseSpec, effective_sparsity, generate,
-                             load_signal_csv, make_noise, save_signal_csv)
+from hadhaar.signals import (NoiseSpec, effective_sparsity, gaussian_bump,
+                             generate, load_signal_csv, make_noise,
+                             save_signal_csv)
 from hadhaar.transforms import haar_transform
 
 
@@ -231,7 +235,7 @@ def _worst_case_k_one_at_a_time(config, system, partition):
     count = config.mds.pregenerated if config.signal.center == "random" else 1
     worst = np.zeros(partition.n_levels, dtype=np.int64)
     for _ in range(count):
-        x = _make_signal(config.signal, system.side, rng)
+        x = _make_signal(config.signal, system.side, rng.random())
         worst = np.maximum(worst, effective_sparsity(
             system.coefficients(x), config.rho, partition).per_level)
     return worst
@@ -258,8 +262,8 @@ def test_worst_case_k_matches_one_signal_at_a_time(system, r, signal, count):
 def test_random_bump_batches_are_the_single_draws():
     spec = SignalSpec("gaussian_bump", 64.0, "random")
     one, batched = rng_stream(9, _ROLE_PREGEN), rng_stream(9, _ROLE_PREGEN)
-    alone = [_make_signal(spec, 512, one) for _ in range(8)]
-    batch = np.vstack([_make_signal(spec, 512, batched, count)
+    alone = [_make_signal(spec, 512, one.random()) for _ in range(8)]
+    batch = np.vstack([_make_signal(spec, 512, batched.random(count))
                        for count in (3, 5)])
     assert batch.tobytes() == np.stack(alone).tobytes()
 
@@ -267,7 +271,7 @@ def test_random_bump_batches_are_the_single_draws():
 def _cell_alone(config, system, partition, plan, ri, m_total, ti):
     # one (ratio, trial) cell built on its own, one call per step
     x = _make_signal(config.signal, system.side,
-                     rng_stream(config.seed, _ROLE_SIGNAL, ri, ti))
+                     rng_stream(config.seed, _ROLE_SIGNAL, ri, ti).random())
     if plan is None:
         k = effective_sparsity(system.coefficients(x), config.rho,
                                partition).per_level
@@ -299,14 +303,13 @@ def test_batched_cells_are_the_cells_built_alone(overrides):
             (uds_pmf if config.strategy == "uds" else vds_pmf)(system))
     for ri, ratio in enumerate(config.ratios):
         m_total = round(ratio * system.n_total)
-        x, cells = _build_trials(config, system, partition, plan, ri,
-                                 m_total)
-        assert len(x) == len(cells) == config.trials
-        for ti, cell in enumerate(cells):
+        x, problems, sigmas = _build_trials(config, system, partition, plan,
+                                            ri, m_total)
+        assert len(x) == len(problems) == len(sigmas) == config.trials
+        for ti, (problem, sigma) in enumerate(zip(problems, sigmas)):
             want = _cell_alone(config, system, partition, plan, ri, m_total,
                                ti)
-            got = (x[ti], cell.sample, cell.y, cell.epsilon,
-                   cell.noise_sigma)
+            got = (x[ti], problem.sample, problem.y, problem.epsilon, sigma)
             assert got[0].shape == want[0].shape
             assert got[0].tobytes() == want[0].tobytes()
             assert (got[1].omega.tobytes(), got[1].weights.tobytes(),
@@ -380,6 +383,20 @@ def test_cmd_signal_phantom_writes_pgm(tmp_path):
     assert img.shape == (16, 16)
 
 
+def test_cmd_signal_random_center_is_the_first_draw(tmp_path):
+    # the centre is sigma + (N - 2 sigma) u for the first draw u of the
+    # seed's signal stream
+    out = tmp_path / "bump"
+    assert main(["signal", "--kind", "gaussian_bump", "--size", "64",
+                 "--sigma", "4", "--center", "random", "--seed", "13",
+                 "--out", str(out)]) == 0
+    u = rng_stream(13, _ROLE_SIGNAL).random()
+    save_signal_csv(tmp_path / "want.csv",
+                    gaussian_bump(64, 4.0, 4.0 + 56.0 * u))
+    assert ((out / "signal.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
 def test_cmd_coherence(tmp_path, capsys):
     out = tmp_path / "coh"
     assert main(["coherence", "--system", "had_dhw_1d", "--r", "3",
@@ -398,6 +415,37 @@ def test_cmd_structure_check(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert (out / "structure_check.csv").exists()
     assert "max_off_diagonal=0 max_diagonal_deviation=0" in capsys.readouterr().out
+
+
+# runs hadhaar's CLI with its address space capped at 1.5 GiB
+_UNDER_AS_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+from hadhaar.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("system,r,basis,dim,cap", [
+    # level order alone took 1 GiB at 1-D r = 28 and 512 MiB at 2-D r = 14
+    ("had_dhw_1d", "28", "hadamard1d", "1-D", 10),
+    ("had2_idhw", "14", "hadamard2d", "2-D", 6),
+])
+def test_structure_check_names_the_dense_cap_under_a_memory_limit(
+        tmp_path, system, r, basis, dim, cap):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _UNDER_AS_LIMIT, "structure-check",
+         "--system", system, "--r", r, "--out", str(tmp_path / "sc")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_CODES["validation"]
+    assert done.stderr == (f"error:validation: dense {basis} matrices are "
+                           f"capped at r <= {cap} ({dim}); requested "
+                           f"r = {r}\n")
+    assert not (tmp_path / "sc").exists()
 
 
 def test_cmd_sample_deterministic(tmp_path):
@@ -749,6 +797,9 @@ def test_negative_seed_is_named(tmp_path, capsys, command, seed):
     ("2", "1000", r"center must lie in \[1, 32\]"),
     ("2", "0.5", r"center must lie in \[1, 32\]"),
     ("0.5", "random", "random center needs sigma >= 1"),
+    # 2 sigma^2 underflows to 0 (a nan at the centre) or overflows
+    ("1e-200", "3", r"2 sigma\^2 and N\^2 / \(2 sigma\^2\) finite at N = 32"),
+    ("1e300", "3", r"2 sigma\^2 and N\^2 / \(2 sigma\^2\) finite at N = 32"),
 ])
 def test_cmd_signal_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
     out = tmp_path / "sig"
@@ -764,6 +815,8 @@ def test_cmd_signal_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
 @pytest.mark.parametrize("sigma,center,expect", [
     (math.nan, 3, "gaussian_bump requires a finite sigma > 0"),
     (2.0, 1000, "center must lie in [1, 16], got 1000.0"),
+    (1e-200, 3.0, "sigma must be finite and positive, with 2 sigma^2 and "
+                  "N^2 / (2 sigma^2) finite at N = 16, got 1e-200"),
 ])
 def test_experiment_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
     doc = json.loads(config_to_json(_small_config(r=4)))
