@@ -6,10 +6,11 @@ experiment, signal.  Every numeric output is CSV with a header row and 17
 significant digits.  ``experiment`` reads a JSON config and runs it with
 the engine in ``hadhaar.experiment``.  Failures print one line
 ``error:<category>: <message>`` to stderr, and the exception's type picks
-the category: 2 for a malformed command line (usage) or any other
-ValueError (validation, including an identically zero experiment signal),
-3 for OSError (file I/O), 4 for InfeasibleError (an allocation or data
-ball that cannot be met) and 5 for anything else (internal).
+the category: 2 for a malformed command line (usage), any other
+ValueError (validation, including an identically zero experiment signal)
+or a MemoryError (memory: a size the checks allow that does not fit), 3
+for OSError (file I/O), 4 for InfeasibleError (an allocation or data ball
+that cannot be met) and 5 for anything else (internal).
 """
 from __future__ import annotations
 
@@ -32,13 +33,12 @@ from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn
 from .sampling import (STRATEGIES, InfeasibleError, SampleSet, draw_sample,
                        mds_allocate, rng_stream, uds_pmf, vds_pmf)
 from .signals import (SIGNAL_KINDS, _fmt, _position_order, _read_csv,
-                      _row_blocks, _write_csv, _write_json, _write_table,
-                      load_signal_csv, save_image_csv, save_pgm,
-                      save_signal_csv)
+                      _row_blocks, _write_csv, _write_json, load_signal_csv,
+                      save_image_csv, save_pgm, save_signal_csv)
 from .transforms import BASIS_TAGS, BasisKind, haar_transform
 
-EXIT_CODES = {"usage": 2, "validation": 2, "io": 3, "infeasible": 4,
-              "internal": 5}
+EXIT_CODES = {"usage": 2, "validation": 2, "memory": 2, "io": 3,
+              "infeasible": 4, "internal": 5}
 
 
 class UsageError(Exception):
@@ -48,7 +48,7 @@ class UsageError(Exception):
 # error category of each exception type, the first match wins
 _CATEGORIES = ((UsageError, "usage"), (InfeasibleError, "infeasible"),
                (ValueError, "validation"), (OSError, "io"),
-               (Exception, "internal"))
+               (MemoryError, "memory"), (Exception, "internal"))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def cmd_coherence(args):
         levels = range(grid.shape[0])
         _write(args.out, "multilevel_coherence.csv", _write_csv,
                "sampling_level,sparsity_level,value",
-               ((str(t + 1), str(l + 1), _fmt(grid[t, l]))
+               (",".join((str(t + 1), str(l + 1), _fmt(grid[t, l]))) + "\n"
                 for t in levels for l in levels))
     return 0
 
@@ -96,10 +96,10 @@ def cmd_structure_check(args):
     levels = range(report.off_diagonal.shape[0])
     _write(args.out, "structure_check.csv", _write_csv,
            "sampling_level,sparsity_level,off_diagonal,diagonal_deviation",
-           ((str(t + 1), str(l + 1),
-             "" if t == l else _fmt(report.off_diagonal[t, l]),
-             _fmt(report.diagonal_deviation[t]) if t == l else "")
-            for t in levels for l in levels))
+           (",".join((str(t + 1), str(l + 1),
+                      "" if t == l else _fmt(report.off_diagonal[t, l]),
+                      _fmt(report.diagonal_deviation[t]) if t == l else ""))
+            + "\n" for t in levels for l in levels))
     print(f"max_off_diagonal={_fmt(report.max_off_diagonal)} "
           f"max_diagonal_deviation={_fmt(report.max_diagonal_deviation)}")
     return 0
@@ -121,10 +121,10 @@ def _build_plan(args, system):
 
 
 def _save_sample_csv(path, sample):
-    _write_table(path, "position,index,weight",
-                 _row_blocks("%d,%d,%.17g\n",
-                             np.arange(1, sample.n_measurements + 1),
-                             sample.omega, sample.weights))
+    _write_csv(path, "position,index,weight",
+               _row_blocks("%d,%d,%.17g\n",
+                           np.arange(1, sample.n_measurements + 1),
+                           sample.omega, sample.weights))
 
 
 def cmd_sample(args):

@@ -374,20 +374,21 @@ def write_trials_csv(path, report):
     _write_csv(path, "ratio,trial,m,sample_seed,x_norm,cs_error,cs_sre_db,"
                "cs_exact,cs_objective,cs_iterations,cs_converged,me_error,"
                "me_sre_db,me_exact,epsilon,noise_sigma", (
-                   [_fmt(rec.ratio), str(rec.trial), str(rec.m),
-                    rec.sample_seed, _fmt(rec.x_norm), _fmt(rec.cs_error),
-                    *_sre_cells(_ratio(rec.x_norm, rec.cs_error)),
-                    _fmt(rec.cs_objective), str(rec.cs_iterations),
-                    str(int(rec.cs_converged)), _fmt(rec.me_error),
-                    *_sre_cells(_ratio(rec.x_norm, rec.me_error)),
-                    _fmt(rec.epsilon), _fmt(rec.noise_sigma)]
+                   ",".join([
+                       _fmt(rec.ratio), str(rec.trial), str(rec.m),
+                       rec.sample_seed, _fmt(rec.x_norm), _fmt(rec.cs_error),
+                       *_sre_cells(_ratio(rec.x_norm, rec.cs_error)),
+                       _fmt(rec.cs_objective), str(rec.cs_iterations),
+                       str(int(rec.cs_converged)), _fmt(rec.me_error),
+                       *_sre_cells(_ratio(rec.x_norm, rec.me_error)),
+                       _fmt(rec.epsilon), _fmt(rec.noise_sigma)]) + "\n"
                    for rec in report.records))
 
 
 def write_summary_csv(path, report):
     _write_csv(path, "ratio,m,trials,cs_sre_db,cs_exact,me_sre_db,me_exact", (
-        [_fmt(ratio), str(m), str(trials), *_sre_cells(cs_mean),
-         *_sre_cells(me_mean)]
+        ",".join([_fmt(ratio), str(m), str(trials), *_sre_cells(cs_mean),
+                  *_sre_cells(me_mean)]) + "\n"
         for ratio, m, trials, cs_mean, me_mean in report.ratio_summary()))
 
 

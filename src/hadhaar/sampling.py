@@ -223,38 +223,28 @@ def draw_sample(plan, m_total, seed, replace=True):
     if m_total < 1:
         raise ValueError("at least one measurement is required")
     ss = _seed_sequence(seed)
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = rng_stream(ss)
     if plan.strategy in ("uds", "vds"):
+        if not replace and m_total > int(np.count_nonzero(plan.pmf > 0)):
+            raise ValueError("distinct draws exceed the reachable indices")
         cdf = np.cumsum(plan.pmf)
-        if replace:
-            u = rng.random(m_total)
-            omega = np.searchsorted(cdf, u, side="right").astype(np.int64) + 1
-            np.clip(omega, 1, plan.n_total, out=omega)
-        else:
-            if m_total > int(np.count_nonzero(plan.pmf > 0)):
-                raise ValueError("distinct draws exceed the reachable indices")
-            seen = np.zeros(plan.n_total + 1, dtype=bool)
-            chosen = []
-            while len(chosen) < m_total:
-                u = rng.random(m_total)
-                batch = np.searchsorted(cdf, u, side="right").astype(np.int64) + 1
-                np.clip(batch, 1, plan.n_total, out=batch)
-                for idx in batch:
-                    if not seen[idx]:
-                        seen[idx] = True
-                        chosen.append(int(idx))
-                        if len(chosen) == m_total:
-                            break
-            omega = np.array(chosen, dtype=np.int64)
+        omega = np.empty(0, dtype=np.int64)
+        # draw m_total at a time until m_total indices, or with
+        # replace=False m_total distinct ones, have been drawn
+        while (omega if replace else np.unique(omega)).size < m_total:
+            batch = np.searchsorted(cdf, rng.random(m_total), side="right") + 1
+            omega = np.concatenate((omega, np.clip(batch, 1, plan.n_total)))
+        if not replace:
+            # each index at its first appearance
+            first = np.unique(omega, return_index=True)[1]
+            omega = omega[np.sort(first)[:m_total]]
         weights = 1.0 / np.sqrt(plan.pmf[omega - 1])
     else:
         if m_total != int(plan.m.sum()):
             raise ValueError("mds draws must request exactly sum(m) measurements")
-        parts = []
-        for lev, m_t in zip(plan.partition.levels, plan.m):
-            if m_t > 0:
-                parts.append(_draw_distinct(rng, lev, int(m_t)))
-        omega = np.concatenate(parts) if parts else np.array([], dtype=np.int64)
+        omega = np.concatenate([
+            _draw_distinct(rng, lev, int(m_t))
+            for lev, m_t in zip(plan.partition.levels, plan.m) if m_t > 0])
         weights = np.ones(m_total)
     entropy = ss.entropy
     key = ".".join(str(k) for k in ss.spawn_key)

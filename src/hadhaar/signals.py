@@ -210,13 +210,17 @@ def noise_sigma(snr_db, x, n_meas):
     except OverflowError:
         ratio = math.inf
     if 0.0 < ratio < math.inf:
-        sigma = _norm(x) / (math.sqrt(n_meas) * ratio)
+        norm = _norm(x)
+        sigma = norm / (math.sqrt(n_meas) * ratio)
         # The noise's norm and the solver's norms of the weighted data are
         # square roots of sums of squares, which overflow past 2^512, so
         # the noise's expected norm sigma sqrt(n_meas) stays 2^32 below
         # that, room for the draw's tail and the vds weights.
         if sigma * math.sqrt(n_meas) <= 2.0 ** 480:
             return sigma
+        if norm > 2.0 ** 480:
+            raise ValueError(f"signal norm {norm:g} is too large for the "
+                             f"noise model (at most 2^480)")
     raise ValueError(f"snr_db {snr_db:g} is out of range")
 
 
@@ -353,11 +357,11 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-def _write_csv(path, header, rows):
-    """Write ``header`` and one line per row of string cells."""
+def _write_csv(path, header, lines):
+    """Write ``header`` and then ``lines``, strings of whole lines."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(lines)
 
 
 def _write_json(path, doc):
@@ -371,20 +375,11 @@ def _write_json(path, doc):
 _BLOCK_ROWS = 1024
 
 
-def _write_table(path, header, blocks):
-    """Write ``header`` and then, for each ``(template, cells)`` pair of
-    ``blocks``, the rows ``template % cells``: a block of rows is formatted
-    by one ``%`` over a tuple of cells and written at once.  The callers'
-    ``%.17g`` writes the same digits as ``_fmt``."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for template, cells in blocks:
-            fh.write(template % cells)
-
-
 def _row_blocks(row, *columns):
-    """``_write_table`` blocks of the rows ``row % (cell of each column)``,
-    ``row`` being a ``%`` template with one slot per column."""
+    """Blocks of the rows ``row % (cell of each column)``, ``row`` being a
+    ``%`` template with one slot per column: a block of rows is formatted
+    by one ``%`` over a tuple of cells, and the callers' ``%.17g`` writes
+    the same digits as ``_fmt``."""
     width = len(columns)
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         parts = [column[start:start + _BLOCK_ROWS].tolist()
@@ -392,7 +387,7 @@ def _row_blocks(row, *columns):
         cells = [None] * (width * len(parts[0]))
         for k, part in enumerate(parts):
             cells[k::width] = part
-        yield row * len(parts[0]), tuple(cells)
+        yield row * len(parts[0]) % tuple(cells)
 
 
 def save_signal_csv(path, x):
@@ -400,8 +395,8 @@ def save_signal_csv(path, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("expected a vector")
-    _write_table(path, "index,value",
-                 _row_blocks("%d,%.17g\n", np.arange(1, x.size + 1), x))
+    _write_csv(path, "index,value",
+               _row_blocks("%d,%.17g\n", np.arange(1, x.size + 1), x))
 
 
 def save_image_csv(path, img):
@@ -416,9 +411,9 @@ def save_image_csv(path, img):
     # one block per image row: the column numbers are formatted once, and
     # the row number replaces the NUL that stands for it
     line = "".join(f"\0,{j},%.17g\n" for j in range(1, img.shape[1] + 1))
-    _write_table(path, "row,col,value",
-                 ((line.replace("\0", str(i)), tuple(row.tolist()))
-                  for i, row in enumerate(img, start=1)))
+    _write_csv(path, "row,col,value",
+               (line.replace("\0", str(i)) % tuple(row.tolist())
+                for i, row in enumerate(img, start=1)))
 
 
 def _read_csv(path, headers):

@@ -417,6 +417,27 @@ def test_cmd_structure_check(tmp_path, capsys):
     assert "max_off_diagonal=0 max_diagonal_deviation=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,name,table", [
+    (["coherence", "--system", "had_dhw_1d", "--r", "3", "--multilevel"],
+     "multilevel_coherence.csv",
+     "sampling_level,sparsity_level,value\n"
+     "1,1,1\n1,2,0\n1,3,0\n1,4,0\n"
+     "2,1,0\n2,2,1\n2,3,0\n2,4,0\n"
+     "3,1,0\n3,2,0\n3,3,0.5\n3,4,0\n"
+     "4,1,0\n4,2,0\n4,3,0\n4,4,0.25\n"),
+    # off_diagonal is blank on the diagonal, diagonal_deviation off it
+    (["structure-check", "--system", "had2_idhw", "--r", "2"],
+     "structure_check.csv",
+     "sampling_level,sparsity_level,off_diagonal,diagonal_deviation\n"
+     "1,1,,0\n1,2,0,\n1,3,0,\n"
+     "2,1,0,\n2,2,,0\n2,3,0,\n"
+     "3,1,0,\n3,2,0,\n3,3,,0\n"),
+], ids=["multilevel_coherence", "structure_check"])
+def test_level_tables_bytes(tmp_path, argv, name, table):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / name).read_bytes() == table.encode("ascii")
+
+
 # runs hadhaar's CLI with its address space capped at 1.5 GiB
 _UNDER_AS_LIMIT = """
 import resource, sys
@@ -426,6 +447,18 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _run_under_as_limit(argv):
+    """The finished child process that ran ``hadhaar argv`` from this
+    checkout under ``_UNDER_AS_LIMIT``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", _UNDER_AS_LIMIT, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 @pytest.mark.parametrize("system,r,basis,dim,cap", [
     # level order alone took 1 GiB at 1-D r = 28 and 512 MiB at 2-D r = 14
     ("had_dhw_1d", "28", "hadamard1d", "1-D", 10),
@@ -433,19 +466,30 @@ sys.exit(main(sys.argv[1:]))
 ])
 def test_structure_check_names_the_dense_cap_under_a_memory_limit(
         tmp_path, system, r, basis, dim, cap):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", _UNDER_AS_LIMIT, "structure-check",
-         "--system", system, "--r", r, "--out", str(tmp_path / "sc")],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = _run_under_as_limit(["structure-check", "--system", system,
+                                "--r", r, "--out", str(tmp_path / "sc")])
     assert done.returncode == EXIT_CODES["validation"]
     assert done.stderr == (f"error:validation: dense {basis} matrices are "
                            f"capped at r <= {cap} ({dim}); requested "
                            f"r = {r}\n")
     assert not (tmp_path / "sc").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # the failed allocations were 512 MiB, 256 MiB, 2 GiB and 384 MiB
+    ["coherence", "--system", "had2_idhw", "--r", "14", "--multilevel"],
+    ["coherence", "--system", "had2_adhw", "--r", "14"],
+    ["sample", "--strategy", "uds", "--system", "had2_idhw", "--r", "14",
+     "--M", "12", "--seed", "1"],
+    ["sample", "--strategy", "vds", "--system", "had2_idhw", "--r", "13",
+     "--M", "12", "--seed", "1"],
+], ids=["coherence-multilevel", "coherence-adhw", "sample-uds", "sample-vds"])
+def test_allowed_size_out_of_memory_is_one_memory_line(tmp_path, argv):
+    done = _run_under_as_limit(argv + ["--out", str(tmp_path / "run")])
+    assert done.returncode == EXIT_CODES["memory"] == 2
+    assert done.stderr.startswith("error:memory: Unable to allocate ")
+    assert done.stderr.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_cmd_sample_deterministic(tmp_path):
@@ -817,9 +861,12 @@ def test_cmd_signal_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
     (2.0, 1000, "center must lie in [1, 16], got 1000.0"),
     (1e-200, 3.0, "sigma must be finite and positive, with 2 sigma^2 and "
                   "N^2 / (2 sigma^2) finite at N = 16, got 1e-200"),
+    # a valid bump whose norm alone leaves no room for 20 dB of noise
+    (1e-150, 3.0, "signal norm 3.98942e+149 is too large for the noise "
+                  "model (at most 2^480)"),
 ])
 def test_experiment_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
-    doc = json.loads(config_to_json(_small_config(r=4)))
+    doc = json.loads(config_to_json(_small_config(r=4, snr_db=20.0)))
     doc["signal"] = {"kind": "gaussian_bump", "sigma": sigma,
                      "center": center}
     path = tmp_path / "config.json"

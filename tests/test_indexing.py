@@ -24,6 +24,7 @@ def test_index_to_pair_vectorised():
     l1, l2 = index_to_pair(np.arange(1, 17), 4, 4)
     assert np.array_equal(l1, np.tile(np.arange(1, 5), 4))
     assert np.array_equal(l2, np.repeat(np.arange(1, 5), 4))
+    assert np.array_equal(pair_to_index(l1, l2, 4, 4), np.arange(1, 17))
 
 
 def test_index_range_errors():
@@ -33,6 +34,10 @@ def test_index_range_errors():
         index_to_pair(17, 4, 4)
     with pytest.raises(ValueError):
         pair_to_index(5, 1, 4, 4)
+    with pytest.raises(ValueError, match="grid sides must be positive"):
+        index_to_pair(1, 0, 4)
+    with pytest.raises(ValueError, match="grid sides must be positive"):
+        pair_to_index(1, 1, 4, 0)
     with pytest.raises(ValueError):
         flatten_cartesian([1, 3], [1], 2, 2)
 

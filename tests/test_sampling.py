@@ -46,6 +46,9 @@ def test_plan_validation():
         SamplingPlan("uds", 4, pmf=np.array([0.5, 0.5, 0.5, -0.5]))
     with pytest.raises(ValueError):
         SamplingPlan("mds", 8, m=np.array([1, 1]))
+    with pytest.raises(ValueError, match=r"must lie in \[0, \|level\|\]"):
+        SamplingPlan("mds", 8, m=np.array([2, 0, 0, 0]),
+                     partition=build_levels("dyadic1d", 3))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +89,8 @@ def test_mds_allocate_validation():
         mds_allocate([1, 1, 2, 4], 9, part)  # budget exceeds n_total
     with pytest.raises(ValueError):
         mds_allocate([1, 1], 2, part)
+    with pytest.raises(ValueError, match="must be a LevelPartition"):
+        mds_allocate([1, 1, 2, 4], 4, "dyadic1d")
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,8 @@ def test_generate_validation():
         generate("blocks", 64, sigma=2.0)
     with pytest.raises(ValueError):
         generate("spikes", 64)
+    with pytest.raises(ValueError, match="shepp_logan takes no parameters"):
+        generate("shepp_logan", 8, sigma=2.0)
 
 
 def test_shepp_logan():
@@ -88,6 +90,8 @@ def test_shepp_logan():
     # head points up: the topmost nonzero row is above the bottommost
     rows = np.nonzero(np.any(img != 0.0, axis=1))[0]
     assert rows[0] < 5 and rows[-1] > 58
+    # a one-pixel phantom samples the centre of the plane
+    assert shepp_logan(1).tolist() == [[2.0 + -0.98]]
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +195,8 @@ def test_effective_sparsity_validation():
         effective_sparsity(np.ones(4), 0.0, part)
     with pytest.raises(ValueError):
         effective_sparsity(np.ones(8), 0.9, part)
+    with pytest.raises(ValueError, match="must be a LevelPartition"):
+        effective_sparsity(np.ones(4), 0.9, "dyadic1d")
 
 
 @pytest.mark.parametrize("kind,r", [("dyadic1d", 3), ("dyadic1d", 9),
@@ -262,6 +268,8 @@ def test_signal_csv_round_trip(tmp_path):
     assert np.array_equal(load_signal_csv(path), x)
     header = path.read_text().splitlines()[0]
     assert header == "index,value"
+    with pytest.raises(ValueError, match="expected a vector"):
+        save_signal_csv(path, np.ones((2, 2)))
 
 
 def test_image_csv_round_trip(tmp_path):
@@ -273,6 +281,8 @@ def test_image_csv_round_trip(tmp_path):
     assert np.array_equal(back, img)
     first = path.read_text().splitlines()[1]
     assert first == "1,1,0"
+    with pytest.raises(ValueError, match="expected a 2-D array"):
+        save_image_csv(path, np.ones(4))
 
 
 def test_load_csv_unknown_header(tmp_path):
@@ -450,6 +460,9 @@ def test_save_pgm(tmp_path):
     save_pgm(path, img)
     data = path.read_bytes()
     assert data == b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64])
+    # a vector is one image row
+    save_pgm(path, np.array([7, 0, 255], dtype=np.uint8))
+    assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([7, 0, 255])
     with pytest.raises(ValueError):
         save_pgm(path, np.zeros((2, 2, 2)))
 

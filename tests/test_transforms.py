@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadhaar.indexing import build_levels
-from hadhaar.transforms import (BasisKind, _dhw_scales, _half_exponents,
-                                _idhw_scales, _paley_factor, _pow2_half_array,
-                                coefficient_layout, dense_basis,
-                                dense_window_matrix, fwht, haar_transform,
-                                unvec, vec)
+from hadhaar.transforms import (BasisKind, CoefficientLayout, _dhw_scales,
+                                _half_exponents, _idhw_scales, _paley_factor,
+                                _pow2_half_array, coefficient_layout,
+                                dense_basis, dense_window_matrix, fwht,
+                                haar_transform, unvec, vec)
 
 RNG = np.random.default_rng(1234)
 
@@ -201,6 +201,8 @@ def test_basis_kind_caps_n_at_2_to_28(tag):
     for r in (most + 1, 10 ** 20):
         with pytest.raises(ValueError, match=f"r must be at most {most}"):
             BasisKind(tag, r)
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        BasisKind(tag, -1)
 
 
 @pytest.mark.parametrize("direction", ["analysis", "synthesis"])
@@ -324,6 +326,8 @@ def test_dense_caps():
         dense_basis("idhw", 7)
     with pytest.raises(ValueError):
         dense_window_matrix(11)
+    with pytest.raises(ValueError, match="r is required"):
+        dense_basis("dhw")
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -344,6 +348,13 @@ def test_coefficient_layout_r1():
     assert layout.subband == ("00", "01", "10", "11")
     with pytest.raises(ValueError):
         coefficient_layout("hadamard1d", 2)
+    # the separable kinds carry levels and no subband tags
+    for tag, r, level in (("dhw", 2, [0, 1, 2, 2]), ("adhw", 1, [0, 1, 2, 3])):
+        layout = coefficient_layout(tag, r)
+        assert layout.level.tolist() == level
+        assert layout.subband == (None,) * len(level)
+    with pytest.raises(ValueError, match="level/subband length mismatch"):
+        CoefficientLayout(BasisKind("dhw", 1), np.zeros(2), ("00",))
 
 
 # ---------------------------------------------------------------------------
