@@ -40,6 +40,12 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
   two, not in the last);
 * the same at 2-D r = 8 with B = 1 on one vds problem shaped like the
   single-pixel-camera benchmark's (Shepp-Logan, M/N = 0.25, 20 dB);
+* the batch tail, as counts and not times: one ``solve_tail`` row per
+  strategy (uds, vds, mds) over the strategy-ordering experiment at seeds
+  3021-3030, run by ``run_experiment``, with its iterations in all, the
+  sum over seeds of each batch's most iterations (the batch maxima, which
+  set a batch's time), the certified trials and the mean over seeds of the
+  experiment's SRE in dB;
 * CSV I/O on files in a temporary directory: ``save_image_csv`` and
   ``load_signal_csv`` of a random image at 2-D r = 8 and 9 (65,536 and
   262,144 rows), ``save_signal_csv`` of a random vector of 16,384 rows, and
@@ -54,6 +60,7 @@ line: the machine, the versions, the line count of ``src/`` and one row per
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import statistics
@@ -71,7 +78,7 @@ from hadhaar.cli import _save_sample_csv  # noqa: E402
 from hadhaar import recovery  # noqa: E402
 from hadhaar.coherence import SystemKind  # noqa: E402
 from hadhaar.experiment import (ExperimentConfig, SignalSpec,  # noqa: E402
-                                _build_trials)
+                                _build_trials, run_experiment)
 from hadhaar.recovery import (RecoveryProblem, _Batch,  # noqa: E402
                               _collapse, _project_ellipsoid,
                               solve_bpdn, solve_bpdn_batch)
@@ -83,6 +90,7 @@ from hadhaar.signals import (NoiseSpec, _read_csv,  # noqa: E402
 from hadhaar.transforms import _matmuls, fwht, haar_transform  # noqa: E402
 
 CASES = (("had_dhw_1d", (9, 12, 16)), ("had2_idhw", (6, 8, 9)))
+TAIL_SEEDS = range(3021, 3031)
 WINDOWS = 5
 WINDOW_S = 0.1
 
@@ -141,13 +149,18 @@ def _draw_layers():
         yield name, lambda seed, p=plan: draw_sample(p, m, seed), 9
 
 
+def _ordering_config(strategy, seed):
+    """The strategy-ordering experiment (criterion 6's configuration)."""
+    return ExperimentConfig(
+        system="had_dhw_1d", r=9, strategy=strategy, ratios=(0.2,),
+        snr_db=20.0, trials=20, seed=seed,
+        signal=SignalSpec("gaussian_bump", sigma=64.0, center="random"))
+
+
 def _solver_problems():
     """The 20 problems of the strategy-ordering experiment's vds run at seed
     9, built by the experiment engine."""
-    config = ExperimentConfig(
-        system="had_dhw_1d", r=9, strategy="vds", ratios=(0.2,), snr_db=20.0,
-        trials=20, seed=9,
-        signal=SignalSpec("gaussian_bump", sigma=64.0, center="random"))
+    config = _ordering_config("vds", 9)
     system = SystemKind(config.system, config.r)
     return _build_trials(config, system, system.partition(), vds_pmf(system),
                          0, round(config.ratios[0] * system.n_total))[1]
@@ -245,6 +258,26 @@ def _solver_rows():
                       lambda ps: [solve_bpdn(p) for p in ps])
 
 
+def _tail_row(strategy, seeds=TAIL_SEEDS):
+    """The ``solve_tail`` row for ``strategy``: the strategy-ordering
+    experiment at each of ``seeds``, with its iterations in all, the sum of
+    each batch's maximum, the certified trials and the mean SRE."""
+    iterations = maxima = certified = trials = 0
+    sre = []
+    for seed in seeds:
+        report = run_experiment(_ordering_config(strategy, seed))
+        counts = [record.cs_iterations for record in report.records]
+        iterations += sum(counts)
+        maxima += max(counts)
+        certified += sum(record.cs_converged for record in report.records)
+        trials += len(counts)
+        sre.append(20.0 * math.log10(report.ratio_summary()[0][3]))
+    return {"layer": "solve_tail", "dim": 1, "r": 9, "strategy": strategy,
+            "seeds": f"{seeds[0]}-{seeds[-1]}", "iterations": iterations,
+            "batch_maxima": maxima, "certified": certified, "trials": trials,
+            "mean_sre_db": round(statistics.fmean(sre), 4)}
+
+
 def _csv_layers(tmp):
     """(layer name, dim, r, rows, function, input) for the CSV writers and
     readers, each on one file in the directory ``tmp``."""
@@ -291,6 +324,7 @@ def main():
         rows.append({"layer": name, "dim": 2, "r": 9,
                      "us_per_call": round(_us_per_call(fn, arg), 1)})
     rows += _solver_rows()
+    rows += [_tail_row(strategy) for strategy in ("uds", "vds", "mds")]
     with tempfile.TemporaryDirectory() as tmp:
         for name, dim, r, n_rows, fn, arg in _csv_layers(tmp):
             rows.append({"layer": name, "dim": dim, "r": r, "rows": n_rows,

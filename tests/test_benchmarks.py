@@ -49,3 +49,14 @@ def test_layer_bench_builds_its_solver_problems():
         assert problem.system is system
         assert problem.sample.n_measurements == 102
         assert problem.sample.weighted and problem.epsilon > 0
+
+
+def test_layer_bench_builds_its_tail_row():
+    # the solve_tail rows count iterations over whole experiments, so one
+    # seed's row is built here
+    row = _layers_module()._tail_row("vds", (3021,))
+    assert (row["layer"], row["strategy"], row["seeds"]) == (
+        "solve_tail", "vds", "3021-3021")
+    assert row["certified"] == row["trials"] == 20
+    assert 0 < row["batch_maxima"] <= row["iterations"]
+    assert row["mean_sre_db"] > 0.0

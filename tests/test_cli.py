@@ -656,6 +656,8 @@ def test_cmd_recover_end_to_end(tmp_path):
     assert meta["converged"] is True
     assert meta["stop_reason"] == "converged"
     assert meta["relative_gap"] <= 1e-6
+    # a noiseless solve never restarts, so it reports its first step
+    assert meta["restarts"] == 0 and meta["step"] > 0.0
 
 
 def test_cmd_recover_rejects_sample_from_another_system(tmp_path, capsys):

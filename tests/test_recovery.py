@@ -8,11 +8,13 @@ from scipy.optimize import linprog, minimize
 
 from hadhaar.cli import EXIT_CODES, main
 from hadhaar.coherence import SystemKind, system_matrix
+from hadhaar.experiment import ExperimentConfig, SignalSpec, _build_trials
 from hadhaar.indexing import build_levels
-from hadhaar.recovery import (_CHECK_EVERY, _RELAX, _STEP_SCALE,
-                              RecoveryProblem, RecoveryReport, _Batch,
-                              _collapse, _project_ellipsoid, me_reconstruct,
-                              solve_bpdn, solve_bpdn_batch)
+from hadhaar.recovery import (_CHECK_EVERY, _RELAX, _RESTART_GAP,
+                              _STEP_CLAMP, _STEP_SCALE, RecoveryProblem,
+                              RecoveryReport, _Batch, _collapse,
+                              _project_ellipsoid, me_reconstruct, solve_bpdn,
+                              solve_bpdn_batch)
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
                               rng_stream, uds_pmf, vds_pmf)
 from hadhaar.signals import (NoiseSpec, gaussian_bump, make_noise,
@@ -221,8 +223,9 @@ def test_solver_deterministic():
 
 
 def _batch_problems(tag, r):
-    """Problems on one system: uds/vds/mds samples of different sizes, a
-    noiseless row, noisy rows and a row with ||b|| <= eps."""
+    """Problems on one system: uds/vds/mds samples of different sizes,
+    noiseless rows, noisy rows (one with a gap tolerance tight enough that
+    it restarts), a row with ||b|| <= eps and a capped row."""
     system = SystemKind(tag, r)
     part = system.partition()
     x = rng_stream(8, r).standard_normal(system.n_total)
@@ -245,6 +248,10 @@ def _batch_problems(tag, r):
     # ||b|| <= eps: the zero point is optimal at once
     problems.insert(2, RecoveryProblem(system, problems[0].sample,
                                        1e-3 * problems[0].y, epsilon=10.0))
+    noisy = problems[4]
+    problems.append(RecoveryProblem(system, noisy.sample, noisy.y,
+                                    noisy.epsilon, tol_gap=1e-12,
+                                    max_iterations=400))
     # stopped at an iteration that is not a multiple of the check interval
     first = problems[0]
     problems.append(RecoveryProblem(system, first.sample, first.y,
@@ -269,8 +276,16 @@ def test_batch_rows_bit_equal_alone(tag, r):
         assert (got.objective, got.feasibility_residual, got.relative_gap) \
             == (alone.objective, alone.feasibility_residual,
                 alone.relative_gap)
+        assert (got.restarts, got.step) == (alone.restarts, alone.step)
         reasons.add(got.stop_reason)
     assert batch[2].stop_reason == "zero_data" and batch[2].iterations == 0
+    assert (batch[2].restarts, batch[2].step) == (0, 0.0)
+    assert max(report.restarts for report in batch) >= 1
+    # noiseless rows never restart and keep their first step
+    position = np.arange(problems[0].system.n_total)
+    for k in (1, 5):
+        assert problems[k].epsilon == 0.0 and batch[k].restarts == 0
+        assert batch[k].step == _collapse(problems[k], position).gamma
     assert batch[-1].stop_reason == "max_iterations"
     assert batch[-1].iterations == 3
     assert reasons == {"converged", "max_iterations", "zero_data"}
@@ -415,12 +430,15 @@ def test_grouped_projection_matches_bisection():
 
 
 def _dense_douglas_rachford(problem, iterations):
-    """Phi z after ``iterations`` of plain over-relaxed Douglas-Rachford
-    from t = 0 on the solver's schedule: soft-thresholding between the
-    dense U^T and U, and the projection onto the collapsed data ball with
-    the multiplier bisected where the solver checks (every _CHECK_EVERY
-    iterations and at the last) and, at the other iterations, one Newton
-    step on 1/q - 1/radius from the previous multiplier."""
+    """Phi z after ``iterations`` of over-relaxed Douglas-Rachford from
+    t = 0 on the solver's schedule: soft-thresholding between the dense
+    U^T and U; the projection onto the collapsed data ball with the
+    multiplier bisected where the solver checks (every _CHECK_EVERY
+    iterations and at the last) and right after a restart and, at the
+    other iterations, one Newton step on 1/q - 1/radius from the previous
+    multiplier; and, for a noisy problem, the solver's restart at each
+    check before the last, from its own objective, dual value and
+    p = g / gamma."""
     system, sample = problem.system, problem.sample
     u = system_matrix(system)
     n, m = system.n_total, sample.n_measurements
@@ -435,9 +453,13 @@ def _dense_douglas_rachford(problem, iterations):
     gamma = _STEP_SCALE * float(np.linalg.norm(b)) / math.sqrt(omega.size)
     t = np.zeros(n)
     lam = 0.0
+    reference = None
+    restarted = False
     for it in range(1, iterations + 1):
+        check = it % _CHECK_EVERY == 0 or it == iterations
         v = u.T @ t
         y = u @ (np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0))
+        g = t - y
         z = 2.0 * y - t
         d = z[omega] - beta
         if radius == 0.0:
@@ -445,7 +467,7 @@ def _dense_douglas_rachford(problem, iterations):
         elif math.sqrt(float(np.sum(c * d * d))) <= radius:
             lam = 0.0
         else:
-            if it % _CHECK_EVERY == 0 or it == iterations:
+            if check or restarted:
                 lam = _bisected_multiplier(d, c, radius)
             else:
                 shrink = 1.0 / (1.0 + lam * c)
@@ -454,6 +476,26 @@ def _dense_douglas_rachford(problem, iterations):
                 lam = max(0.0, lam + (q - radius) * q * q / (radius * slope))
             z[omega] = beta + d / (1.0 + lam * c)
         t = t + _RELAX * (z - y)
+        restarted = False
+        if not check or it == iterations or radius == 0.0:
+            continue
+        p = g / gamma
+        objective = float(np.sum(np.abs(u.T @ z)))
+        p_dual = np.zeros(n)
+        p_dual[omega] = p[omega]
+        p_dual /= max(1.0, float(np.max(np.abs(u.T @ p_dual))))
+        dual = (float(p_dual[omega] @ beta)
+                - radius * math.sqrt(float(np.sum(p_dual[omega] ** 2 / c))))
+        gap = (objective - dual) / objective
+        if reference is not None and gap <= _RESTART_GAP * reference[2]:
+            ratio = (float(np.linalg.norm(z - reference[0]))
+                     / float(np.linalg.norm(p - reference[1])))
+            gamma = min(max(math.sqrt(gamma * ratio), gamma / _STEP_CLAMP),
+                        gamma * _STEP_CLAMP)
+            t = z + gamma * p
+            restarted = True
+        if reference is None or restarted:
+            reference = (z, p, gap)
     return system.signal(z)
 
 
@@ -469,6 +511,7 @@ def test_iterates_match_dense_douglas_rachford(tag, r):
     vds = draw_sample(vds_pmf(system), m, 22)
     assert np.unique(vds.omega).size < m       # repeated indices present
     mds = draw_sample(mds_allocate(part.sizes, m, part), m, 22)
+    restarts = 0
     for sample in (vds, mds):
         for snr in (20.0, math.inf):
             noise = make_noise(NoiseSpec(snr), x, m,
@@ -486,6 +529,9 @@ def test_iterates_match_dense_douglas_rachford(tag, r):
                 want = _dense_douglas_rachford(problem, report.iterations)
                 assert (np.linalg.norm(report.x_hat - want)
                         <= 1e-12 * np.linalg.norm(want))
+                restarts += report.restarts
+    # the restarts, and the exact projection after each, are pinned too
+    assert restarts >= 1
 
 
 @pytest.mark.parametrize("tag,r", [("had_dhw_1d", 9), ("had2_idhw", 5),
@@ -525,6 +571,26 @@ def test_scaled_and_permuted_data_give_the_same_solve(tag, r):
             assert permuted.iterations == base.iterations
             assert (np.linalg.norm(permuted.x_hat - base.x_hat)
                     <= 1e-13 * np.linalg.norm(base.x_hat))
+
+
+def test_strategy_ordering_vds_rows_restart():
+    # criterion 6's vds rows (seed 11) restart, each restart moves a row's
+    # step by at most _STEP_CLAMP either way, and every row certifies
+    config = ExperimentConfig(
+        system="had_dhw_1d", r=9, strategy="vds", ratios=(0.2,),
+        snr_db=20.0, trials=20, seed=11,
+        signal=SignalSpec("gaussian_bump", sigma=64.0, center="random"))
+    system = SystemKind(config.system, config.r)
+    problems = _build_trials(config, system, system.partition(),
+                             vds_pmf(system), 0, 102)[1]
+    position = np.arange(system.n_total)
+    reports = solve_bpdn_batch(problems)
+    assert all(report.converged for report in reports)
+    assert max(report.restarts for report in reports) >= 1
+    for problem, report in zip(problems, reports):
+        first = _collapse(problem, position).gamma
+        assert (first / _STEP_CLAMP ** report.restarts <= report.step
+                <= first * _STEP_CLAMP ** report.restarts)
 
 
 def test_batch_rejects_mixed_systems():
