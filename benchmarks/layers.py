@@ -79,8 +79,8 @@ from hadhaar import recovery  # noqa: E402
 from hadhaar.coherence import SystemKind  # noqa: E402
 from hadhaar.experiment import (ExperimentConfig, SignalSpec,  # noqa: E402
                                 _build_trials, run_experiment)
-from hadhaar.recovery import (RecoveryProblem, _Batch,  # noqa: E402
-                              _collapse, _project_ellipsoid,
+from hadhaar.recovery import (RecoveryProblem, SolverSpec,  # noqa: E402
+                              _Batch, _collapse, _project_ellipsoid,
                               solve_bpdn, solve_bpdn_batch)
 from hadhaar.sampling import (draw_sample, mds_allocate, measure,  # noqa: E402
                               measure_adjoint, rng_stream, uds_pmf, vds_pmf)
@@ -215,16 +215,16 @@ def _projection_layers():
     system = problem.system
     position = np.empty(system.n_total, dtype=np.int64)
     position[system.spectral_order] = np.arange(system.n_total)
-    batch = _Batch([_collapse(problem, position)], system.n_total)
-    exact, step = np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
+    batch = _Batch([_collapse(problem, position, SolverSpec().tol_feas)],
+                   system.n_total)
     yield ("project_ellipsoid",
-           lambda v: _project_ellipsoid(v, batch, np.zeros(1), exact),
+           lambda v: _project_ellipsoid(v, batch, np.zeros(1), True),
            np.zeros(batch.c.size))
     calls = []
 
-    def record(v, solve_batch, lam, due):
+    def record(v, solve_batch, lam, exact):
         calls.append((v.copy(), lam.copy()))
-        return _project_ellipsoid(v, solve_batch, lam, due)
+        return _project_ellipsoid(v, solve_batch, lam, exact)
 
     recovery._project_ellipsoid = record
     try:
@@ -233,9 +233,9 @@ def _projection_layers():
         recovery._project_ellipsoid = _project_ellipsoid
     v, lam = calls[49]
     yield ("project_ellipsoid_warm",
-           lambda u: _project_ellipsoid(u, batch, lam.copy(), exact), v)
+           lambda u: _project_ellipsoid(u, batch, lam.copy(), True), v)
     yield ("project_ellipsoid_step",
-           lambda u: _project_ellipsoid(u, batch, lam.copy(), step), v)
+           lambda u: _project_ellipsoid(u, batch, lam.copy(), False), v)
 
 
 def _solver_row(dim, r, batch, problems, solve):

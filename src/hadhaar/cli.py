@@ -29,7 +29,7 @@ from .coherence import (SYSTEM_TAGS, SystemKind, local_coherence,
 from .experiment import (_ROLE_SIGNAL, SignalSpec, _make_signal,
                          config_from_json, run_experiment, write_config_echo,
                          write_summary_csv, write_trials_csv)
-from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn
+from .recovery import RecoveryProblem, SolverSpec, me_reconstruct, solve_bpdn
 from .sampling import (STRATEGIES, InfeasibleError, SampleSet, draw_sample,
                        mds_allocate, rng_stream, uds_pmf, vds_pmf)
 from .signals import (SIGNAL_KINDS, _fmt, _position_order, _read_csv,
@@ -171,10 +171,9 @@ def cmd_recover(args):
     system = SystemKind(args.system, args.r)
     sample = _load_sample(args.sample, system)
     y = load_signal_csv(args.measurements)
-    problem = RecoveryProblem(system, sample, y, args.epsilon,
-                              tol_feas=args.tol_feas, tol_gap=args.tol_gap,
-                              max_iterations=args.max_iterations)
-    report = solve_bpdn(problem)
+    report = solve_bpdn(RecoveryProblem(system, sample, y, args.epsilon),
+                        SolverSpec(args.tol_feas, args.tol_gap,
+                                   args.max_iterations))
     _write(args.out, "recovered.csv", _write_array_csv,
            np.asarray(report.x_hat))
     if args.me:
@@ -269,11 +268,11 @@ def build_parser():
     p.add_argument("--measurements", required=True)
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--tol-feas", type=float, dest="tol_feas",
-                   default=RecoveryProblem.tol_feas)
+                   default=SolverSpec.tol_feas)
     p.add_argument("--tol-gap", type=float, dest="tol_gap",
-                   default=RecoveryProblem.tol_gap)
+                   default=SolverSpec.tol_gap)
     p.add_argument("--max-iterations", type=int, dest="max_iterations",
-                   default=RecoveryProblem.max_iterations)
+                   default=SolverSpec.max_iterations)
     p.add_argument("--me", action="store_true",
                    help="also write the minimal-energy reconstruction")
     p.add_argument("--out", default=".")

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import __version__
 from .coherence import SystemKind
-from .recovery import RecoveryProblem, me_reconstruct, solve_bpdn_batch
+from .recovery import (RecoveryProblem, SolverSpec, me_reconstruct,
+                       solve_bpdn_batch)
 from .sampling import (RNG_ALGORITHM, STRATEGIES, _seed_sequence, draw_sample,
                        mds_allocate, rng_stream, uds_pmf, vds_pmf)
 from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _norm,
@@ -49,6 +50,12 @@ class SignalSpec:
                 raise ValueError("gaussian_bump requires a finite sigma > 0")
             if self.center is None:
                 raise ValueError("gaussian_bump requires a center ('random' or a position)")
+            if self.center != "random":
+                try:
+                    float(self.center)
+                except (TypeError, ValueError):
+                    raise ValueError(f"center must be 'random' or a number, "
+                                     f"got {self.center!r}") from None
             # a random center is drawn from [sigma, N - sigma], which must
             # lie inside the bump's domain [1, N]
             if self.center == "random" and self.sigma < 1:
@@ -61,13 +68,6 @@ class SignalSpec:
 class MdsSpec:
     sparsity_source: str = "worst_case_pregenerated"
     pregenerated: int = 100
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    tol_feas: float = RecoveryProblem.tol_feas
-    tol_gap: float = RecoveryProblem.tol_gap
-    max_iterations: int = RecoveryProblem.max_iterations
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,6 @@ def _build_trials(config, system, partition, plan, ri, m_total):
         k = effective_sparsity(system.coefficients(x), config.rho,
                                partition).per_level
         plans = [mds_allocate(k_t, m_total, partition) for k_t in k]
-    solver = config.solver
     problems, sigmas = [], []
     for ti, plan, x_t, spectrum in zip(trials, plans, x, system.spectrum(x)):
         sample = draw_sample(plan, m_total,
@@ -311,8 +310,7 @@ def _build_trials(config, system, partition, plan, ri, m_total):
         epsilon = noise.weighted_norm if sample.weighted else noise.norm
         problems.append(RecoveryProblem(
             system, sample, spectrum[sample.omega - 1] + noise.vector,
-            float(epsilon), tol_feas=solver.tol_feas, tol_gap=solver.tol_gap,
-            max_iterations=solver.max_iterations))
+            float(epsilon)))
         sigmas.append(noise.sigma)
     return x, problems, sigmas
 
@@ -325,8 +323,9 @@ def run_experiment(config):
     not depend on the other cells.  Sampling plans depend on the config
     alone and are built once: the uds/vds plan per experiment and the
     worst-case mds allocation per ratio.  The cells of a ratio are built
-    as one batch, solved as one batch by ``solve_bpdn_batch`` and recorded
-    in order.  Raises ValueError if a trial's signal is identically zero.
+    as one batch, solved as one batch by ``solve_bpdn_batch`` with the
+    config's one ``solver`` and recorded in order.  Raises ValueError if a
+    trial's signal is identically zero.
     """
     system = SystemKind(config.system, config.r)
     partition = system.partition()
@@ -342,7 +341,7 @@ def run_experiment(config):
             plan = mds_allocate(worst_k, m_total, partition)
         x, problems, sigmas = _build_trials(config, system, partition, plan,
                                             ri, m_total)
-        reports = solve_bpdn_batch(problems)
+        reports = solve_bpdn_batch(problems, config.solver)
         for ti, (x_t, problem, sigma, report) in enumerate(
                 zip(x, problems, sigmas, reports)):
             me_hat = me_reconstruct(system, problem.sample, problem.y)

@@ -18,8 +18,8 @@ solve.  The stopping rule is a relative duality gap, so a converged
 report certifies near-optimality of the returned point.
 
 The projection is solved exactly (to a relative _NEWTON_RTOL) only at the
-iterations where a row's stopping rule reads it, every _CHECK_EVERY
-iterations and at its last; at the others it takes one Newton step from
+iterations where the stopping rule reads it, every _CHECK_EVERY
+iterations and at the last; at the others it takes one Newton step from
 the previous multiplier.  Relaxed Douglas-Rachford still converges when
 its resolvents are computed with summable errors (Eckstein & Bertsekas
 1992), and from the warm multiplier Newton converges quadratically (Moré
@@ -57,9 +57,10 @@ entries, and forms z in full only when the stopping rule is checked.
 
 ``solve_bpdn_batch`` runs problems that share one system as a single
 iteration over a (B, N) array, so each numpy call serves every row;
-``solve_bpdn`` is its batch of one.  Rows keep their own step, data ball
-and stopping test, and every reduction runs along a row, so a row's result
-is the same bit for bit in any batch.
+``solve_bpdn`` is its batch of one.  A solve has one ``SolverSpec``, so
+every row is checked at the same iterations; rows keep their own step,
+data ball and restarts, and every reduction runs along a row, so a row's
+result is the same bit for bit in any batch.
 """
 from __future__ import annotations
 
@@ -70,12 +71,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .sampling import InfeasibleError, SampleSet, _check_indices
+from .sampling import InfeasibleError, SampleSet, _measurements
 from .signals import _norm
 from .transforms import _matmuls
 
-__all__ = ["RecoveryProblem", "RecoveryReport", "me_reconstruct", "solve_bpdn",
-           "solve_bpdn_batch"]
+__all__ = ["RecoveryProblem", "RecoveryReport", "SolverSpec", "me_reconstruct",
+           "solve_bpdn", "solve_bpdn_batch"]
 
 _CHECK_EVERY = 10
 _NEWTON_STEPS = 50
@@ -121,15 +122,12 @@ _STEP_CLAMP = 2.0
 
 @dataclass(frozen=True)
 class RecoveryProblem:
-    """One reconstruction instance with its solver tolerances."""
+    """One reconstruction instance: its measurements and noise radius."""
 
     system: object
     sample: SampleSet
     y: np.ndarray = field(repr=False)
     epsilon: float = 0.0
-    tol_feas: float = 1e-6
-    tol_gap: float = 1e-6
-    max_iterations: int = 20000
 
     def __post_init__(self):
         object.__setattr__(self, "y",
@@ -137,6 +135,19 @@ class RecoveryProblem:
         if isinstance(self.epsilon, bool) or not (
                 math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError("epsilon must be finite and nonnegative")
+
+
+@dataclass(frozen=True)
+class SolverSpec:
+    """The settings of one solve: ``tol_feas`` bounds how far the residual
+    may exceed eps, relative to max(1, ||b||), ``tol_gap`` the relative
+    duality gap, and ``max_iterations`` caps the iterations."""
+
+    tol_feas: float = 1e-6
+    tol_gap: float = 1e-6
+    max_iterations: int = 20000
+
+    def __post_init__(self):
         for name in ("tol_feas", "tol_gap"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (math.isfinite(value) and value > 0.0):
@@ -146,20 +157,6 @@ class RecoveryProblem:
         if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
             raise ValueError(f"max_iterations must be an integer of at least "
                              f"1, got {value!r}")
-
-
-def _measurements(system, sample, y):
-    """``y`` as float64, checked as the measurements of ``system`` at
-    ``sample``: one finite value per index of a nonempty sample."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (sample.n_measurements,):
-        raise ValueError("measurement vector length must match the sample")
-    if y.size == 0:
-        raise ValueError("cannot reconstruct from zero measurements")
-    _check_indices(system, sample)
-    if not np.isfinite(y).all():
-        raise ValueError("measurements must be finite")
-    return y
 
 
 @dataclass(frozen=True)
@@ -184,8 +181,8 @@ class RecoveryReport:
 
 def _project_ellipsoid(v, batch, lam, exact):
     """Row by row, the Euclidean projection of v onto
-    {z : sum c (z - beta)^2 <= radius^2}: exact for the rows in ``exact``,
-    one Newton step towards it for the others.
+    {z : sum c (z - beta)^2 <= radius^2}: exact for the rows in ``exact``
+    (True for all, or a per-row bool mask), one Newton step for the others.
 
     v holds the sampled entries of every row of ``batch`` back to back, as
     its ``beta`` and ``c`` do, and each row has its own ``radius``.  A zero
@@ -200,7 +197,7 @@ def _project_ellipsoid(v, batch, lam, exact):
     holds each row's multiplier from the previous projection (the root
     moves little between iterations; zeros for a cold start), starts the
     solve and is overwritten with the new multipliers, 0 for rows that are
-    not outside.  A row of ``exact`` (a per-row bool array) stops when
+    not outside.  A row in ``exact`` stops when
     |q - radius| is within a relative _NEWTON_RTOL; any other row takes at
     most one step, which from the warm multiplier lands near the root (on
     it, up to rounding, for a row with one group, where 1/q is linear in
@@ -246,7 +243,7 @@ def _project_ellipsoid(v, batch, lam, exact):
     return z
 
 
-def _collapse(problem, position):
+def _collapse(problem, position, tol_feas):
     """What the iteration needs of the problem: weights ``w``, ``b`` =
     w * y and ``b_norm`` = ||b||, ``rows`` (the spectral-order position of
     each measurement), ``omega`` (the positions of the distinct sampled
@@ -256,15 +253,16 @@ def _collapse(problem, position):
     which a restart changes) and the count of ``restarts``.  omega is
     sorted by c, then by position, so each group is one run of ascending
     positions.  ``position`` maps a 0-based flat index to its
-    spectral-order position.  An empty ball raises InfeasibleError, never
-    one with ||b|| <= eps, as sqrt(scatter) <= ||b||."""
+    spectral-order position.  A ball that sqrt(scatter) puts more than
+    feas_slack = tol_feas * max(1, ||b||) beyond eps is empty and raises
+    InfeasibleError, never one with ||b|| <= eps, as sqrt(scatter) <= ||b||."""
     sample = problem.sample
     n, m = problem.system.n_total, sample.n_measurements
     w = sample.weights / math.sqrt(m) if sample.weighted else np.ones(m)
     b = w * problem.y
     b_norm = _norm(b)
     eps = float(problem.epsilon)
-    feas_slack = problem.tol_feas * max(1.0, b_norm)
+    feas_slack = tol_feas * max(1.0, b_norm)
     rows = sample.omega - 1
     c_all = np.bincount(rows, weights=w * w, minlength=n)
     omega = np.flatnonzero(c_all > 0.0)
@@ -287,8 +285,7 @@ def _collapse(problem, position):
         group_sizes=bounds[1:] - bounds[:-1], eps=eps,
         radius=math.sqrt(max(eps * eps - scatter, 0.0)),
         gamma=_STEP_SCALE * b_norm / math.sqrt(omega.size),
-        feas_slack=feas_slack, tol_gap=problem.tol_gap,
-        max_iterations=problem.max_iterations, restarts=0)
+        feas_slack=feas_slack, restarts=0)
 
 
 class _Batch:
@@ -297,9 +294,8 @@ class _Batch:
     ravel), and the rows' groups of equal c back to back, each a run of
     ``group_sizes`` entries from ``group_starts``.  ``open`` marks the rows
     with a nonzero radius, ``newton_tol`` is their projection's stopping
-    tolerance, ``lower`` and ``upper`` are the (B, 1) clip bounds -gamma
-    and gamma (``upper`` a view of ``gamma``), ``first_max`` is the
-    smallest max_iterations and ``none`` is a kept all-False row mask."""
+    tolerance, and ``lower`` and ``upper`` are the (B, 1) clip bounds
+    -gamma and gamma (``upper`` a view of ``gamma``)."""
 
     def __init__(self, data, n):
         self.data = data
@@ -314,12 +310,10 @@ class _Batch:
         self.group_starts = np.cumsum(self.group_sizes) - self.group_sizes
         self.row_groups = np.array([d.group_c.size for d in data])
         self.row_group_starts = np.cumsum(self.row_groups) - self.row_groups
-        for name in ("radius", "gamma", "tol_gap", "max_iterations"):
-            setattr(self, name, np.array([getattr(d, name) for d in data]))
+        self.radius = np.array([d.radius for d in data])
+        self.gamma = np.array([d.gamma for d in data])
         self.open = self.radius != 0.0
         self.newton_tol = _NEWTON_RTOL * self.radius
-        self.first_max = self.max_iterations.min()
-        self.none = np.zeros(len(data), dtype=bool)
         self.upper = self.gamma[:, None]
         self.lower = -self.upper
 
@@ -350,7 +344,7 @@ class _Batch:
         return np.add.reduceat(per_group, self.row_group_starts)
 
 
-def solve_bpdn(problem):
+def solve_bpdn(problem, solver=SolverSpec()):
     """Douglas-Rachford solve of min ||s||_1 s.t. ||G s - b|| <= eps.
 
     s are the wavelet coefficients and G s = w * (U s)[omega], where
@@ -368,7 +362,8 @@ def solve_bpdn(problem):
     sampled indices Omega, with z free elsewhere.  When ||b|| <= eps,
     x = 0 is returned at once (stop reason ``zero_data``).  Otherwise, when
     sqrt(scatter) exceeds eps by more than tol_feas * max(1, ||b||) the
-    ball is empty and InfeasibleError is raised.
+    ball is empty and InfeasibleError is raised.  ``solver`` gives
+    tol_feas, tol_gap and max_iterations.
 
     Iteration.  With g = U clip(U^T t, -gamma, gamma), y = t - g is the
     prox of the l1 term, U soft(U^T t, gamma) (U is orthogonal); z is the
@@ -403,20 +398,20 @@ def solve_bpdn(problem):
     returned with converged = False.  This is :func:`solve_bpdn_batch` on
     a batch of one.
     """
-    return solve_bpdn_batch([problem])[0]
+    return solve_bpdn_batch([problem], solver)[0]
 
 
-def solve_bpdn_batch(problems):
-    """:func:`solve_bpdn` for each of ``problems``, as one iteration over a
-    (B, N) batch; returns the reports in order.
+def solve_bpdn_batch(problems, solver=SolverSpec()):
+    """:func:`solve_bpdn` for each of ``problems`` with the one ``solver``,
+    as one iteration over a (B, N) batch; returns the reports in order.
 
     The problems must share one system.  Their data balls are collapsed in
     order, and the first empty one raises InfeasibleError (a ball with
-    ||b|| <= eps is never empty).  Every step of an iteration works row by
-    row: each row has its own step, data ball, Newton multiplier and
-    restart state, is checked, restarted and projected exactly on its own
-    schedule and leaves the batch when it stops, so each report is bit for
-    bit the one the problem gets alone.
+    ||b|| <= eps is never empty).  Every row is checked at the same
+    iterations; every other step works row by row: each row has its own
+    step, data ball, Newton multiplier and restart state, is restarted on
+    its own and leaves the batch when it stops, so each report is bit for
+    bit the one the problem gets alone with the same ``solver``.
     """
     problems = list(problems)
     if not problems:
@@ -428,7 +423,8 @@ def solve_bpdn_batch(problems):
     order = system.spectral_order
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
-    data = [_collapse(problem, position) for problem in problems]
+    data = [_collapse(problem, position, solver.tol_feas)
+            for problem in problems]
     reports = [RecoveryReport(system.signal(np.zeros(n)), 0, d.b_norm, 0.0,
                               True, 0.0, "zero_data")
                if d.b_norm <= d.eps else None for d in data]
@@ -450,7 +446,7 @@ def solve_bpdn_batch(problems):
     t_on = np.zeros(batch.flat.size)
     lam = np.zeros(len(live))
     gap_ref = np.full(len(live), np.nan)
-    restarted = None
+    restarted = False
     it = 0
     while True:
         it += 1
@@ -461,21 +457,16 @@ def solve_bpdn_batch(problems):
         _matmuls(s_to_g)
         # off omega the projection is the identity, so z = t - 2g there:
         # only the sampled entries are projected (t_on holds those of t),
-        # with each row's multiplier kept in lam, exactly for the rows due
-        # to be checked and those that restarted at the last check, and z
-        # is formed in full only when it is checked
+        # with each row's multiplier kept in lam, exactly at a check and for
+        # the rows that restarted at the last one, and z is formed in full
+        # only at a check
         g_on = g.reshape(-1)[batch.flat]
         y_on = t_on - g_on
-        if it % _CHECK_EVERY and it < batch.first_max:
-            due = None
-            exact = batch.none if restarted is None else restarted
-        else:
-            at_max = it == batch.max_iterations
-            due = at_max | (it % _CHECK_EVERY == 0)
-            exact = due if restarted is None else due | restarted
-        restarted = None
-        z_on = _project_ellipsoid(y_on - g_on, batch, lam, exact)
-        if due is not None:
+        at_max = it == solver.max_iterations
+        due = at_max or it % _CHECK_EVERY == 0
+        z_on = _project_ellipsoid(y_on - g_on, batch, lam, due or restarted)
+        restarted = False
+        if due:
             np.divide(g, batch.upper, out=p)
             z = np.subtract(t, np.multiply(g, 2.0, out=s), out=s)
             z.reshape(-1)[batch.flat] = z_on
@@ -484,7 +475,7 @@ def solve_bpdn_batch(problems):
         np.subtract(t, g, out=t)
         t_on += _RELAX * (z_on - y_on)
         t.reshape(-1)[batch.flat] = t_on
-        if due is None:
+        if not due:
             continue
         _matmuls(s_to_g)
         objective = np.abs(g, out=g).sum(axis=1)
@@ -497,21 +488,21 @@ def solve_bpdn_batch(problems):
                 * np.sqrt(batch.row_sums(np.square(p_on / batch.root_c))))
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = (objective - dual) / objective
-        gap_ok = objective - dual <= batch.tol_gap * objective
-        going = due & batch.open
+        gap_ok = objective - dual <= solver.tol_gap * objective
+        going = batch.open.copy()
         stopped = []
-        for k in np.flatnonzero(due & (gap_ok | at_max)):
+        for k in np.flatnonzero(gap_ok | at_max):
             d = batch.data[k]
             residual = _norm(d.w * z[k, d.rows] - d.b)
             converged = bool(residual - d.eps <= d.feas_slack and gap_ok[k])
-            if converged or at_max[k]:
+            if converged or at_max:
                 stopped.append((k, residual, converged))
                 going[k] = False
         # primal-weight restarts of the noisy rows that go on: a row whose
         # gap fell to _RESTART_GAP times its gap at the last restart starts
         # again at z + gamma' p, DR's fixed-point form, with the step
         # balanced between the primal and dual moves since then
-        hits = going & (gap <= _RESTART_GAP * gap_ref)
+        hits = restarted = going & (gap <= _RESTART_GAP * gap_ref)
         record = hits | (going & np.isnan(gap_ref))
         if np.count_nonzero(hits):
             # z_ref and p_ref take z and p below, so the hit rows may hold
@@ -530,7 +521,6 @@ def solve_bpdn_batch(problems):
             batch.restart(hit, step)
             np.multiply(p, batch.upper, out=t, where=mask)
             np.add(t, z, out=t, where=mask)
-            restarted = hits
             t_on = t.reshape(-1)[batch.flat]
         if np.count_nonzero(record):
             np.copyto(z_ref, z, where=record[:, None])
@@ -562,9 +552,7 @@ def solve_bpdn_batch(problems):
                                         (t, g, s, p, z_ref, p_ref))
             t_to_s, s_to_g, g_to_g = system.bind_level_op((t, s), (s, g),
                                                           (g, g))
-            lam, gap_ref = lam[rows], gap_ref[rows]
-            if restarted is not None:
-                restarted = restarted[rows]
+            lam, gap_ref, restarted = lam[rows], gap_ref[rows], restarted[rows]
             batch = _Batch([d for d, kept in zip(batch.data, keep) if kept], n)
             t_on = t.reshape(-1)[batch.flat]
     return reports

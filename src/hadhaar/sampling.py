@@ -260,6 +260,20 @@ def _check_indices(system, sample):
                          f"[1, {n}] for {system.tag} with r = {system.r}")
 
 
+def _measurements(system, sample, y):
+    """``y`` as float64, checked as the measurements of ``system`` at
+    ``sample``: one finite value per index of a nonempty sample."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (sample.n_measurements,):
+        raise ValueError("measurement vector length must match the sample")
+    if y.size == 0:
+        raise ValueError("cannot reconstruct from zero measurements")
+    _check_indices(system, sample)
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
+    return y
+
+
 def measure(system, sample, x):
     """Subsampled Hadamard measurements y_j = (Phi^T x)_{omega_j}.
 
@@ -272,9 +286,6 @@ def measure(system, sample, x):
 
 def measure_adjoint(system, sample, y):
     """Adjoint of :func:`measure`: scatter-add into [N], then apply Phi."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (sample.n_measurements,):
-        raise ValueError("measurement vector length must match the sample")
-    _check_indices(system, sample)
+    y = _measurements(system, sample, y)
     z = np.bincount(sample.omega - 1, weights=y, minlength=system.n_total)
     return system.signal(z)

@@ -400,11 +400,11 @@ def _idhw(x, inverse):
 
 
 def haar_transform(kind, direction, x, batch=False):
-    """Apply a Haar transform (``dhw``, ``adhw`` or ``idhw``).
+    """Apply a Haar (``dhw``, ``adhw``, ``idhw``) or Hadamard transform.
 
     ``direction`` is ``"analysis"`` (signal to coefficients) or
-    ``"synthesis"``.  1-D dhw expects a vector of length 2^r; the 2-D kinds
-    expect a square 2^r x 2^r array whose vectorisation is column-major.
+    ``"synthesis"``.  The 1-D kinds expect a vector of length 2^r, the 2-D
+    kinds a square 2^r x 2^r array whose vectorisation is column-major.
     ``kind`` is a :class:`BasisKind`, or a tag whose r comes from the
     input's shape.  With ``batch`` true, axis 0 indexes independent inputs,
     each transformed as above; every one comes out bit for bit as it would
@@ -416,15 +416,15 @@ def haar_transform(kind, direction, x, batch=False):
         kind, _require_pow2(shape[0] if shape else 0, "side"))
     if direction not in ("analysis", "synthesis"):
         raise ValueError("direction must be 'analysis' or 'synthesis'")
+    if shape != (basis.side,) * (2 if basis.is_2d else 1):
+        raise ValueError(f"{basis.tag} expects a square array of side 2^r"
+                         if basis.is_2d else
+                         f"{basis.tag} expects a vector of length 2^r")
     inverse = direction == "synthesis"
     if basis.tag in ("hadamard1d", "hadamard2d"):
         return fwht(x, batch=batch)
     if basis.tag == "dhw":
-        if shape != (basis.side,):
-            raise ValueError("dhw expects a vector of length 2^r")
         return _dhw(x, inverse)
-    if shape != (basis.side, basis.side):
-        raise ValueError(f"{basis.tag} expects a square array of side 2^r")
     if basis.tag == "adhw":
         return _dhw(_dhw(x.swapaxes(-1, -2), inverse).swapaxes(-1, -2),
                     inverse)

@@ -20,15 +20,16 @@ from hadhaar.cli import EXIT_CODES, _load_sample, main
 from hadhaar.coherence import SYSTEM_TAGS, SystemKind, local_coherence
 from hadhaar.experiment import (_ROLE_NOISE, _ROLE_PREGEN, _ROLE_SAMPLE,
                                 _ROLE_SIGNAL, ExperimentConfig, MdsSpec,
-                                SignalSpec, SolverSpec, _build_trials,
-                                _make_signal, _worst_case_k, config_from_json,
+                                SignalSpec, _build_trials, _make_signal,
+                                _worst_case_k, config_from_json,
                                 config_to_json, run_experiment,
                                 write_summary_csv, write_trials_csv)
+from hadhaar.recovery import SolverSpec
 from hadhaar.sampling import (_seed_sequence, draw_sample, mds_allocate,
                               measure, rng_stream, uds_pmf, vds_pmf)
 from hadhaar.signals import (NoiseSpec, effective_sparsity, gaussian_bump,
                              generate, load_signal_csv, make_noise,
-                             save_signal_csv)
+                             save_image_csv, save_signal_csv)
 from hadhaar.transforms import haar_transform
 
 
@@ -106,6 +107,10 @@ def test_config_unknown_keys_rejected():
     ("mds", "sparsity_source", "x", "sparsity_source must be one of"),
     ("mds", "pregenerated", 0, "pregenerated count must be at least 1"),
     ("signal", "kind", "x", "signal kind must be one of"),
+    # the solver settings are checked while the config is parsed
+    ("solver", "max_iterations", 0,
+     "max_iterations must be an integer of at least 1, got 0"),
+    ("solver", "tol_gap", math.nan, "tol_gap must be finite and positive, got nan"),
 ])
 def test_config_value_types_rejected(tmp_path, capsys, section, key, value,
                                      expect):
@@ -843,6 +848,7 @@ def test_negative_seed_is_named(tmp_path, capsys, command, seed):
     ("2", "1000", r"center must lie in \[1, 32\]"),
     ("2", "0.5", r"center must lie in \[1, 32\]"),
     ("0.5", "random", "random center needs sigma >= 1"),
+    ("2", "abc", "center must be 'random' or a number, got 'abc'"),
     # 2 sigma^2 underflows to 0 (a nan at the centre) or overflows
     ("1e-200", "3", r"2 sigma\^2 and N\^2 / \(2 sigma\^2\) finite at N = 32"),
     ("1e300", "3", r"2 sigma\^2 and N\^2 / \(2 sigma\^2\) finite at N = 32"),
@@ -861,6 +867,7 @@ def test_cmd_signal_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
 @pytest.mark.parametrize("sigma,center,expect", [
     (math.nan, 3, "gaussian_bump requires a finite sigma > 0"),
     (2.0, 1000, "center must lie in [1, 16], got 1000.0"),
+    (2.0, "abc", "center must be 'random' or a number, got 'abc'"),
     (1e-200, 3.0, "sigma must be finite and positive, with 2 sigma^2 and "
                   "N^2 / (2 sigma^2) finite at N = 16, got 1e-200"),
     # a valid bump whose norm alone leaves no room for 20 dB of noise
@@ -922,6 +929,21 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["coherence", "--system", "had_dhw_1d", "--r", "0",
                  "--out", str(tmp_path)]) == EXIT_CODES["validation"]
     assert "error:validation:" in capsys.readouterr().err
+    # a Hadamard input of the wrong shape for its basis and r
+    save_signal_csv(tmp_path / "x16.csv", np.arange(16.0))
+    save_image_csv(tmp_path / "img.csv", np.ones((4, 4)))
+    for basis, r, path, expect in (
+            ("hadamard2d", ["--r", "2"], "x16.csv",
+             "hadamard2d expects a square array of side 2^r"),
+            ("hadamard1d", ["--r", "3"], "x16.csv",
+             "hadamard1d expects a vector of length 2^r"),
+            ("hadamard1d", [], "img.csv",
+             "hadamard1d expects a vector of length 2^r")):
+        assert main(["transform", "--basis", basis, *r, "--input",
+                     str(tmp_path / path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CODES["validation"]
+        assert capsys.readouterr().err == f"error:validation: {expect}\n"
+    assert not (tmp_path / "out").exists()
     assert main(["--version"]) == 0
 
 

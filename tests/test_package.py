@@ -11,7 +11,7 @@ MODULES = (indexing, transforms, coherence, sampling, signals, recovery)
 
 def test_public_names_are_the_module_lists():
     names = hadhaar.__all__
-    assert len(names) == len(set(names)) == 68
+    assert len(names) == len(set(names)) == 69
     assert set(names) == {"__version__"}.union(*(m.__all__ for m in MODULES))
     for name in names:
         getattr(hadhaar, name)

@@ -12,7 +12,7 @@ from hadhaar.experiment import ExperimentConfig, SignalSpec, _build_trials
 from hadhaar.indexing import build_levels
 from hadhaar.recovery import (_CHECK_EVERY, _RELAX, _RESTART_GAP,
                               _STEP_CLAMP, _STEP_SCALE, RecoveryProblem,
-                              RecoveryReport, _Batch, _collapse,
+                              RecoveryReport, SolverSpec, _Batch, _collapse,
                               _project_ellipsoid, me_reconstruct, solve_bpdn,
                               solve_bpdn_batch)
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
@@ -88,9 +88,9 @@ def _check_matches_linear_program(system):
         sample = draw_sample(plan, (5 + i % 4) * n // 8, 100 + i)
         x = rng_stream(200 + i, 0).standard_normal(n)
         y = measure(system, sample, x)
-        report = solve_bpdn(RecoveryProblem(system, sample, y,
-                                            tol_feas=1e-9, tol_gap=1e-9,
-                                            max_iterations=200000))
+        report = solve_bpdn(RecoveryProblem(system, sample, y),
+                            SolverSpec(tol_feas=1e-9, tol_gap=1e-9,
+                                       max_iterations=200000))
         opt = _l1_optimum(system_matrix(system)[sample.omega - 1], y)
         worst = max(worst, abs(report.objective - opt) / max(1.0, opt))
     assert worst <= 1e-6
@@ -146,7 +146,7 @@ def _check_noisy_weighted_duplicates(system):
         g = w[:, None] * system_matrix(system)[sample.omega - 1]
         b = w * y
         s_hat = system.coefficients(report.x_hat)
-        slack = problem.tol_feas * max(1.0, float(np.linalg.norm(b)))
+        slack = SolverSpec().tol_feas * max(1.0, float(np.linalg.norm(b)))
         assert float(np.linalg.norm(g @ s_hat - b)) <= noise.weighted_norm + slack
         opt = _l1_ball_optimum(g, b, noise.weighted_norm)
         assert abs(report.objective - opt) <= 1e-6 * opt
@@ -224,8 +224,8 @@ def test_solver_deterministic():
 
 def _batch_problems(tag, r):
     """Problems on one system: uds/vds/mds samples of different sizes,
-    noiseless rows, noisy rows (one with a gap tolerance tight enough that
-    it restarts), a row with ||b|| <= eps and a capped row."""
+    noiseless rows (1 and 5), noisy rows and a row with ||b|| <= eps
+    (2)."""
     system = SystemKind(tag, r)
     part = system.partition()
     x = rng_stream(8, r).standard_normal(system.n_total)
@@ -243,19 +243,10 @@ def _batch_problems(tag, r):
                            rng=rng_stream(9, i))
         y = measure(system, sample, x) + noise.vector
         eps = noise.weighted_norm if weighted else noise.norm
-        problems.append(RecoveryProblem(system, sample, y, eps,
-                                        max_iterations=400))
+        problems.append(RecoveryProblem(system, sample, y, eps))
     # ||b|| <= eps: the zero point is optimal at once
     problems.insert(2, RecoveryProblem(system, problems[0].sample,
                                        1e-3 * problems[0].y, epsilon=10.0))
-    noisy = problems[4]
-    problems.append(RecoveryProblem(system, noisy.sample, noisy.y,
-                                    noisy.epsilon, tol_gap=1e-12,
-                                    max_iterations=400))
-    # stopped at an iteration that is not a multiple of the check interval
-    first = problems[0]
-    problems.append(RecoveryProblem(system, first.sample, first.y,
-                                    first.epsilon, max_iterations=3))
     return problems
 
 
@@ -263,31 +254,41 @@ def _batch_problems(tag, r):
                                    ("had2_idhw", 2), ("had2_idhw", 3),
                                    ("had2_adhw", 2), ("had2_adhw", 3)])
 def test_batch_rows_bit_equal_alone(tag, r):
+    # one batch per setting: a 400-iteration cap, a gap tolerance tight
+    # enough that rows restart, and a cap of 3, which is not a multiple of
+    # the check interval
     problems = _batch_problems(tag, r)
-    batch = solve_bpdn_batch(problems)
-    assert len(batch) == len(problems)
-    reasons = set()
-    for problem, got in zip(problems, batch):
-        alone = solve_bpdn(problem)
-        assert got.x_hat.shape == alone.x_hat.shape
-        assert got.x_hat.tobytes() == alone.x_hat.tobytes()
-        assert (got.iterations, got.converged, got.stop_reason) \
-            == (alone.iterations, alone.converged, alone.stop_reason)
-        assert (got.objective, got.feasibility_residual, got.relative_gap) \
-            == (alone.objective, alone.feasibility_residual,
-                alone.relative_gap)
-        assert (got.restarts, got.step) == (alone.restarts, alone.step)
-        reasons.add(got.stop_reason)
-    assert batch[2].stop_reason == "zero_data" and batch[2].iterations == 0
-    assert (batch[2].restarts, batch[2].step) == (0, 0.0)
-    assert max(report.restarts for report in batch) >= 1
-    # noiseless rows never restart and keep their first step
     position = np.arange(problems[0].system.n_total)
-    for k in (1, 5):
-        assert problems[k].epsilon == 0.0 and batch[k].restarts == 0
-        assert batch[k].step == _collapse(problems[k], position).gamma
-    assert batch[-1].stop_reason == "max_iterations"
-    assert batch[-1].iterations == 3
+    reasons = set()
+    for solver in (SolverSpec(max_iterations=400),
+                   SolverSpec(tol_gap=1e-12, max_iterations=400),
+                   SolverSpec(max_iterations=3)):
+        batch = solve_bpdn_batch(problems, solver)
+        assert len(batch) == len(problems)
+        for problem, got in zip(problems, batch):
+            alone = solve_bpdn(problem, solver)
+            assert got.x_hat.shape == alone.x_hat.shape
+            assert got.x_hat.tobytes() == alone.x_hat.tobytes()
+            assert (got.iterations, got.converged, got.stop_reason) \
+                == (alone.iterations, alone.converged, alone.stop_reason)
+            assert (got.objective, got.feasibility_residual,
+                    got.relative_gap) \
+                == (alone.objective, alone.feasibility_residual,
+                    alone.relative_gap)
+            assert (got.restarts, got.step) == (alone.restarts, alone.step)
+            reasons.add(got.stop_reason)
+        assert batch[2].stop_reason == "zero_data" and batch[2].iterations == 0
+        assert (batch[2].restarts, batch[2].step) == (0, 0.0)
+        # noiseless rows never restart and keep their first step
+        for k in (1, 5):
+            assert problems[k].epsilon == 0.0 and batch[k].restarts == 0
+            assert batch[k].step == _collapse(problems[k], position,
+                                              solver.tol_feas).gamma
+        if solver.tol_gap == 1e-12:
+            assert max(report.restarts for report in batch) >= 1
+    # with a cap of 3 every row but the zero-data one stops at iteration 3
+    assert [report.iterations for report in batch] == [3, 3, 0, 3, 3, 3]
+    assert batch[0].stop_reason == "max_iterations"
     assert reasons == {"converged", "max_iterations", "zero_data"}
 
 
@@ -306,15 +307,17 @@ def test_threads_sharing_a_system_give_sequential_bits():
                            rng=rng)
         problems.append(RecoveryProblem(
             system, sample, measure(system, sample, x) + noise.vector,
-            noise.weighted_norm, max_iterations=100))
+            noise.weighted_norm))
     inputs = [rng.standard_normal((4, system.n_total)) for _ in range(150)]
 
     def apply_u():
         return [system.level_op(v).tobytes() for v in inputs]
 
     def solve():
+        reports = [solve_bpdn(problem, SolverSpec(max_iterations=100))
+                   for problem in problems]
         return [(report.x_hat.tobytes(), report.iterations)
-                for report in map(solve_bpdn, problems)]
+                for report in reports]
 
     jobs = (apply_u, apply_u, solve, solve)
     want = [job() for job in jobs]
@@ -387,7 +390,7 @@ def test_grouped_projection_matches_bisection():
         sample = SampleSet(omega, rng.choice([0.5, 1.0, 2.0, 4.0], size=m),
                            strategy, seed="0")
         problem = RecoveryProblem(system, sample, base[omega - 1], eps)
-        data.append(_collapse(problem, np.arange(n)))
+        data.append(_collapse(problem, np.arange(n), 1e-6))
     batch = _Batch(data, n)
     assert batch.group_c.size < batch.c.size
     assert list(batch.radius[1:3]) == [0.0, pytest.approx(10.0)]
@@ -520,10 +523,9 @@ def test_iterates_match_dense_douglas_rachford(tag, r):
             eps = noise.weighted_norm if sample.weighted else noise.norm
             y = measure(system, sample, x) + noise.vector
             for iterations in (1, 3, 37):
-                problem = RecoveryProblem(system, sample, y, eps,
-                                          tol_gap=1e-300,
-                                          max_iterations=iterations)
-                report = solve_bpdn(problem)
+                problem = RecoveryProblem(system, sample, y, eps)
+                report = solve_bpdn(problem, SolverSpec(
+                    tol_gap=1e-300, max_iterations=iterations))
                 # a gap that rounds to 0 or below certifies even 1e-300
                 assert report.iterations == iterations or report.converged
                 want = _dense_douglas_rachford(problem, report.iterations)
@@ -560,11 +562,10 @@ def test_scaled_and_permuted_data_give_the_same_solve(tag, r):
             eps = noise.weighted_norm if sample.weighted else noise.norm
             y = measure(system, sample, x) + noise.vector
             base, scaled, permuted = solve_bpdn_batch([
-                RecoveryProblem(system, sample, y, eps, max_iterations=300),
-                RecoveryProblem(system, sample, 8.0 * y, 8.0 * eps,
-                                max_iterations=300),
-                RecoveryProblem(system, shuffled, y[perm], eps,
-                                max_iterations=300)])
+                RecoveryProblem(system, sample, y, eps),
+                RecoveryProblem(system, sample, 8.0 * y, 8.0 * eps),
+                RecoveryProblem(system, shuffled, y[perm], eps)],
+                SolverSpec(max_iterations=300))
             assert base.iterations > 0
             assert scaled.iterations == base.iterations
             assert np.array_equal(scaled.x_hat, 8.0 * base.x_hat)
@@ -588,7 +589,7 @@ def test_strategy_ordering_vds_rows_restart():
     assert all(report.converged for report in reports)
     assert max(report.restarts for report in reports) >= 1
     for problem, report in zip(problems, reports):
-        first = _collapse(problem, position).gamma
+        first = _collapse(problem, position, config.solver.tol_feas).gamma
         assert (first / _STEP_CLAMP ** report.restarts <= report.step
                 <= first * _STEP_CLAMP ** report.restarts)
 
@@ -611,8 +612,8 @@ def test_stop_reason_and_gap():
     done = solve_bpdn(RecoveryProblem(system, sample, y, epsilon=0.01))
     assert done.converged and done.stop_reason == "converged"
     assert done.relative_gap <= 1e-6         # may round below 0
-    cut = solve_bpdn(RecoveryProblem(system, sample, y, epsilon=0.01,
-                                     max_iterations=3))
+    cut = solve_bpdn(RecoveryProblem(system, sample, y, epsilon=0.01),
+                     SolverSpec(max_iterations=3))
     assert cut.iterations == 3 and not cut.converged
     assert cut.stop_reason == "max_iterations" and cut.relative_gap > 1e-6
 
@@ -634,6 +635,21 @@ def test_problem_rejects_index_beyond_system():
         RecoveryProblem(SystemKind("had_dhw_1d", 3), sample, np.ones(2))
 
 
+def test_solver_spec_validation():
+    with pytest.raises(ValueError, match="tol_feas must be finite and "
+                       "positive, got 0.0"):
+        SolverSpec(tol_feas=0.0)
+    # a bool is not a tolerance, though it compares as 0 or 1
+    for name in ("tol_feas", "tol_gap"):
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=name):
+                SolverSpec(**{name: bad})
+    for bad in (0, 2.5, np.inf, True):
+        with pytest.raises(ValueError, match="max_iterations must be an "
+                           "integer of at least 1"):
+            SolverSpec(max_iterations=bad)
+
+
 def test_problem_validation():
     system = SystemKind("had_dhw_1d", 3)
     sample = draw_sample(uds_pmf(system), 4, 5)
@@ -642,16 +658,10 @@ def test_problem_validation():
         RecoveryProblem(system, sample, np.ones(3))
     with pytest.raises(ValueError):
         RecoveryProblem(system, sample, y, epsilon=-1.0)
-    with pytest.raises(ValueError):
-        RecoveryProblem(system, sample, y, tol_feas=0.0)
-    # a bool is not a tolerance, though it compares as 0 or 1
-    for name in ("epsilon", "tol_feas", "tol_gap"):
-        for bad in (True, False):
-            with pytest.raises(ValueError, match=name):
-                RecoveryProblem(system, sample, y, **{name: bad})
-    for bad in (0, 2.5, np.inf, True):
-        with pytest.raises(ValueError, match="max_iterations"):
-            RecoveryProblem(system, sample, y, max_iterations=bad)
+    # a bool is not a noise radius, though it compares as 0 or 1
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="epsilon"):
+            RecoveryProblem(system, sample, y, epsilon=bad)
     with pytest.raises(ValueError):
         RecoveryProblem(system, sample, np.array([1.0, np.nan, 0.0, 0.0]))
     empty = SampleSet(np.array([], dtype=np.int64), np.array([]), "uds", "0")

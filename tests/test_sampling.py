@@ -318,6 +318,13 @@ def test_measure_validation():
         measure(system, sample, np.ones(4))
     with pytest.raises(ValueError):
         measure_adjoint(system, sample, np.ones(3))
+    # not a NaN image for NaN or inf measurements, nor zeros for none
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="measurements must be finite"):
+            measure_adjoint(system, sample, np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="zero measurements"):
+        measure_adjoint(system, _manual_sample(np.array([], dtype=np.int64)),
+                        np.array([]))
     with pytest.raises(ValueError):
         measure(SystemKind("had2_idhw", 2), sample, np.ones((2, 8)))
     # an index past N is named, not an IndexError or a shape error
