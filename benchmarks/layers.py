@@ -54,11 +54,14 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
 
 Each figure is the median of five windows of at least 0.1 s of back-to-back
 calls on one fixed input.  The script takes no options and prints one JSON
-line: the machine, the versions, the line count of ``src/`` and one row per
+line: the machine, the versions, the line count of ``src/`` (all lines, and
+the lines that are not blank, comments or docstrings) and one row per
 (layer, dimension, r); the CSV rows also give the row count.
 """
 from __future__ import annotations
 
+import ast
+import io
 import json
 import math
 import os
@@ -67,6 +70,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,14 +99,35 @@ WINDOWS = 5
 WINDOW_S = 0.1
 
 
+def _code_lines(text):
+    """The lines of the Python source ``text`` that hold a token other than
+    a comment, outside the docstrings (the string constants that are the
+    first statement of the module, a class or a function)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+              tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def _machine():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    src_lines = sum(len(p.read_text(encoding="utf-8").splitlines())
-                    for p in sorted((ROOT / "src").rglob("*.py")))
+    texts = [p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "src").rglob("*.py"))]
     return {"platform": platform.platform(), "machine": platform.machine(),
             "cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "src_lines": src_lines}
+            "src_lines": sum(len(text.splitlines()) for text in texts),
+            "src_code_lines": sum(map(_code_lines, texts))}
 
 
 def _us_per_call(fn, arg):

@@ -44,11 +44,11 @@ The iteration runs in the system's two level orders: coefficients in
 between which U is block-diagonal and symmetric, one flat Walsh-Hadamard
 transform per Hadamard block of each level.  The sample is mapped to
 spectral positions once, and U and U^T = U are both the level operator,
-bound with ``SystemKind.bind_level_op`` to the solve's buffers once per
-batch shape (again after rows leave), so an iteration runs bare matrix
-products.  The binding makes the solve's own work buffers, so solves that
-share a system may run at once.  Only a stopped row's spectrum is put
-back in flat order before its synthesis.
+bound with ``SystemKind.bind_level_op`` to the solve's buffers once per set
+of live rows, so an iteration runs bare matrix products.  The binding makes
+the solve's own work buffers, so solves that share a system may run at
+once.  Only a stopped row's spectrum is put back in flat order before its
+synthesis.
 The update is over-relaxed, t + lambda (z - y) with y = t - g the prox
 and lambda = _RELAX (Eckstein & Bertsekas 1992).  Off the sample the
 projection is the identity, so there z = 2y - t = t - 2g and the next t
@@ -72,7 +72,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .sampling import InfeasibleError, SampleSet, _measurements
-from .signals import _norm
+from .signals import _MAX_NORM, _norm
 from .transforms import _matmuls
 
 __all__ = ["RecoveryProblem", "RecoveryReport", "SolverSpec", "me_reconstruct",
@@ -259,8 +259,12 @@ def _collapse(problem, position, tol_feas):
     sample = problem.sample
     n, m = problem.system.n_total, sample.n_measurements
     w = sample.weights / math.sqrt(m) if sample.weighted else np.ones(m)
-    b = w * problem.y
-    b_norm = _norm(b)
+    with np.errstate(over="ignore"):
+        b = w * problem.y
+        b_norm = _norm(b)
+    if b.any() and not 1.0 / _MAX_NORM <= b_norm <= _MAX_NORM:
+        raise ValueError(f"||b|| = {math.hypot(*b.tolist()):.6g} is outside "
+                         f"the solver's range [2^-320, 2^320]")
     eps = float(problem.epsilon)
     feas_slack = tol_feas * max(1.0, b_norm)
     rows = sample.omega - 1
@@ -319,8 +323,8 @@ class _Batch:
 
     def restart(self, rows, gamma):
         """Count a restart of each of ``rows`` and give it its step from
-        ``gamma``, in its clip bounds and in its data, which compaction
-        rebuilds from."""
+        ``gamma``, in its clip bounds and in its data, from which the next
+        set of live rows builds its ``_Batch`` when rows stop."""
         self.gamma[rows] = gamma
         self.lower[rows, 0] = -gamma
         for k, step in zip(rows, gamma.tolist()):
@@ -359,11 +363,12 @@ def solve_bpdn(problem, solver=SolverSpec()):
     scatter = sum_j (b_j - w_j beta_k(j))^2 independent of s, so the data
     ball is the axis-aligned ellipsoid
     sum_k c_k (z_k - beta_k)^2 <= eps_eff^2 = eps^2 - scatter on the
-    sampled indices Omega, with z free elsewhere.  When ||b|| <= eps,
-    x = 0 is returned at once (stop reason ``zero_data``).  Otherwise, when
-    sqrt(scatter) exceeds eps by more than tol_feas * max(1, ||b||) the
-    ball is empty and InfeasibleError is raised.  ``solver`` gives
-    tol_feas, tol_gap and max_iterations.
+    sampled indices Omega, with z free elsewhere.  Nonzero data with
+    ||b|| outside [2^-320, 2^320] (``signals._MAX_NORM``) raises
+    ValueError.  When ||b|| <= eps, x = 0 is returned at once (stop reason
+    ``zero_data``).  Otherwise, when sqrt(scatter) exceeds eps by more than
+    tol_feas * max(1, ||b||) the ball is empty and InfeasibleError is
+    raised.  ``solver`` gives tol_feas, tol_gap and max_iterations.
 
     Iteration.  With g = U clip(U^T t, -gamma, gamma), y = t - g is the
     prox of the l1 term, U soft(U^T t, gamma) (U is orthogonal); z is the
@@ -412,6 +417,11 @@ def solve_bpdn_batch(problems, solver=SolverSpec()):
     step, data ball, Newton multiplier and restart state, is restarted on
     its own and leaves the batch when it stops, so each report is bit for
     bit the one the problem gets alone with the same ``solver``.
+
+    An outer loop runs once per set of live rows: it builds their
+    ``_Batch``, binds U to the first rows of the six (B, N) buffers and
+    iterates until a check stops rows, whose reports it writes before it
+    moves the kept rows' state to the front.
     """
     problems = list(problems)
     if not problems:
@@ -428,133 +438,120 @@ def solve_bpdn_batch(problems, solver=SolverSpec()):
     reports = [RecoveryReport(system.signal(np.zeros(n)), 0, d.b_norm, 0.0,
                               True, 0.0, "zero_data")
                if d.b_norm <= d.eps else None for d in data]
-    live = [i for i, report in enumerate(reports) if report is None]
-    data = [data[i] for i in live]
-    if not live:
-        return reports
-
+    live = np.flatnonzero([report is None for report in reports])
     # t, g and s are kept buffers for the whole solve: t and g hold spectra
     # in spectral order, s coefficients in level order; every step writes
     # into them, and U is bound to the pairs it maps between (z is s).  p
     # holds g / gamma at a check, and z_ref and p_ref a row's z and p at its
-    # last restart (its first check before any), with its gap in gap_ref
-    batch = _Batch(data, n)
-    t = np.zeros((len(live), n))
-    g, s, p = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-    z_ref, p_ref = np.zeros_like(t), np.zeros_like(t)
-    t_to_s, s_to_g, g_to_g = system.bind_level_op((t, s), (s, g), (g, g))
-    t_on = np.zeros(batch.flat.size)
-    lam = np.zeros(len(live))
-    gap_ref = np.full(len(live), np.nan)
+    # last restart (its first check before any), with its gap in gap_ref.
+    # Each set of live rows uses the first rows of the six buffers.
+    buffers = np.zeros((6, live.size, n))
+    lam = np.zeros(live.size)
+    gap_ref = np.full(live.size, np.nan)
     restarted = False
     it = 0
-    while True:
-        it += 1
-        # g = U clip(U^T t, -gamma, gamma), so that the l1 prox is t - g
-        _matmuls(t_to_s)
-        np.maximum(s, batch.lower, out=s)
-        np.minimum(s, batch.upper, out=s)
-        _matmuls(s_to_g)
-        # off omega the projection is the identity, so z = t - 2g there:
-        # only the sampled entries are projected (t_on holds those of t),
-        # with each row's multiplier kept in lam, exactly at a check and for
-        # the rows that restarted at the last one, and z is formed in full
-        # only at a check
-        g_on = g.reshape(-1)[batch.flat]
-        y_on = t_on - g_on
-        at_max = it == solver.max_iterations
-        due = at_max or it % _CHECK_EVERY == 0
-        z_on = _project_ellipsoid(y_on - g_on, batch, lam, due or restarted)
-        restarted = False
-        if due:
-            np.divide(g, batch.upper, out=p)
-            z = np.subtract(t, np.multiply(g, 2.0, out=s), out=s)
-            z.reshape(-1)[batch.flat] = z_on
-        # the next t, t - _RELAX g off omega; g is scratch from here on
-        np.multiply(g, _RELAX, out=g)
-        np.subtract(t, g, out=t)
-        t_on += _RELAX * (z_on - y_on)
-        t.reshape(-1)[batch.flat] = t_on
-        if not due:
-            continue
-        _matmuls(s_to_g)
-        objective = np.abs(g, out=g).sum(axis=1)
-        p_on = p.reshape(-1)[batch.flat]
-        g.fill(0.0)
-        g.reshape(-1)[batch.flat] = p_on
-        _matmuls(g_to_g)
-        p_on /= batch.spread(np.maximum(1.0, np.abs(g, out=g).max(axis=1)))
-        dual = (batch.row_sums(p_on * batch.beta) - batch.radius
-                * np.sqrt(batch.row_sums(np.square(p_on / batch.root_c))))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = (objective - dual) / objective
-        gap_ok = objective - dual <= solver.tol_gap * objective
-        going = batch.open.copy()
+    while live.size:
+        batch = _Batch([data[i] for i in live], n)
+        t, g, s, p, z_ref, p_ref = buffers[:, :live.size]
+        t_to_s, s_to_g, g_to_g = system.bind_level_op((t, s), (s, g), (g, g))
+        t_on = t.reshape(-1)[batch.flat]
         stopped = []
-        for k in np.flatnonzero(gap_ok | at_max):
-            d = batch.data[k]
-            residual = _norm(d.w * z[k, d.rows] - d.b)
-            converged = bool(residual - d.eps <= d.feas_slack and gap_ok[k])
-            if converged or at_max:
-                stopped.append((k, residual, converged))
-                going[k] = False
-        # primal-weight restarts of the noisy rows that go on: a row whose
-        # gap fell to _RESTART_GAP times its gap at the last restart starts
-        # again at z + gamma' p, DR's fixed-point form, with the step
-        # balanced between the primal and dual moves since then
-        hits = restarted = going & (gap <= _RESTART_GAP * gap_ref)
-        record = hits | (going & np.isnan(gap_ref))
-        if np.count_nonzero(hits):
-            # z_ref and p_ref take z and p below, so the hit rows may hold
-            # the squared moves first
-            mask = hits[:, None]
-            for ref, now in ((z_ref, z), (p_ref, p)):
-                np.subtract(ref, now, out=ref, where=mask)
-                np.square(ref, out=ref, where=mask)
-            hit = np.flatnonzero(hits)
-            gamma = batch.gamma[hit]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ratio = np.sqrt(z_ref.sum(axis=1)[hit] / p_ref.sum(axis=1)[hit])
-                step = np.clip(np.sqrt(gamma * ratio), gamma / _STEP_CLAMP,
-                               gamma * _STEP_CLAMP)
-            step = np.where((ratio > 0.0) & (ratio < math.inf), step, gamma)
-            batch.restart(hit, step)
-            np.multiply(p, batch.upper, out=t, where=mask)
-            np.add(t, z, out=t, where=mask)
-            t_on = t.reshape(-1)[batch.flat]
-        if np.count_nonzero(record):
-            np.copyto(z_ref, z, where=record[:, None])
-            np.copyto(p_ref, p, where=record[:, None])
-            np.copyto(gap_ref, gap, where=record)
-        if stopped:
-            # the stopped rows' spectra in flat order, in the scratch g
-            spectra = g[:len(stopped)]
-            spectra[:, order] = z[[k for k, *_ in stopped]]
-            keep = np.ones(len(live), dtype=bool)
-            for x_hat, (k, residual, converged) in zip(
-                    system.signal(spectra), stopped):
+        while not stopped:
+            it += 1
+            # g = U clip(U^T t, -gamma, gamma), so that the l1 prox is t - g
+            _matmuls(t_to_s)
+            np.maximum(s, batch.lower, out=s)
+            np.minimum(s, batch.upper, out=s)
+            _matmuls(s_to_g)
+            # off omega the projection is the identity, so z = t - 2g
+            # there: only the sampled entries are projected (t_on holds
+            # those of t), with each row's multiplier kept in lam, exactly
+            # at a check and for the rows that restarted at the last one,
+            # and z is formed in full only at a check
+            g_on = g.reshape(-1)[batch.flat]
+            y_on = t_on - g_on
+            at_max = it == solver.max_iterations
+            due = at_max or it % _CHECK_EVERY == 0
+            z_on = _project_ellipsoid(y_on - g_on, batch, lam, due or restarted)
+            restarted = False
+            if due:
+                np.divide(g, batch.upper, out=p)
+                z = np.subtract(t, np.multiply(g, 2.0, out=s), out=s)
+                z.reshape(-1)[batch.flat] = z_on
+            # the next t, t - _RELAX g off omega; g is scratch from here on
+            np.multiply(g, _RELAX, out=g)
+            np.subtract(t, g, out=t)
+            t_on += _RELAX * (z_on - y_on)
+            t.reshape(-1)[batch.flat] = t_on
+            if not due:
+                continue
+            _matmuls(s_to_g)
+            objective = np.abs(g, out=g).sum(axis=1)
+            p_on = p.reshape(-1)[batch.flat]
+            g.fill(0.0)
+            g.reshape(-1)[batch.flat] = p_on
+            _matmuls(g_to_g)
+            p_on /= batch.spread(np.maximum(1.0, np.abs(g, out=g).max(axis=1)))
+            dual = (batch.row_sums(p_on * batch.beta) - batch.radius
+                    * np.sqrt(batch.row_sums(np.square(p_on / batch.root_c))))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gap = (objective - dual) / objective
+            gap_ok = objective - dual <= solver.tol_gap * objective
+            going = batch.open.copy()
+            for k in np.flatnonzero(gap_ok | at_max):
                 d = batch.data[k]
-                reports[live[k]] = RecoveryReport(
-                    x_hat, it, residual, float(objective[k]), converged,
-                    float(gap[k]),
-                    "converged" if converged else "max_iterations",
-                    d.restarts, d.gamma)
-                keep[k] = False
-            live = [i for i, kept in zip(live, keep) if kept]
-            if not live:
-                break
-            # move the kept rows of t, z_ref and p_ref to the front; g, s
-            # and p are scratch
-            rows = np.flatnonzero(keep)
-            for buf in (t, z_ref, p_ref):
-                buf[:rows.size] = buf[rows]
-            t, g, s, p, z_ref, p_ref = (buf[:rows.size] for buf in
-                                        (t, g, s, p, z_ref, p_ref))
-            t_to_s, s_to_g, g_to_g = system.bind_level_op((t, s), (s, g),
-                                                          (g, g))
-            lam, gap_ref, restarted = lam[rows], gap_ref[rows], restarted[rows]
-            batch = _Batch([d for d, kept in zip(batch.data, keep) if kept], n)
-            t_on = t.reshape(-1)[batch.flat]
+                residual = _norm(d.w * z[k, d.rows] - d.b)
+                converged = bool(residual - d.eps <= d.feas_slack and gap_ok[k])
+                if converged or at_max:
+                    stopped.append((k, residual, converged))
+                    going[k] = False
+            # primal-weight restarts of the noisy rows that go on: a row
+            # whose gap fell to _RESTART_GAP times its gap at the last
+            # restart starts again at z + gamma' p, DR's fixed-point form,
+            # with the step balanced between the primal and dual moves
+            # since then
+            hits = restarted = going & (gap <= _RESTART_GAP * gap_ref)
+            record = hits | (going & np.isnan(gap_ref))
+            if np.count_nonzero(hits):
+                # z_ref and p_ref take z and p below, so the hit rows may
+                # hold the squared moves first
+                mask = hits[:, None]
+                for ref, now in ((z_ref, z), (p_ref, p)):
+                    np.subtract(ref, now, out=ref, where=mask)
+                    np.square(ref, out=ref, where=mask)
+                hit = np.flatnonzero(hits)
+                gamma = batch.gamma[hit]
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    ratio = np.sqrt(z_ref.sum(axis=1)[hit] / p_ref.sum(axis=1)[hit])
+                    step = np.clip(np.sqrt(gamma * ratio), gamma / _STEP_CLAMP,
+                                   gamma * _STEP_CLAMP)
+                step = np.where((ratio > 0.0) & (ratio < math.inf), step, gamma)
+                batch.restart(hit, step)
+                np.multiply(p, batch.upper, out=t, where=mask)
+                np.add(t, z, out=t, where=mask)
+                t_on = t.reshape(-1)[batch.flat]
+            if np.count_nonzero(record):
+                np.copyto(z_ref, z, where=record[:, None])
+                np.copyto(p_ref, p, where=record[:, None])
+                np.copyto(gap_ref, gap, where=record)
+        # the stopped rows' reports, from their spectra in flat order in the
+        # scratch g
+        gone = [k for k, *_ in stopped]
+        spectra = g[:len(gone)]
+        spectra[:, order] = z[gone]
+        for x_hat, (k, residual, converged) in zip(system.signal(spectra),
+                                                   stopped):
+            d = batch.data[k]
+            reports[live[k]] = RecoveryReport(
+                x_hat, it, residual, float(objective[k]), converged,
+                float(gap[k]), "converged" if converged else "max_iterations",
+                d.restarts, d.gamma)
+        # the kept rows of t, z_ref and p_ref move to the front; g, s and p
+        # are scratch
+        rows = np.delete(np.arange(live.size), gone)
+        buffers[[0, 4, 5], :rows.size] = buffers[np.ix_([0, 4, 5], rows)]
+        live, lam, gap_ref, restarted = (
+            a[rows] for a in (live, lam, gap_ref, restarted))
     return reports
 
 

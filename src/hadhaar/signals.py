@@ -22,6 +22,10 @@ from .transforms import _require_pow2
 
 SRE_CAP_DB = 300.0
 _NORM_BLOCK = 1 << 14
+# The data's norm, in the noise model and the solver, is at most _MAX_NORM
+# (at least 1 / _MAX_NORM in the solver): the projection's Newton step takes
+# cubes of norms, which overflow past 2^341 (and underflow below 2^-341).
+_MAX_NORM = 2.0 ** 320
 SIGNAL_KINDS = ("gaussian_bump", "blocks", "bumps", "heavisine", "doppler",
                 "shepp_logan")
 
@@ -212,15 +216,12 @@ def noise_sigma(snr_db, x, n_meas):
     if 0.0 < ratio < math.inf:
         norm = _norm(x)
         sigma = norm / (math.sqrt(n_meas) * ratio)
-        # The noise's norm and the solver's norms of the weighted data are
-        # square roots of sums of squares, which overflow past 2^512, so
-        # the noise's expected norm sigma sqrt(n_meas) stays 2^32 below
-        # that, room for the draw's tail and the vds weights.
-        if sigma * math.sqrt(n_meas) <= 2.0 ** 480:
+        # the noise's expected norm sigma sqrt(n_meas) stays in range
+        if sigma * math.sqrt(n_meas) <= _MAX_NORM:
             return sigma
-        if norm > 2.0 ** 480:
+        if norm > _MAX_NORM:
             raise ValueError(f"signal norm {norm:g} is too large for the "
-                             f"noise model (at most 2^480)")
+                             f"noise model (at most 2^320)")
     raise ValueError(f"snr_db {snr_db:g} is out of range")
 
 

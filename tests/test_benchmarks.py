@@ -60,3 +60,10 @@ def test_layer_bench_builds_its_tail_row():
     assert row["certified"] == row["trials"] == 20
     assert 0 < row["batch_maxima"] <= row["iterations"]
     assert row["mean_sre_db"] > 0.0
+
+
+def test_layer_bench_counts_the_code_lines_of_src():
+    # src_code_lines leaves out blank lines, comments and docstrings, so it
+    # is positive and below the count of all lines
+    machine = _layers_module()._machine()
+    assert 0 < machine["src_code_lines"] < machine["src_lines"]

@@ -872,7 +872,7 @@ def test_cmd_signal_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
                   "N^2 / (2 sigma^2) finite at N = 16, got 1e-200"),
     # a valid bump whose norm alone leaves no room for 20 dB of noise
     (1e-150, 3.0, "signal norm 3.98942e+149 is too large for the noise "
-                  "model (at most 2^480)"),
+                  "model (at most 2^320)"),
 ])
 def test_experiment_rejects_bad_bump(tmp_path, capsys, sigma, center, expect):
     doc = json.loads(config_to_json(_small_config(r=4, snr_db=20.0)))
@@ -943,6 +943,24 @@ def test_cli_error_paths(tmp_path, capsys):
                      str(tmp_path / path), "--out", str(tmp_path / "out")]) \
             == EXIT_CODES["validation"]
         assert capsys.readouterr().err == f"error:validation: {expect}\n"
+    assert not (tmp_path / "out").exists()
+    # measurements whose weighted norm ||b|| is outside the solver's range:
+    # too large for the projection's Newton step, or so small that their
+    # squares underflow to 0
+    assert main(["sample", "--strategy", "uds", "--system", "had_dhw_1d",
+                 "--r", "4", "--M", "8", "--seed", "1",
+                 "--out", str(tmp_path / "smp")]) == 0
+    capsys.readouterr()
+    for value, norm in ((1e155, "4e+155"), (1e-200, "4e-200")):
+        save_signal_csv(tmp_path / "y.csv", np.full(8, value))
+        assert main(["recover", "--system", "had_dhw_1d", "--r", "4",
+                     "--sample", str(tmp_path / "smp" / "sample.csv"),
+                     "--measurements", str(tmp_path / "y.csv"),
+                     "--out", str(tmp_path / "out")]) \
+            == EXIT_CODES["validation"]
+        assert capsys.readouterr().err == (
+            f"error:validation: ||b|| = {norm} is outside the solver's "
+            f"range [2^-320, 2^320]\n")
     assert not (tmp_path / "out").exists()
     assert main(["--version"]) == 0
 

@@ -17,8 +17,8 @@ from hadhaar.recovery import (_CHECK_EVERY, _RELAX, _RESTART_GAP,
                               solve_bpdn_batch)
 from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
                               rng_stream, uds_pmf, vds_pmf)
-from hadhaar.signals import (NoiseSpec, gaussian_bump, make_noise,
-                             save_signal_csv, shepp_logan)
+from hadhaar.signals import (_MAX_NORM, NoiseSpec, gaussian_bump,
+                             make_noise, save_signal_csv, shepp_logan)
 from hadhaar.transforms import dense_basis, haar_transform, vec
 
 
@@ -572,6 +572,46 @@ def test_scaled_and_permuted_data_give_the_same_solve(tag, r):
             assert permuted.iterations == base.iterations
             assert (np.linalg.norm(permuted.x_hat - base.x_hat)
                     <= 1e-13 * np.linalg.norm(base.x_hat))
+
+
+@pytest.mark.parametrize("tag,r", [("had_dhw_1d", 9), ("had2_idhw", 5)])
+def test_data_at_the_ends_of_the_range_solve(tag, r):
+    # noisy data scaled by powers of two to just inside the solver's range
+    # [1 / _MAX_NORM, _MAX_NORM] solve with no overflow or underflow (numpy
+    # warnings are errors here); at the top end, where ||b|| > 1 on both
+    # sides, the iterates are the same scaled, and one more factor of two
+    # either way is rejected
+    system = SystemKind(tag, r)
+    n = system.n_total
+    m = n // 4
+    x = (shepp_logan(system.side) if system.is_2d
+         else gaussian_bump(n, 64.0, 200.0))
+    sample = draw_sample(vds_pmf(system), m, 32)
+    noise = make_noise(NoiseSpec(20.0), x, m, weights=sample.weights,
+                       rng=rng_stream(33, 0))
+    y = measure(system, sample, x) + noise.vector
+    b_norm = _collapse(RecoveryProblem(system, sample, y, noise.weighted_norm),
+                       np.arange(n), 1e-6).b_norm
+    targets = (2.0, _MAX_NORM, 2.0 / _MAX_NORM)
+    scales = [2.0 ** math.floor(math.log2(t / b_norm)) for t in targets]
+    problems = [RecoveryProblem(system, sample, scale * y,
+                                scale * noise.weighted_norm)
+                for scale in scales]
+    for problem, target in zip(problems, targets):
+        assert target / 2 < _collapse(problem, np.arange(n),
+                                      1e-6).b_norm <= target
+    for scale in (2.0 * scales[1], 0.5 * scales[2]):
+        with pytest.raises(ValueError, match=r"outside the solver's range"):
+            solve_bpdn(RecoveryProblem(system, sample, scale * y,
+                                       scale * noise.weighted_norm))
+    base, top, bottom = solve_bpdn_batch(problems,
+                                         SolverSpec(max_iterations=300))
+    assert base.iterations > 0 and base.restarts > 0
+    assert top.iterations == base.iterations and top.restarts == base.restarts
+    ratio = scales[1] / scales[0]
+    assert np.array_equal(top.x_hat, ratio * base.x_hat)
+    assert top.objective == ratio * base.objective
+    assert bottom.iterations > 0 and np.all(np.isfinite(bottom.x_hat))
 
 
 def test_strategy_ordering_vds_rows_restart():
