@@ -46,6 +46,11 @@ at 1-D r in {9, 12, 16} and 2-D r in {6, 8, 9}; then
   sum over seeds of each batch's most iterations (the batch maxima, which
   set a batch's time), the certified trials and the mean over seeds of the
   experiment's SRE in dB;
+* the engine around the solve: one ``engine`` row per strategy over the
+  same experiments, run by ``run_experiment``, with the milliseconds per
+  experiment in all, inside ``solve_bpdn_batch`` and outside it (drawing,
+  building, ME and records), and the share outside; each the median of
+  five passes over the seeds;
 * CSV I/O on files in a temporary directory: ``save_image_csv`` and
   ``load_signal_csv`` of a random image at 2-D r = 8 and 9 (65,536 and
   262,144 rows), ``save_signal_csv`` of a random vector of 16,384 rows, and
@@ -79,7 +84,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from hadhaar.cli import _save_sample_csv  # noqa: E402
-from hadhaar import recovery  # noqa: E402
+from hadhaar import experiment, recovery  # noqa: E402
 from hadhaar.coherence import SystemKind  # noqa: E402
 from hadhaar.experiment import (ExperimentConfig, SignalSpec,  # noqa: E402
                                 _build_trials, run_experiment)
@@ -303,6 +308,42 @@ def _tail_row(strategy, seeds=TAIL_SEEDS):
             "mean_sre_db": round(statistics.fmean(sre), 4)}
 
 
+def _engine_row(strategy, seeds=TAIL_SEEDS, passes=WINDOWS):
+    """The ``engine`` row for ``strategy``: the strategy-ordering
+    experiment at each of ``seeds``, timed in ``run_experiment`` and inside
+    its ``solve_bpdn_batch`` calls, in milliseconds per experiment, each
+    the median of ``passes`` passes over the seeds."""
+    configs = [_ordering_config(strategy, seed) for seed in seeds]
+    solve, inside = experiment.solve_bpdn_batch, [0.0]
+
+    def timed(problems, solver):
+        start = time.perf_counter()
+        try:
+            return solve(problems, solver)
+        finally:
+            inside[0] += time.perf_counter() - start
+
+    run_experiment(configs[0])
+    passes_ms = []
+    experiment.solve_bpdn_batch = timed
+    try:
+        for _ in range(passes):
+            inside[0], start = 0.0, time.perf_counter()
+            for config in configs:
+                run_experiment(config)
+            total = time.perf_counter() - start
+            passes_ms.append((total, inside[0], total - inside[0]))
+    finally:
+        experiment.solve_bpdn_batch = solve
+    total, solve_s, outside = (statistics.median(column) * 1e3 / len(configs)
+                               for column in zip(*passes_ms))
+    return {"layer": "engine", "dim": 1, "r": 9, "strategy": strategy,
+            "seeds": f"{seeds[0]}-{seeds[-1]}",
+            "ms_per_experiment": round(total, 3),
+            "solve_ms": round(solve_s, 3), "outside_ms": round(outside, 3),
+            "outside_share": round(outside / total, 4)}
+
+
 def _csv_layers(tmp):
     """(layer name, dim, r, rows, function, input) for the CSV writers and
     readers, each on one file in the directory ``tmp``."""
@@ -350,6 +391,7 @@ def main():
                      "us_per_call": round(_us_per_call(fn, arg), 1)})
     rows += _solver_rows()
     rows += [_tail_row(strategy) for strategy in ("uds", "vds", "mds")]
+    rows += [_engine_row(strategy) for strategy in ("uds", "vds", "mds")]
     with tempfile.TemporaryDirectory() as tmp:
         for name, dim, r, n_rows, fn, arg in _csv_layers(tmp):
             rows.append({"layer": name, "dim": dim, "r": r, "rows": n_rows,

@@ -8,6 +8,7 @@ give byte-identical files across runs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,11 +17,11 @@ import numpy as np
 
 from . import __version__
 from .coherence import SystemKind
-from .recovery import (RecoveryProblem, SolverSpec, me_reconstruct,
-                       solve_bpdn_batch)
-from .sampling import (RNG_ALGORITHM, STRATEGIES, _seed_sequence, draw_sample,
-                       mds_allocate, rng_stream, uds_pmf, vds_pmf)
-from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _norm,
+from .recovery import RecoveryProblem, SolverSpec, solve_bpdn_batch
+from .sampling import (RNG_ALGORITHM, STRATEGIES, _adjoint, _draw_samples,
+                       _seed_sequence, mds_allocate, rng_stream, uds_pmf,
+                       vds_pmf)
+from .signals import (SIGNAL_KINDS, SRE_CAP_DB, NoiseSpec, _fmt, _row_norms,
                       _write_csv, _write_json, effective_sparsity,
                       gaussian_bump, generate, make_noise, sre_from_ratios)
 from .transforms import _MAX_LOG2_N
@@ -29,6 +30,10 @@ SPARSITY_SOURCES = ("worst_case_pregenerated", "oracle_from_signal")
 
 # spawn-key roles for the pre-split per-trial streams
 _ROLE_SIGNAL, _ROLE_SAMPLE, _ROLE_NOISE, _ROLE_PREGEN = 0, 1, 2, 3
+
+# the system of the last experiment, kept for the next: one entry, so a
+# process never holds a second system's orders and plans
+_system = functools.lru_cache(maxsize=1)(SystemKind)
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +291,33 @@ def _build_trials(config, system, partition, plan, ri, m_total):
     """A ratio's trials, built as one batch: their signals ``x``, one row
     per trial, their ``RecoveryProblem``s and their noise sigmas.
     ``plan`` is None when mds sizes each trial's plan from its own signal
-    (oracle_from_signal).  The signals, their effective sparsities and
-    their spectra are each one batched call; a trial draws its centre,
-    sample and noise from its own (ratio, trial) streams, and each row of a
-    batched call is the row computed alone, so every trial is bit for bit
-    the trial built alone."""
-    trials = range(config.trials)
+    (oracle_from_signal).  A trial draws its centre, sample and noise from
+    its own (ratio, trial) streams, whose seed sequences are made here
+    from the master seed, which the config has checked.  The signals,
+    their effective sparsities, their spectra and the samples of one plan
+    are each one batched call, and each row of a batched call is the row
+    computed alone, so every trial is bit for bit the trial built alone."""
+    seed, trials = int(config.seed), range(config.trials)
+    signal_seeds, sample_seeds, noise_seeds = (
+        [np.random.SeedSequence(seed, spawn_key=(role, ri, ti))
+         for ti in trials]
+        for role in (_ROLE_SIGNAL, _ROLE_SAMPLE, _ROLE_NOISE))
     x = _signals(config.signal, system.side, np.array(
-        [rng_stream(config.seed, _ROLE_SIGNAL, ri, ti).random()
-         for ti in trials]))
-    plans = [plan] * config.trials
+        [rng_stream(ss).random() for ss in signal_seeds]))
     if plan is None:
         k = effective_sparsity(system.coefficients(x), config.rho,
                                partition).per_level
-        plans = [mds_allocate(k_t, m_total, partition) for k_t in k]
+        samples = [_draw_samples(mds_allocate(k_t, m_total, partition),
+                                 m_total, [ss])[0]
+                   for k_t, ss in zip(k, sample_seeds)]
+    else:
+        samples = _draw_samples(plan, m_total, sample_seeds)
     problems, sigmas = [], []
-    for ti, plan, x_t, spectrum in zip(trials, plans, x, system.spectrum(x)):
-        sample = draw_sample(plan, m_total,
-                             _seed_sequence(config.seed, _ROLE_SAMPLE, ri, ti))
+    for sample, ss, x_t, spectrum in zip(samples, noise_seeds, x,
+                                         system.spectrum(x)):
         noise = make_noise(NoiseSpec(config.snr_db), x_t, m_total,
                            weights=sample.weights if sample.weighted else None,
-                           rng=rng_stream(config.seed, _ROLE_NOISE, ri, ti))
+                           rng=rng_stream(ss))
         epsilon = noise.weighted_norm if sample.weighted else noise.norm
         problems.append(RecoveryProblem(
             system, sample, spectrum[sample.omega - 1] + noise.vector,
@@ -322,12 +333,15 @@ def run_experiment(config):
     seed and its own (ratio, trial) coordinates, so a cell's result does
     not depend on the other cells.  Sampling plans depend on the config
     alone and are built once: the uds/vds plan per experiment and the
-    worst-case mds allocation per ratio.  The cells of a ratio are built
-    as one batch, solved as one batch by ``solve_bpdn_batch`` with the
-    config's one ``solver`` and recorded in order.  Raises ValueError if a
-    trial's signal is identically zero.
+    worst-case mds allocation per ratio; the system is the last
+    experiment's when it has the same tag and r.  The cells of a ratio are
+    built as one batch (``_build_trials``), solved as one batch by
+    ``solve_bpdn_batch`` with the config's one ``solver``, and recorded
+    as arrays: their ME images are one batched adjoint and their norms
+    ``_row_norms``, each row bit for bit its trial's alone.  Raises
+    ValueError if a trial's signal is identically zero.
     """
-    system = SystemKind(config.system, config.r)
+    system = _system(config.system, config.r)
     partition = system.partition()
     plan = worst_k = None
     if config.strategy != "mds":
@@ -342,15 +356,16 @@ def run_experiment(config):
         x, problems, sigmas = _build_trials(config, system, partition, plan,
                                             ri, m_total)
         reports = solve_bpdn_batch(problems, config.solver)
-        for ti, (x_t, problem, sigma, report) in enumerate(
-                zip(x, problems, sigmas, reports)):
-            me_hat = me_reconstruct(system, problem.sample, problem.y)
+        me = _adjoint(system, np.array([p.sample.omega for p in problems]),
+                      np.array([p.y for p in problems]), average=True)
+        x_hat = np.array([report.x_hat for report in reports])
+        norms = zip(*(_row_norms(v) for v in (x, x - x_hat, x - me)))
+        for ti, (problem, sigma, report, (x_norm, cs_error, me_error)) in (
+                enumerate(zip(problems, sigmas, reports, norms))):
             records.append(TrialRecord(
                 ratio_index=ri, ratio=ratio, trial=ti + 1, m=m_total,
-                sample_seed=problem.sample.seed,
-                x_norm=_norm(x_t),
-                cs_error=_norm(x_t - report.x_hat),
-                me_error=_norm(x_t - me_hat),
+                sample_seed=problem.sample.seed, x_norm=x_norm,
+                cs_error=cs_error, me_error=me_error,
                 epsilon=problem.epsilon, noise_sigma=sigma,
                 cs_objective=report.objective,
                 cs_iterations=report.iterations,
@@ -362,10 +377,10 @@ def run_experiment(config):
 # result files
 # ---------------------------------------------------------------------------
 
-def _sre_cells(ratios):
-    """CSV cells for the SRE of these ||x|| / error ratios: the dB value
-    capped at SRE_CAP_DB, and 1 if it is infinite (an exact trial)."""
-    db = sre_from_ratios(ratios)
+def _sre_cells(ratio):
+    """CSV cells for the SRE of this ||x|| / error ratio (a float): the dB
+    value capped at SRE_CAP_DB, and 1 if it is infinite (an exact trial)."""
+    db = sre_from_ratios(ratio)
     return _fmt(min(db, SRE_CAP_DB)), str(int(math.isinf(db)))
 
 

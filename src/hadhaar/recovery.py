@@ -71,7 +71,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .sampling import InfeasibleError, SampleSet, _measurements
+from .sampling import InfeasibleError, SampleSet, _adjoint, _measurements
 from .signals import _MAX_NORM, _norm
 from .transforms import _matmuls
 
@@ -562,9 +562,5 @@ def me_reconstruct(system, sample, y):
     result is the right pseudo-inverse of the deduplicated row-orthonormal
     measurement operator applied to y.
     """
-    y = _measurements(system, sample, y)
-    pos = sample.omega - 1
-    sums = np.bincount(pos, weights=y, minlength=system.n_total)
-    counts = np.bincount(pos, minlength=system.n_total)
-    avg = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return system.signal(avg)
+    return _adjoint(system, sample.omega, _measurements(system, sample, y),
+                    average=True)

@@ -14,6 +14,7 @@ independent streams can be split off a master seed reproducibly.
 from __future__ import annotations
 
 import array
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .coherence import _as_system, local_coherence
 from .indexing import LevelPartition
+from .signals import _integer
 
 RNG_ALGORITHM = "philox4x64/seedseq"
 STRATEGIES = ("uds", "vds", "mds")
@@ -165,7 +167,7 @@ def mds_allocate(k, m_total, partition):
         raise ValueError("per-level sparsities must lie in [0, |level|]")
     if k.sum() == 0:
         raise ValueError("at least one level must have a positive count")
-    m_total = int(m_total)
+    m_total = _integer(m_total, "m_total")
     if m_total < 0 or m_total > partition.n_total:
         raise ValueError("measurement budget must lie in [0, n_total]")
 
@@ -194,19 +196,6 @@ def mds_allocate(k, m_total, partition):
     return SamplingPlan("mds", partition.n_total, m=m, partition=partition)
 
 
-def _draw_distinct(rng, pool, count):
-    """Partial Fisher-Yates draw of ``count`` distinct entries of ``pool``:
-    swap i with a uniform j in [i, |pool|) for i = 0, 1, ...  The swap
-    targets come from one call, which reads the stream exactly as one
-    ``rng.integers(i, |pool|)`` call per i would; the swaps run on a
-    compact ``array.array``, whose items index faster than numpy's."""
-    pool = array.array("q", np.asarray(pool, dtype=np.int64).tobytes())
-    targets = rng.integers(np.arange(count), len(pool))
-    for i, j in enumerate(targets.tolist()):
-        pool[i], pool[j] = pool[j], pool[i]
-    return np.frombuffer(pool, dtype=np.int64, count=count).copy()
-
-
 def draw_sample(plan, m_total, seed, replace=True):
     """Draw a SampleSet of size ``m_total`` from the plan, reproducibly.
 
@@ -215,41 +204,75 @@ def draw_sample(plan, m_total, seed, replace=True):
     ``m_total`` distinct indices have appeared (first-seen order).  mds
     always draws distinct indices inside each level and ignores the
     flag.  Identical (plan, m_total, seed, replace) gives an identical
-    SampleSet.
+    SampleSet: the batch of one of ``_draw_samples``.  Raises ValueError
+    for a count that is not an integer.
     """
     if not isinstance(plan, SamplingPlan):
         raise ValueError("plan must be a SamplingPlan")
-    m_total = int(m_total)
+    return _draw_samples(plan, _integer(m_total, "m_total"),
+                         [_seed_sequence(seed)], replace)[0]
+
+
+def _draw_samples(plan, m_total, seeds, replace=True):
+    """``draw_sample(plan, m_total, ss, replace)`` for each seed sequence
+    ss of ``seeds``, as a list.  Each sample draws from its own Philox
+    stream exactly as it would alone; the streams' uniforms meet in one
+    inverse-CDF lookup and one weight gather.  An mds draw is a partial
+    Fisher-Yates shuffle of every level with m_t > 0: position i of a
+    level swaps with a uniform j in [i, |level|), all levels' targets from
+    one ``integers`` call, which reads the stream as one call per (level,
+    i) would, and each level's swaps on its own ``array.array`` copy,
+    whose items index faster than numpy's.  (One pass over a copy of all
+    levels at once drew 65,536 indices at 2-D r = 9 about 20% slower.)"""
     if m_total < 1:
         raise ValueError("at least one measurement is required")
-    ss = _seed_sequence(seed)
-    rng = rng_stream(ss)
+    rngs = [rng_stream(ss) for ss in seeds]
     if plan.strategy in ("uds", "vds"):
         if not replace and m_total > int(np.count_nonzero(plan.pmf > 0)):
             raise ValueError("distinct draws exceed the reachable indices")
         cdf = np.cumsum(plan.pmf)
-        omega = np.empty(0, dtype=np.int64)
-        # draw m_total at a time until m_total indices, or with
-        # replace=False m_total distinct ones, have been drawn
-        while (omega if replace else np.unique(omega)).size < m_total:
-            batch = np.searchsorted(cdf, rng.random(m_total), side="right") + 1
-            omega = np.concatenate((omega, np.clip(batch, 1, plan.n_total)))
+
+        def lookup(u):
+            return np.clip(np.searchsorted(cdf, u, side="right") + 1, 1,
+                           plan.n_total)
+
+        omega = lookup(np.array([rng.random(m_total) for rng in rngs]))
         if not replace:
-            # each index at its first appearance
-            first = np.unique(omega, return_index=True)[1]
-            omega = omega[np.sort(first)[:m_total]]
+            # draw m_total more at a time until m_total distinct indices
+            # have appeared, and keep each index at its first appearance
+            rows = []
+            for rng, row in zip(rngs, omega):
+                while np.unique(row).size < m_total:
+                    row = np.concatenate((row, lookup(rng.random(m_total))))
+                first = np.unique(row, return_index=True)[1]
+                rows.append(row[np.sort(first)[:m_total]])
+            omega = np.array(rows)
         weights = 1.0 / np.sqrt(plan.pmf[omega - 1])
     else:
         if m_total != int(plan.m.sum()):
             raise ValueError("mds draws must request exactly sum(m) measurements")
-        omega = np.concatenate([
-            _draw_distinct(rng, lev, int(m_t))
-            for lev, m_t in zip(plan.partition.levels, plan.m) if m_t > 0])
-        weights = np.ones(m_total)
-    entropy = ss.entropy
-    key = ".".join(str(k) for k in ss.spawn_key)
-    return SampleSet(omega, weights, plan.strategy,
-                     seed=f"{entropy}[{key}]" if key else str(entropy))
+        drawn = plan.m > 0
+        counts, sizes = plan.m[drawn], plan.partition.sizes[drawn]
+        low = np.concatenate([np.arange(m_t) for m_t in counts])
+        high, ends = np.repeat(sizes, counts), np.cumsum(counts)
+        spans = list(zip((ends - counts).tolist(), ends.tolist(), [
+            np.asarray(lev, dtype=np.int64).tobytes()
+            for lev, d in zip(plan.partition.levels, drawn) if d]))
+        omega = np.empty((len(rngs), m_total), dtype=np.int64)
+        for row, rng in zip(omega, rngs):
+            targets = rng.integers(low, high)
+            for first, last, level in spans:
+                pool = array.array("q", level)
+                for i, j in enumerate(targets[first:last].tolist()):
+                    pool[i], pool[j] = pool[j], pool[i]
+                row[first:last] = np.frombuffer(pool, dtype=np.int64,
+                                                count=last - first)
+        weights = np.ones(omega.shape)
+    # a sample's seed is its stream's entropy, then its spawn key if any
+    keys = (".".join(map(str, ss.spawn_key)) for ss in seeds)
+    return [SampleSet(o, w, plan.strategy, seed=f"{ss.entropy}[{key}]"
+                      if key else str(ss.entropy))
+            for o, w, ss, key in zip(omega, weights, seeds, keys)]
 
 
 def _check_indices(system, sample):
@@ -286,6 +309,19 @@ def measure(system, sample, x):
 
 def measure_adjoint(system, sample, y):
     """Adjoint of :func:`measure`: scatter-add into [N], then apply Phi."""
-    y = _measurements(system, sample, y)
-    z = np.bincount(sample.omega - 1, weights=y, minlength=system.n_total)
-    return system.signal(z)
+    return _adjoint(system, sample.omega, _measurements(system, sample, y))
+
+
+def _adjoint(system, omega, y, average=False):
+    """Phi applied to the scatter-add of ``y`` into [N] at the 1-based
+    indices ``omega``, or with ``average`` to the mean of the entries of
+    ``y`` at each index (0 where there is none); for (B, m) arrays, one
+    signal per row, each row as it comes alone."""
+    n, lead = system.n_total, omega.shape[:-1]
+    rows = math.prod(lead)
+    bins = (omega - 1 + n * np.arange(rows).reshape(lead + (1,))).reshape(-1)
+    z = np.bincount(bins, weights=y.reshape(-1), minlength=rows * n)
+    if average:
+        counts = np.bincount(bins, minlength=rows * n)
+        z = np.divide(z, counts, out=np.zeros_like(z), where=counts > 0)
+    return system.signal(z.reshape(lead + (n,)))

@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -201,8 +202,29 @@ def _norm(x):
     65,536-entry norm took 3-33 ms, and the woken thread slowed the next
     100 transforms by 1.6-2.9x."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if x.size <= _NORM_BLOCK:           # sum() of one block is that block
+        return math.sqrt(float(np.sum(np.square(x))))
     return math.sqrt(sum(float(np.sum(np.square(x[i:i + _NORM_BLOCK])))
                          for i in range(0, x.size, _NORM_BLOCK)))
+
+
+def _row_norms(rows):
+    """``_norm`` of each row of a batch, with its bits, as a list: a row's
+    size is a power of two, so it is whole blocks; each block's sum of
+    squares is one reduction along the C-contiguous last axis, and the
+    blocks add up in order, as ``sum`` adds them."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    blocks = rows.reshape(len(rows), -1, min(rows[0].size, _NORM_BLOCK))
+    partial = np.sum(np.square(blocks), axis=2)
+    return np.sqrt(np.cumsum(partial, axis=1)[:, -1]).tolist()
+
+
+def _integer(value, name):
+    """``value`` as an int; a bool or a number that is not Integral (numpy
+    integers are) raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def noise_sigma(snr_db, x, n_meas):
@@ -233,7 +255,7 @@ def make_noise(spec, x, n_meas, weights=None, *, rng):
     supplied, the weighted norm ||D n|| / sqrt(M) used as the oracle noise
     radius of weighted recoveries.
     """
-    n_meas = int(n_meas)
+    n_meas = _integer(n_meas, "noise length")
     if n_meas < 1:
         raise ValueError("noise length must be positive")
     sigma = noise_sigma(spec.snr_db, x, n_meas)
@@ -323,11 +345,14 @@ def best_term_l1_error(u, k):
 # ---------------------------------------------------------------------------
 
 def sre_from_ratios(ratios):
-    """Aggregate 20 log10(mean of ||x|| / error ratios); inf-safe."""
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.size == 0:
-        raise ValueError("at least one trial is required")
-    mean = float(np.mean(ratios))
+    """Aggregate 20 log10(mean of ||x|| / error ratios); inf-safe.  A
+    float is its own mean, taken without numpy."""
+    mean = ratios
+    if not isinstance(ratios, float):
+        ratios = np.asarray(ratios, dtype=np.float64)
+        if ratios.size == 0:
+            raise ValueError("at least one trial is required")
+        mean = float(np.mean(ratios))
     return math.inf if math.isinf(mean) else 20.0 * math.log10(mean)
 
 

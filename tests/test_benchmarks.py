@@ -2,6 +2,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hadhaar.transforms import _matmuls
 
@@ -60,6 +61,21 @@ def test_layer_bench_builds_its_tail_row():
     assert row["certified"] == row["trials"] == 20
     assert 0 < row["batch_maxima"] <= row["iterations"]
     assert row["mean_sre_db"] > 0.0
+
+
+def test_layer_bench_builds_its_engine_row():
+    # the engine rows split an experiment's time at solve_bpdn_batch, so
+    # one seed's row is built here, and the solver is unwrapped after it
+    layers = _layers_module()
+    solve = layers.experiment.solve_bpdn_batch
+    row = layers._engine_row("mds", (3021,), passes=1)
+    assert layers.experiment.solve_bpdn_batch is solve
+    assert (row["layer"], row["strategy"], row["seeds"]) == (
+        "engine", "mds", "3021-3021")
+    assert 0.0 < row["solve_ms"] < row["ms_per_experiment"]
+    assert row["outside_ms"] == pytest.approx(
+        row["ms_per_experiment"] - row["solve_ms"], abs=2e-3)
+    assert 0.0 < row["outside_share"] < 1.0
 
 
 def test_layer_bench_counts_the_code_lines_of_src():

@@ -15,8 +15,9 @@ from hadhaar.recovery import (_CHECK_EVERY, _RELAX, _RESTART_GAP,
                               RecoveryReport, SolverSpec, _Batch, _collapse,
                               _project_ellipsoid, me_reconstruct, solve_bpdn,
                               solve_bpdn_batch)
-from hadhaar.sampling import (SampleSet, draw_sample, mds_allocate, measure,
-                              rng_stream, uds_pmf, vds_pmf)
+from hadhaar.sampling import (SampleSet, _adjoint, draw_sample, mds_allocate,
+                              measure, measure_adjoint, rng_stream, uds_pmf,
+                              vds_pmf)
 from hadhaar.signals import (_MAX_NORM, NoiseSpec, gaussian_bump,
                              make_noise, save_signal_csv, shepp_logan)
 from hadhaar.transforms import dense_basis, haar_transform, vec
@@ -745,6 +746,26 @@ def test_me_matches_pseudoinverse():
 @pytest.mark.parametrize("tag,r", [("had2_idhw", 2), ("had2_adhw", 2)])
 def test_me_matches_pseudoinverse_2d(tag, r):
     _check_me_matches_pseudoinverse(SystemKind(tag, r))
+
+
+@pytest.mark.parametrize("tag,r", [("had_dhw_1d", 9), ("had2_idhw", 5),
+                                   ("had2_adhw", 4)])
+def test_batched_me_rows_equal_me_alone(tag, r):
+    # the engine's ME images are one adjoint over (trial, index) bins; each
+    # row is me_reconstruct of its trial alone, bit for bit, and without
+    # averaging each row is measure_adjoint alone
+    system = SystemKind(tag, r)
+    m = system.n_total // 5
+    samples = [draw_sample(plan, m, 60 + t) for t, plan in enumerate(
+        (uds_pmf(system), vds_pmf(system), vds_pmf(system)))]
+    y = rng_stream(61, 0).standard_normal((len(samples), m))
+    omega = np.array([sample.omega for sample in samples])
+    for average, alone in ((True, me_reconstruct), (False, measure_adjoint)):
+        batch = _adjoint(system, omega, y, average=average)
+        assert batch.shape == (len(samples),) + (system.side,) * (
+            2 if system.is_2d else 1)
+        for row, sample, y_t in zip(batch, samples, y):
+            assert np.array_equal(row, alone(system, sample, y_t))
 
 
 def test_me_full_sampling_inverts():

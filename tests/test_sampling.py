@@ -1,3 +1,5 @@
+import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from hadhaar.coherence import SystemKind
 from hadhaar.indexing import PARTITION_KINDS, build_levels
 from hadhaar.recovery import me_reconstruct
-from hadhaar.sampling import (SampleSet, SamplingPlan, _draw_distinct,
+from hadhaar.sampling import (SampleSet, SamplingPlan, _draw_samples,
                               draw_sample, mds_allocate, measure,
                               measure_adjoint, rng_stream, uds_pmf, vds_pmf)
 from hadhaar.transforms import fwht, vec
@@ -91,6 +93,11 @@ def test_mds_allocate_validation():
         mds_allocate([1, 1], 2, part)
     with pytest.raises(ValueError, match="must be a LevelPartition"):
         mds_allocate([1, 1, 2, 4], 4, "dyadic1d")
+    # a budget that is not an integer is refused, not truncated
+    for m_total in (7.9, 4.0, True, "4", None):
+        with pytest.raises(ValueError, match="m_total must be an integer"):
+            mds_allocate([1, 1, 2, 4], m_total, part)
+    assert mds_allocate([1, 1, 2, 4], np.int64(4), part).m.sum() == 4
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +191,86 @@ def test_draw_empirical_frequencies():
         assert abs(counts[j] - m * p) <= 3.0 * sigma
 
 
+def _draw_distinct(rng, pool, count):
+    """The reference mds draw of one level: a partial Fisher-Yates draw of
+    ``count`` distinct entries of ``pool``, its swap targets from one
+    ``integers`` call."""
+    pool = array.array("q", np.asarray(pool, dtype=np.int64).tobytes())
+    targets = rng.integers(np.arange(count), len(pool))
+    for i, j in enumerate(targets.tolist()):
+        pool[i], pool[j] = pool[j], pool[i]
+    return np.frombuffer(pool, dtype=np.int64, count=count).copy()
+
+
+def _draw_reference(plan, m_total, ss, replace=True):
+    """One sample drawn trial by trial, as the reference for the batched
+    draw: (omega, weights, seed string, generator after the draw).  uds/vds
+    look each of its own uniforms up in the CDF, drawing m_total at a time
+    until there are m_total (distinct) indices; mds draws level by level."""
+    rng = np.random.Generator(np.random.Philox(ss))
+    if plan.strategy == "mds":
+        omega = np.concatenate([
+            _draw_distinct(rng, lev, int(m_t))
+            for lev, m_t in zip(plan.partition.levels, plan.m) if m_t > 0])
+        weights = np.ones(m_total)
+    else:
+        cdf = np.cumsum(plan.pmf)
+        omega = np.empty(0, dtype=np.int64)
+        while (omega if replace else np.unique(omega)).size < m_total:
+            batch = np.searchsorted(cdf, rng.random(m_total), side="right") + 1
+            omega = np.concatenate((omega, np.clip(batch, 1, plan.n_total)))
+        if not replace:
+            first = np.unique(omega, return_index=True)[1]
+            omega = omega[np.sort(first)[:m_total]]
+        weights = 1.0 / np.sqrt(plan.pmf[omega - 1])
+    key = ".".join(str(k) for k in ss.spawn_key)
+    return omega, weights, f"{ss.entropy}[{key}]" if key else str(ss.entropy), rng
+
+
+def _plans(tag, r, m):
+    system = SystemKind(tag, r)
+    partition = system.partition()
+    k = np.minimum(partition.sizes, 1 + np.arange(partition.n_levels) ** 2)
+    return (uds_pmf(system), vds_pmf(system),
+            mds_allocate(k, m, partition),
+            mds_allocate(partition.sizes, system.n_total, partition))
+
+
+@pytest.mark.parametrize("tag,r,m", [("had_dhw_1d", 9, 102),
+                                     ("had2_idhw", 5, 256),
+                                     ("had2_adhw", 4, 61)])
+def test_batched_draws_equal_the_draws_one_at_a_time(tag, r, m, monkeypatch):
+    # each row of a batch is the trial-by-trial draw of its own stream:
+    # indices, weights and seed string, and the stream is left where the
+    # reference leaves it
+    made, generator = [], np.random.Generator
+
+    def spy(bit_generator):
+        made.append(bit_generator)
+        return generator(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", spy)
+    seeds = [np.random.SeedSequence(41, spawn_key=(1, 0, t))
+             for t in range(5)] + [np.random.SeedSequence(3)]
+    for plan in _plans(tag, r, m):
+        count = int(plan.m.sum()) if plan.strategy == "mds" else m
+        for replace in (True, False):
+            made.clear()
+            got = _draw_samples(plan, count, seeds, replace)
+            assert len(made) == len(seeds)
+            for sample, ss, bit_generator in zip(got, seeds, list(made)):
+                omega, weights, seed, rng = _draw_reference(plan, count, ss,
+                                                            replace)
+                assert sample.omega.dtype == np.int64
+                assert np.array_equal(sample.omega, omega)
+                assert np.array_equal(sample.weights, weights)
+                assert sample.seed == seed and sample.strategy == plan.strategy
+                assert repr(bit_generator.state) == repr(rng.bit_generator.state)
+                alone = draw_sample(plan, count, ss, replace)
+                assert np.array_equal(alone.omega, omega)
+                assert alone.seed == seed
+
+
 def _draw_distinct_scalar(rng, pool, count):
     """The partial Fisher-Yates draw one ``integers`` call at a time."""
     pool = np.array(pool, dtype=np.int64)
@@ -233,6 +320,12 @@ def test_draw_validation():
         draw_sample(plan, 0, 1)
     with pytest.raises(ValueError):
         draw_sample("plan", 4, 1)
+    # a count that is not an integer is refused, not truncated: 10.9 drew
+    # 10 indices, True 1 and "12" 12
+    for m_total in (10.9, 12.0, True, "12", None):
+        with pytest.raises(ValueError, match="m_total must be an integer"):
+            draw_sample(plan, m_total, 1)
+    assert draw_sample(plan, np.int32(12), 1).n_measurements == 12
 
 
 def test_rng_stream_split():

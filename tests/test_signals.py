@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from hadhaar.indexing import build_levels
 from hadhaar.sampling import rng_stream
-from hadhaar.signals import (_BLOCK_ROWS, NoiseSpec, _norm, _position_order,
+from hadhaar.signals import (_BLOCK_ROWS, _NORM_BLOCK, NoiseSpec, _norm,
+                             _position_order, _row_norms,
                              best_term_l1_error,
                              effective_sparsity, gaussian_bump, generate,
                              hard_threshold, load_signal_csv, make_noise,
@@ -128,6 +129,12 @@ def test_make_noise_noiseless_and_weighted():
                    rng=rng_stream(0))
     with pytest.raises(ValueError):
         make_noise(NoiseSpec(10.0), x, 0, rng=rng_stream(0))
+    # a length that is not an integer is refused, not truncated (5.5 drew 5)
+    for n_meas in (5.5, 5.0, True, "5", None):
+        with pytest.raises(ValueError, match="noise length must be an integer"):
+            make_noise(NoiseSpec(10.0), x, n_meas, rng=rng_stream(0))
+    assert make_noise(NoiseSpec(10.0), x, np.int64(5),
+                      rng=rng_stream(0)).vector.shape == (5,)
 
 
 @pytest.mark.parametrize("shape", [(1,), (9_999,), (10_001,), (256, 256)])
@@ -135,6 +142,50 @@ def test_norm_matches_linalg_norm(shape):
     # np.linalg.norm runs BLAS ddot, threaded above 10,000 entries
     x = np.random.default_rng(shape[0]).standard_normal(shape)
     assert _norm(x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-15)
+
+
+def _norm_in_blocks(x):
+    """The norm as a sum over blocks of _NORM_BLOCK entries, block by block."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    return math.sqrt(sum(float(np.sum(np.square(x[i:i + _NORM_BLOCK])))
+                         for i in range(0, x.size, _NORM_BLOCK)))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, _NORM_BLOCK, _NORM_BLOCK + 1,
+                                  4 * _NORM_BLOCK])
+def test_norm_is_the_block_sum(size):
+    # one block takes a path of its own, with the block sum's bits
+    rng = np.random.default_rng(size)
+    for scale in (1.0, 1e-160, 1e150):
+        x = scale * rng.standard_normal(size)
+        assert _norm(x) == _norm_in_blocks(x)
+    if size:
+        for bad, want in ((np.inf, math.inf), (-np.inf, math.inf),
+                          (np.nan, None)):
+            y = x.copy()
+            y[size // 2] = bad
+            got = _norm(y)
+            assert (math.isnan(got) if want is None else got == want)
+            assert math.isnan(_norm_in_blocks(y)) == math.isnan(got)
+
+
+@pytest.mark.parametrize("shape", [(20, 512), (3, 1 << 16), (2, 256, 256),
+                                   (4, 16, 16), (3, 1)])
+def test_row_norms_equal_norm_row_by_row(shape):
+    # the engine's record norms: each row bit for bit _norm of the row, in
+    # C and Fortran layouts, with an inf and a NaN row
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    x[0].flat[-1] = np.inf
+    if len(x) > 2:
+        x[2].flat[0] = np.nan
+    for rows in (x, np.asfortranarray(x)):
+        got = _row_norms(rows)
+        want = [_norm(row) for row in x]
+        assert [math.isnan(v) for v in got] == [math.isnan(v) for v in want]
+        assert [v for v in got if not math.isnan(v)] == [
+            v for v in want if not math.isnan(v)]
+        assert all(type(v) is float for v in got)
 
 
 def test_noise_norms_match_their_vectors():
@@ -243,6 +294,10 @@ def test_sre_mean_inside_log():
     assert sre_from_ratios([np.inf, 10.0]) == math.inf
     with pytest.raises(ValueError):
         sre_from_ratios([])
+    # a float is a mean of one, with the bits of the one-entry list
+    for ratio in (505.0, 0.3, 1e-300, np.float64(7.25), math.inf):
+        assert sre_from_ratios(ratio) == sre_from_ratios([ratio])
+    assert math.isnan(sre_from_ratios(math.nan))
 
 
 def test_sre_db():
